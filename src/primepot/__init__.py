@@ -6,7 +6,7 @@ eigensolver, simulate its phase-only holographic synthesis, and run the
 transmission-resonance filter for numbers that are both lucky and prime.
 """
 
-from ._kernels import NUMBA_ENABLED, backend_name
+from ._kernels import backend_name
 from .grid import Grid, PotentialGrid, default_grid
 from .susy import (
     KINETIC_HALF,
@@ -21,7 +21,6 @@ from .sequences import first_lucky, first_primes, sieve_lucky, sieve_primes
 __version__ = "0.1.0"
 
 __all__ = [
-    "NUMBA_ENABLED",
     "backend_name",
     "Grid",
     "PotentialGrid",

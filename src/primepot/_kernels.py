@@ -1,40 +1,24 @@
-"""Hot numeric kernels with numba acceleration and a pure-numpy fallback.
+"""Hot numeric kernels, one numpy/python implementation each.
 
 Two inner loops dominate runtime: the half-line sweep that linearizes each
-Riccati step of the potential-construction chain, and the piecewise-constant
-transfer-matrix product behind every transmission scan. Both carry an @njit
-version and a fallback selected at import time by the environment flag
-``PRIMEPOT_NO_NUMBA=1`` (the fallback also engages automatically when numba
-is not importable). ``benchmarks/bench_kernels.py`` compares the two paths.
+Riccati step of the potential-construction chain (a scalar RK4 loop over the
+nodes), and the piecewise-constant transfer-matrix product behind every
+transmission scan (a loop over cells, batched over energies with numpy).
+Timings of both are reported by ``python3 perfbench/run.py --trace 1``.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-__all__ = ["NUMBA_ENABLED", "backend_name", "riccati_sweep", "transfer_scan"]
-
-_flag = os.environ.get("PRIMEPOT_NO_NUMBA", "").strip().lower()
-_DISABLE = _flag in {"1", "true", "yes", "on"}
-
-try:
-    if _DISABLE:
-        raise ImportError("numba disabled by PRIMEPOT_NO_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
+__all__ = ["backend_name", "riccati_sweep", "transfer_scan"]
 
 
 def backend_name() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
+    return "numpy"
 
 
-def _riccati_sweep_impl(q, h, c, renorm_every):
+def riccati_sweep(q: np.ndarray, h: float, c: float, renorm_every: int = 256):
     """RK4 sweep of u'' = q(x) u on x >= 0 with u(0)=1, u'(0)=0.
 
     Returns W = -c u'/u on the nodes and a status index: -1 when u stayed
@@ -43,6 +27,10 @@ def _riccati_sweep_impl(q, h, c, renorm_every):
     node spacing alone. (u, u') are renormalized periodically; the ratio W
     is unaffected.
     """
+    q = np.ascontiguousarray(q, dtype=np.float64)
+    if q.shape[0] < 4:
+        raise ValueError("need at least 4 nodes for the midpoint stencil")
+    h, c, renorm_every = float(h), float(c), int(renorm_every)
     n = q.shape[0]
     w = np.zeros(n)
     u = 1.0
@@ -80,83 +68,19 @@ def _riccati_sweep_impl(q, h, c, renorm_every):
     return w, status
 
 
-def _transfer_scan_impl(v_cells, h, energies, c, v_lead):
+def transfer_scan(v_cells: np.ndarray, h: float, energies: np.ndarray, c: float, v_lead: float = 0.0):
     """Transfer-matrix transmission/reflection for piecewise-constant cells.
 
     Leads on both sides sit at `v_lead`. Amplitudes are tracked in local
-    per-cell coordinates; the accumulated 2x2 product is renormalized each
-    cell, with the log of the scale factor kept so the transmitted amplitude
-    can be recovered without overflow under deep barriers.
+    per-cell coordinates; the accumulated 2x2 product, one per energy, is
+    renormalized each cell, with the log of the scale factor kept so the
+    transmitted amplitude can be recovered without overflow under deep
+    barriers.
     """
+    v_cells = np.ascontiguousarray(v_cells, dtype=np.float64)
+    energies = np.ascontiguousarray(energies, dtype=np.float64)
+    h, c, v_lead = float(h), float(c), float(v_lead)
     n_cells = v_cells.shape[0]
-    n_e = energies.shape[0]
-    t_out = np.zeros(n_e)
-    r_out = np.zeros(n_e)
-    c2 = c * c
-    for j in range(n_e):
-        energy = energies[j]
-        k_lead = np.sqrt(complex(energy - v_lead, 0.0) / c2)
-        m11 = 1.0 + 0.0j
-        m12 = 0.0 + 0.0j
-        m21 = 0.0 + 0.0j
-        m22 = 1.0 + 0.0j
-        log_scale = 0.0
-        k_prev = k_lead
-        for i in range(n_cells + 1):
-            if i < n_cells:
-                k_cur = np.sqrt(complex(energy - v_cells[i], 0.0) / c2)
-            else:
-                k_cur = k_lead
-            if abs(k_cur) < 1e-12:
-                k_cur = 1e-12 + 0.0j
-            ratio = k_prev / k_cur
-            ap = 0.5 * (1.0 + ratio)
-            am = 0.5 * (1.0 - ratio)
-            n11 = ap * m11 + am * m21
-            n12 = ap * m12 + am * m22
-            n21 = am * m11 + ap * m21
-            n22 = am * m12 + ap * m22
-            if i < n_cells:
-                e_plus = np.exp(1j * k_cur * h)
-                e_minus = np.exp(-1j * k_cur * h)
-                m11 = e_plus * n11
-                m12 = e_plus * n12
-                m21 = e_minus * n21
-                m22 = e_minus * n22
-            else:
-                m11 = n11
-                m12 = n12
-                m21 = n21
-                m22 = n22
-            s = abs(m11)
-            if abs(m12) > s:
-                s = abs(m12)
-            if abs(m21) > s:
-                s = abs(m21)
-            if abs(m22) > s:
-                s = abs(m22)
-            if s > 0.0:
-                m11 /= s
-                m12 /= s
-                m21 /= s
-                m22 /= s
-                log_scale += math.log(s)
-            k_prev = k_cur
-        denom = abs(m22)
-        if denom == 0.0:
-            t_out[j] = 0.0
-            r_out[j] = 1.0
-            continue
-        log_t = -2.0 * (log_scale + math.log(denom))
-        t_out[j] = math.exp(log_t) if log_t > -700.0 else 0.0
-        r_out[j] = abs(m21 / m22) ** 2
-    return t_out, r_out
-
-
-def _transfer_scan_numpy(v_cells, h, energies, c, v_lead):
-    """Vectorized fallback: same matrix product, batched over energies."""
-    n_cells = v_cells.shape[0]
-    energies = np.asarray(energies, dtype=np.float64)
     k_lead = np.sqrt((energies - v_lead).astype(np.complex128)) / c
     ones = np.ones_like(k_lead)
     m11, m12 = ones.copy(), np.zeros_like(k_lead)
@@ -196,27 +120,3 @@ def _transfer_scan_numpy(v_cells, h, energies, c, v_lead):
     t_out = np.where(denom > 0.0, t_out, 0.0)
     r_out = np.where(denom > 0.0, r_out, 1.0)
     return t_out, r_out
-
-
-if NUMBA_ENABLED:
-    _riccati_sweep_fast = njit(cache=True)(_riccati_sweep_impl)
-    _transfer_scan_fast = njit(cache=True)(_transfer_scan_impl)
-
-
-def riccati_sweep(q: np.ndarray, h: float, c: float, renorm_every: int = 256):
-    """Dispatch to the compiled sweep or the interpreted fallback."""
-    q = np.ascontiguousarray(q, dtype=np.float64)
-    if q.shape[0] < 4:
-        raise ValueError("need at least 4 nodes for the midpoint stencil")
-    if NUMBA_ENABLED:
-        return _riccati_sweep_fast(q, float(h), float(c), int(renorm_every))
-    return _riccati_sweep_impl(q, float(h), float(c), int(renorm_every))
-
-
-def transfer_scan(v_cells: np.ndarray, h: float, energies: np.ndarray, c: float, v_lead: float = 0.0):
-    """Dispatch: compiled per-energy loop, or numpy batched over energies."""
-    v_cells = np.ascontiguousarray(v_cells, dtype=np.float64)
-    energies = np.ascontiguousarray(energies, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _transfer_scan_fast(v_cells, float(h), energies, float(c), float(v_lead))
-    return _transfer_scan_numpy(v_cells, float(h), energies, float(c), float(v_lead))

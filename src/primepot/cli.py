@@ -8,21 +8,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
 from .eigensolver import bound_states, compare_spectrum
-from .grid import PotentialGrid
-from .hologram import (
-    TargetMap,
-    make_state,
-    optimize_phase,
-    potential_to_target,
-    propagate,
-    sr_intensity_error,
-    uniform_illumination,
-)
+from .grid import PotentialGrid, default_grid
+from .hologram import intensity_to_potential, read_intensity_csv
 from .pipeline import (
     ADMIT_EDGE_WINDOW,
     PipelineConfig,
@@ -30,6 +23,8 @@ from .pipeline import (
     kinetic_from_name,
     parse_sequence_spec,
     run_pipeline,
+    synthesize_hologram,
+    write_json,
 )
 from .scattering import (
     build_filter_apparatus,
@@ -39,7 +34,6 @@ from .scattering import (
 from .semiclassical import invert_to_potential, prime_density_of_states, profile_to_potential
 from .sequences import counting_estimates, first_lucky, first_primes, sieve_lucky, sieve_primes
 from .susy import ChainError, design_potential
-from .grid import default_grid
 from .units import PhysicalContext, energy_scale
 
 EXIT_OK = 0
@@ -51,15 +45,8 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _cmd_primes(args) -> int:
-    values = sieve_primes(args.limit) if args.limit is not None else first_primes(args.count)
-    for v in values:
-        print(int(v))
-    return EXIT_OK
-
-
-def _cmd_lucky(args) -> int:
-    values = sieve_lucky(args.limit) if args.limit is not None else first_lucky(args.count)
+def _cmd_list(args) -> int:
+    values = args.sieve(args.limit) if args.limit is not None else args.first(args.count)
     for v in values:
         print(int(v))
     return EXIT_OK
@@ -99,9 +86,7 @@ def _cmd_solve(args) -> int:
         payload["targets"] = targets.tolist()
         payload.update(report.as_dict())
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.json, payload)
     _print_json(payload)
     return EXIT_OK
 
@@ -121,9 +106,7 @@ def _cmd_scatter(args) -> int:
     scan = transmission_scan(pot, energies, kinetic_from_name(args.kinetic))
     payload = scan.as_dict()
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.json, payload)
         print(f"wrote {args.json} ({len(scan.resonances)} resonances)")
     else:
         _print_json(payload)
@@ -142,83 +125,27 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_holo_synth(args) -> int:
-    pot = PotentialGrid.read_csv(args.potential)
-    amp, tmap = potential_to_target(pot, args.sr)
-    state = make_state(args.m, amp, seed=args.seed, steepness_d=args.d, target_map=tmap)
-    illumination = uniform_illumination(args.m)
-    result = optimize_phase(state, illumination, max_iters=args.iters)
-    field = propagate(result.state, illumination)
-    err = sr_intensity_error(field, result.state)
     phase_out, intensity_out = args.out.split(",")
-    np.savetxt(phase_out, result.state.phase, delimiter=",")
-    from .pipeline import _write_intensity_csv
-
-    intensity = np.abs(field.values[result.state.signal_mask]) ** 2
-    x_sr = np.linspace(-tmap.span, tmap.span, tmap.sr_length)
-    _write_intensity_csv(intensity_out, x_sr, intensity, tmap)
+    pot = PotentialGrid.read_csv(args.potential)
+    holo = synthesize_hologram(pot, args.m, args.sr, args.d, args.iters, args.seed)
+    holo.write(phase_out, intensity_out)
+    history = holo.result.history
     if args.cost_out:
         with open(args.cost_out, "w") as fh:
-            json.dump(result.history.tolist(), fh)
+            json.dump(history.tolist(), fh)
             fh.write("\n")
     print(
-        f"wrote {phase_out}, {intensity_out}; iterations {result.history.size - 1}, "
-        f"SR intensity rms error {err:.4f}"
+        f"wrote {phase_out}, {intensity_out}; iterations {history.size - 1}, "
+        f"SR intensity rms error {holo.sr_error:.4f}"
     )
-    if result.line_search_failed:
+    if holo.result.line_search_failed:
         print("warning: line search stalled; best-so-far returned", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_holo_extract(args) -> int:
-    meta = {}
-    xs, vals = [], []
-    with open(args.intensity) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = value
-                continue
-            if line.lower().startswith("x,"):
-                continue
-            sx, _, sv = line.partition(",")
-            xs.append(float(sx))
-            vals.append(float(sv))
-    required = {"ceiling", "span", "norm", "asymptote", "sr_length", "grid_half_width", "grid_points"}
-    missing = required - meta.keys()
-    if missing:
-        raise ValueError(f"{args.intensity}: missing metadata {sorted(missing)}")
-    tmap = TargetMap(
-        ceiling=float(meta["ceiling"]),
-        span=float(meta["span"]),
-        norm=float(meta["norm"]),
-        asymptote=float(meta["asymptote"]),
-        sr_length=int(meta["sr_length"]),
-        grid_half_width=float(meta["grid_half_width"]),
-        grid_points=int(meta["grid_points"]),
-    )
-    intensity = np.asarray(vals)
-    if intensity.size != tmap.sr_length:
-        raise ValueError("intensity row length does not match its declared sr_length")
-    total = intensity.sum()
-    v_sr = tmap.ceiling - intensity / total * tmap.norm
-    from scipy.interpolate import CubicSpline
-
-    from .grid import Grid
-
-    x_sr = np.linspace(-tmap.span, tmap.span, tmap.sr_length)
-    grid = Grid(half_width=tmap.grid_half_width, points=tmap.grid_points)
-    spline = CubicSpline(x_sr, v_sr, bc_type="natural")
-    values = np.where(np.abs(grid.x) <= tmap.span, spline(grid.x), tmap.asymptote)
-    pot = PotentialGrid(
-        grid=grid,
-        values=values,
-        asymptote=tmap.asymptote,
-        even_symmetric=bool(np.array_equal(values, values[::-1])),
-    )
-    pot.write_csv(args.out)
+    intensity, tmap = read_intensity_csv(args.intensity)
+    intensity_to_potential(intensity, tmap).write_csv(args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -238,23 +165,10 @@ def _cmd_pipeline(args) -> int:
         config = PipelineConfig.read(args.config)
     else:
         config = PipelineConfig()
-    for name in (
-        "sequence",
-        "half_width",
-        "spacing",
-        "kinetic",
-        "holo_m",
-        "holo_sr",
-        "holo_d",
-        "holo_iters",
-        "seed",
-        "outdir",
-    ):
-        value = getattr(args, name, None)
+    for f in fields(PipelineConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(config, name, value)
-    if args.hologram:
-        config.hologram = True
+            setattr(config, f.name, value)
     report = run_pipeline(config)
     for target, value, flag in zip(
         report.targets, report.eigenvalues, report.report.rounds_to_target
@@ -277,13 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--limit", type=int)
     group.add_argument("--count", type=int)
-    p.set_defaults(func=_cmd_primes)
+    p.set_defaults(func=_cmd_list, sieve=sieve_primes, first=first_primes)
 
     p = sub.add_parser("lucky", help="list lucky numbers")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--limit", type=int)
     group.add_argument("--count", type=int)
-    p.set_defaults(func=_cmd_lucky)
+    p.set_defaults(func=_cmd_list, sieve=sieve_lucky, first=first_lucky)
 
     p = sub.add_parser("pi", help="prime counting estimates at x")
     p.add_argument("--x", type=float, required=True)
@@ -360,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--half-width", type=float, dest="half_width")
     p.add_argument("--spacing", type=float)
     p.add_argument("--kinetic", choices=("half", "unit"))
-    p.add_argument("--hologram", action="store_true")
+    p.add_argument("--hologram", action="store_true", default=None)
     p.add_argument("--holo-m", type=int, dest="holo_m")
     p.add_argument("--holo-sr", type=int, dest="holo_sr")
     p.add_argument("--holo-d", type=int, dest="holo_d")

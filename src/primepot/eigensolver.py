@@ -125,7 +125,11 @@ def bound_states(
 
 
 def compare_spectrum(spectrum, targets) -> DiscrepancyReport:
-    """Absolute/fractional per-level errors, their rms, and rounding flags."""
+    """Absolute/fractional per-level errors, their rms, and rounding flags.
+
+    The fractional error of a level whose target is 0 is its absolute error,
+    so the report stays finite.
+    """
     if isinstance(spectrum, Spectrum):
         values = spectrum.eigenvalues
     else:
@@ -134,7 +138,7 @@ def compare_spectrum(spectrum, targets) -> DiscrepancyReport:
     if values.shape != goal.shape:
         raise ValueError(f"level count mismatch: {values.shape} vs {goal.shape}")
     abs_err = np.abs(values - goal)
-    frac_err = abs_err / np.abs(goal)
+    frac_err = abs_err / np.where(goal == 0.0, 1.0, np.abs(goal))
     rms = float(np.sqrt(np.mean(frac_err**2))) if frac_err.size else 0.0
     rounds = np.rint(values).astype(np.int64) == np.rint(goal).astype(np.int64)
     return DiscrepancyReport(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid", "PotentialGrid", "default_grid"]
+__all__ = ["Grid", "PotentialGrid", "default_grid", "read_table", "write_table"]
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,40 @@ def default_grid(half_width: float = 12.0, spacing: float = 0.005) -> Grid:
     if points % 2 == 0:
         points += 1
     return Grid(half_width=half_width, points=points)
+
+
+def write_table(path, metadata: dict, header: str, x, y) -> None:
+    """Two-column CSV: `# key=value` lines (values by repr), a header, `x,y` rows.
+
+    Every float is written by repr, so read_table recovers it bit for bit.
+    """
+    with open(path, "w") as fh:
+        for key, value in metadata.items():
+            fh.write(f"# {key}={value!r}\n")
+        fh.write(f"{header}\n")
+        for xi, yi in zip(x, y):
+            fh.write(f"{float(xi)!r},{float(yi)!r}\n")
+
+
+def read_table(path) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
+    """Inverse of write_table: (metadata as unparsed strings, x, y)."""
+    meta = {}
+    xs, ys = [], []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                key, _, value = line[1:].strip().partition("=")
+                meta[key.strip()] = value
+                continue
+            if line.lower().startswith("x,"):
+                continue
+            sx, _, sy = line.partition(",")
+            xs.append(float(sx))
+            ys.append(float(sy))
+    return meta, np.asarray(xs), np.asarray(ys)
 
 
 @dataclass
@@ -131,38 +165,14 @@ class PotentialGrid:
             energy_shift=self.energy_shift,
         )
 
-    def write_csv(self, path, metadata: dict | None = None) -> None:
-        """Write `x,V` rows in decimal text, optional `# key=value` header lines."""
-        with open(path, "w") as fh:
-            if metadata:
-                for key, value in metadata.items():
-                    fh.write(f"# {key}={value!r}\n")
-            fh.write(f"# asymptote={self.asymptote!r}\n")
-            fh.write(f"# energy_shift={self.energy_shift!r}\n")
-            fh.write("x,V\n")
-            for xi, vi in zip(self.grid.x, self.values):
-                fh.write(f"{float(xi)!r},{float(vi)!r}\n")
+    def write_csv(self, path) -> None:
+        """Write `x,V` rows in decimal text under the asymptote and energy shift."""
+        meta = {"asymptote": self.asymptote, "energy_shift": self.energy_shift}
+        write_table(path, meta, "x,V", self.grid.x, self.values)
 
     @classmethod
     def read_csv(cls, path) -> "PotentialGrid":
-        meta = {}
-        xs, vs = [], []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, value = line[1:].strip().partition("=")
-                    meta[key.strip()] = value
-                    continue
-                if line.lower().startswith("x,"):
-                    continue
-                sx, _, sv = line.partition(",")
-                xs.append(float(sx))
-                vs.append(float(sv))
-        x = np.asarray(xs)
-        values = np.asarray(vs)
+        meta, x, values = read_table(path)
         if x.size < 3:
             raise ValueError(f"{path}: expected at least 3 rows")
         spacing = np.diff(x)
@@ -170,8 +180,7 @@ class PotentialGrid:
             raise ValueError(f"{path}: grid is not uniform")
         if abs(x[0] + x[-1]) > 1e-9 * max(1.0, abs(x[-1])):
             raise ValueError(f"{path}: grid is not symmetric about zero")
-        points = x.size if x.size % 2 else x.size - 1
-        if points != x.size:
+        if x.size % 2 == 0:
             raise ValueError(f"{path}: grid must have an odd number of nodes")
         grid = Grid(half_width=float(x[-1]), points=x.size)
         asym = float(meta.get("asymptote", values[-1]))

@@ -17,12 +17,13 @@ line search is not optional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .grid import Grid, PotentialGrid
+from .grid import Grid, PotentialGrid, read_table, write_table
 
 __all__ = [
     "TargetMap",
@@ -37,6 +38,9 @@ __all__ = [
     "cost_and_gradient",
     "optimize_phase",
     "extract_profile",
+    "intensity_to_potential",
+    "write_intensity_csv",
+    "read_intensity_csv",
     "sr_intensity_error",
 ]
 
@@ -54,6 +58,11 @@ class TargetMap:
     sr_length: int
     grid_half_width: float
     grid_points: int
+
+    @property
+    def x_sr(self) -> np.ndarray:
+        """Design-frame positions of the SR pixels."""
+        return np.linspace(-self.span, self.span, self.sr_length)
 
 
 @dataclass
@@ -323,6 +332,27 @@ def optimize_phase(
     )
 
 
+def intensity_to_potential(intensity: np.ndarray, tmap: TargetMap) -> PotentialGrid:
+    """Invert an SR intensity row through its target map to a potential on the
+    design grid (the asymptote outside the SR span)."""
+    intensity = np.asarray(intensity, dtype=np.float64)
+    if intensity.size != tmap.sr_length:
+        raise ValueError("intensity row length does not match its declared sr_length")
+    total = float(intensity.sum())
+    if total <= 0.0:
+        raise ValueError("no power in the signal region")
+    v_sr = tmap.ceiling - intensity / total * tmap.norm
+    grid = Grid(half_width=tmap.grid_half_width, points=tmap.grid_points)
+    spline = CubicSpline(tmap.x_sr, v_sr, bc_type="natural")
+    values = np.where(np.abs(grid.x) <= tmap.span, spline(grid.x), tmap.asymptote)
+    return PotentialGrid(
+        grid=grid,
+        values=values,
+        asymptote=tmap.asymptote,
+        even_symmetric=bool(np.array_equal(values, values[::-1])),
+    )
+
+
 def extract_profile(field: OutputField, state: HologramState) -> PotentialGrid:
     """Invert the SR intensity row back to a potential on the design grid."""
     if state.target_map is None:
@@ -331,22 +361,24 @@ def extract_profile(field: OutputField, state: HologramState) -> PotentialGrid:
     rows = np.nonzero(mask.any(axis=1))[0]
     if rows.size != 1:
         raise ValueError("signal region must be a single pixel row")
-    tmap = state.target_map
-    intensity = np.abs(field.values[mask]) ** 2
-    total = float(intensity.sum())
-    if total <= 0.0:
-        raise ValueError("no power in the signal region")
-    v_sr = tmap.ceiling - intensity / total * tmap.norm
-    x_sr = np.linspace(-tmap.span, tmap.span, tmap.sr_length)
-    grid = Grid(half_width=tmap.grid_half_width, points=tmap.grid_points)
-    spline = CubicSpline(x_sr, v_sr, bc_type="natural")
-    values = np.where(np.abs(grid.x) <= tmap.span, spline(grid.x), tmap.asymptote)
-    return PotentialGrid(
-        grid=grid,
-        values=values,
-        asymptote=tmap.asymptote,
-        even_symmetric=bool(np.array_equal(values, values[::-1])),
-    )
+    return intensity_to_potential(np.abs(field.values[mask]) ** 2, state.target_map)
+
+
+def write_intensity_csv(path, intensity: np.ndarray, tmap: TargetMap) -> None:
+    """SR intensity as `x,I` rows under the target map's `# key=value` lines."""
+    meta = {f.name: getattr(tmap, f.name) for f in fields(TargetMap)}
+    write_table(path, meta, "x,I", tmap.x_sr, intensity)
+
+
+def read_intensity_csv(path) -> tuple[np.ndarray, TargetMap]:
+    """Inverse of write_intensity_csv: (intensity row, target map)."""
+    meta, _, intensity = read_table(path)
+    names = [f.name for f in fields(TargetMap)]
+    missing = set(names) - meta.keys()
+    if missing:
+        raise ValueError(f"{path}: missing metadata {sorted(missing)}")
+    kinds = get_type_hints(TargetMap)
+    return intensity, TargetMap(**{name: kinds[name](meta[name]) for name in names})
 
 
 def sr_intensity_error(field: OutputField, state: HologramState) -> float:

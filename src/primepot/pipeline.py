@@ -15,27 +15,34 @@ from pathlib import Path
 import numpy as np
 
 from .eigensolver import DiscrepancyReport, bound_states, compare_spectrum
-from .grid import default_grid
+from .grid import PotentialGrid, default_grid
 from .hologram import (
+    OptimizeResult,
+    OutputField,
+    TargetMap,
+    extract_profile,
     make_state,
     optimize_phase,
     potential_to_target,
     propagate,
-    extract_profile,
     sr_intensity_error,
     uniform_illumination,
+    write_intensity_csv,
 )
 from .sequences import first_lucky, first_primes
 from .susy import KINETIC_HALF, KINETIC_UNIT, ChainError, design_potential
 
 __all__ = [
     "ADMIT_EDGE_WINDOW",
+    "HologramRun",
     "PipelineConfig",
     "PipelineReport",
     "PipelineStageError",
     "parse_sequence_spec",
     "kinetic_from_name",
     "run_pipeline",
+    "synthesize_hologram",
+    "write_json",
 ]
 
 # The designed top level sits exactly at the continuum edge; in a finite box
@@ -110,14 +117,13 @@ class PipelineConfig:
             if f.name not in raw:
                 continue
             text = raw[f.name]
-            if f.type == "bool":
+            kind = type(f.default)
+            if kind is bool:
                 kwargs[f.name] = text in ("True", "true", "1")
-            elif f.type == "int":
-                kwargs[f.name] = int(text)
-            elif f.type == "float":
-                kwargs[f.name] = float(text)
-            else:
+            elif kind is str:
                 kwargs[f.name] = text.strip("'\"")
+            else:
+                kwargs[f.name] = kind(text)
         return cls(**kwargs)
 
 
@@ -154,24 +160,40 @@ class PipelineReport:
         return payload
 
 
-def _write_json(path, payload) -> None:
+def write_json(path, payload) -> None:
+    """Indented, key-sorted JSON with a trailing newline (the JSON artifact format)."""
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _write_intensity_csv(path, x_sr, intensity, tmap) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# ceiling={tmap.ceiling!r}\n")
-        fh.write(f"# span={tmap.span!r}\n")
-        fh.write(f"# norm={tmap.norm!r}\n")
-        fh.write(f"# asymptote={tmap.asymptote!r}\n")
-        fh.write(f"# sr_length={tmap.sr_length!r}\n")
-        fh.write(f"# grid_half_width={tmap.grid_half_width!r}\n")
-        fh.write(f"# grid_points={tmap.grid_points!r}\n")
-        fh.write("x,I\n")
-        for xi, ii in zip(x_sr, intensity):
-            fh.write(f"{float(xi)!r},{float(ii)!r}\n")
+@dataclass
+class HologramRun:
+    """Outcome of the hologram stage for one potential."""
+
+    result: OptimizeResult
+    field: OutputField
+    target_map: TargetMap
+    sr_error: float
+
+    def write(self, phase_path, intensity_path) -> None:
+        """Phase plane as bare CSV; SR intensity with its target map."""
+        np.savetxt(phase_path, self.result.state.phase, delimiter=",")
+        intensity = np.abs(self.field.values[self.result.state.signal_mask]) ** 2
+        write_intensity_csv(intensity_path, intensity, self.target_map)
+
+
+def synthesize_hologram(
+    potential: PotentialGrid, m: int, sr_length: int, steepness_d: int, max_iters: int, seed: int
+) -> HologramRun:
+    """Target row, seeded random-phase state, optimized phase and output field
+    under uniform illumination, plus the SR intensity error."""
+    amp, tmap = potential_to_target(potential, sr_length)
+    state = make_state(m, amp, seed=seed, steepness_d=steepness_d, target_map=tmap)
+    illumination = uniform_illumination(m)
+    result = optimize_phase(state, illumination, max_iters=max_iters)
+    field = propagate(result.state, illumination)
+    return HologramRun(result, field, tmap, sr_intensity_error(field, result.state))
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
@@ -200,32 +222,25 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     holo_err = None
     if config.hologram:
         try:
-            amp, tmap = potential_to_target(designed, config.holo_sr)
-            state = make_state(
-                config.holo_m, amp, seed=config.seed, steepness_d=config.holo_d, target_map=tmap
+            holo = synthesize_hologram(
+                designed, config.holo_m, config.holo_sr, config.holo_d, config.holo_iters, config.seed
             )
-            illumination = uniform_illumination(config.holo_m)
-            result = optimize_phase(state, illumination, max_iters=config.holo_iters)
-            field = propagate(result.state, illumination)
-            holo_err = sr_intensity_error(field, result.state)
-            reconstructed = extract_profile(field, result.state)
+            reconstructed = extract_profile(holo.field, holo.result.state)
         except ValueError as err:
             raise PipelineStageError("hologram", err) from err
         phase_path = outdir / "phase.csv"
-        np.savetxt(phase_path, result.state.phase, delimiter=",")
-        files["phase"] = str(phase_path)
-        intensity = np.abs(field.values[result.state.signal_mask]) ** 2
-        x_sr = np.linspace(-tmap.span, tmap.span, tmap.sr_length)
         intensity_path = outdir / "intensity.csv"
-        _write_intensity_csv(intensity_path, x_sr, intensity, tmap)
+        holo.write(phase_path, intensity_path)
+        files["phase"] = str(phase_path)
         files["intensity"] = str(intensity_path)
         cost_path = outdir / "cost_history.json"
-        _write_json(cost_path, result.history.tolist())
+        write_json(cost_path, holo.result.history.tolist())
         files["cost_history"] = str(cost_path)
         rec_path = outdir / "potential_reconstructed.csv"
         reconstructed.write_csv(rec_path)
         files["potential_reconstructed"] = str(rec_path)
         solve_input = reconstructed
+        holo_err = holo.sr_error
 
     try:
         spectrum = bound_states(solve_input, kinetic, margin=-ADMIT_EDGE_WINDOW)
@@ -242,7 +257,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     report = compare_spectrum(eigenvalues, targets)
 
     spectrum_path = outdir / "spectrum.json"
-    _write_json(
+    write_json(
         spectrum_path,
         {
             "eigenvalues": eigenvalues.tolist(),
@@ -264,6 +279,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         elapsed_s=time.perf_counter() - t0,
     )
     report_path = outdir / "report.json"
-    _write_json(report_path, out.as_dict())
+    write_json(report_path, out.as_dict())
     files["report"] = str(report_path)
     return out

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from . import _kernels
 from .grid import Grid, PotentialGrid
@@ -196,11 +195,23 @@ def transmission_scan(
     energies = np.asarray(energies, dtype=np.float64)
     if np.any(energies <= 0.0):
         raise ValueError("energies must be positive")
+    from scipy.signal import find_peaks
+
     t_values, _ = transmission(potential, energies, kinetic_scale)
     # prominence floor keeps roundoff ripples on flat T = 1 stretches out
     peaks, _ = find_peaks(t_values, height=resonance_height, prominence=1e-3)
     resonances = [(float(energies[i]), float(t_values[i])) for i in peaks]
     return TransmissionScan(energies=energies, t_values=t_values, resonances=resonances)
+
+
+def _local_maxima(values: np.ndarray) -> np.ndarray:
+    """Indices of strict interior local maxima; a flat top counts once, at its
+    middle sample (the peaks ``scipy.signal.find_peaks`` reports)."""
+    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+    ends = np.r_[starts[1:], values.size] - 1
+    top = values[starts]
+    inner = (top[1:-1] > top[:-2]) & (top[1:-1] > top[2:])
+    return (starts[1:-1][inner] + ends[1:-1][inner]) // 2
 
 
 def windowed_max_transmission(
@@ -237,9 +248,9 @@ def windowed_max_transmission(
     best_e = float(energies[int(t.argmax())])
     if stop_above is not None and best_t >= stop_above:
         return best_t, best_e
-    peaks, props = find_peaks(t, height=0.0)
+    peaks = _local_maxima(t)
     if peaks.size:
-        order = np.argsort(props["peak_heights"])[::-1][:top_k]
+        order = np.argsort(t[peaks])[::-1][:top_k]
         seeds = [int(peaks[i]) for i in order]
     else:
         seeds = [int(t.argmax())]

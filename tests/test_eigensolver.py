@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -113,3 +115,10 @@ def test_compare_spectrum_paper_table_v15():
 def test_compare_spectrum_length_mismatch():
     with pytest.raises(ValueError):
         compare_spectrum([1.0, 2.0], [1.0])
+
+
+def test_compare_spectrum_zero_target_uses_absolute_error():
+    report = compare_spectrum([0.01, 1.0], [0.0, 1.0])
+    assert np.allclose(report.per_level_frac, [0.01, 0.0])
+    assert np.isfinite(report.rms_frac)
+    assert json.loads(json.dumps(report.as_dict(), allow_nan=False))["rms_frac"] == report.rms_frac

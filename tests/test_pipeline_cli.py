@@ -240,3 +240,27 @@ def test_cli_pipeline_exit_zero(tmp_path):
         )
         == 0
     )
+
+
+def test_cli_holo_matches_pipeline_bytes(tmp_path):
+    outdir = tmp_path / "pipe"
+    config = PipelineConfig(
+        sequence="primes:5",
+        half_width=10.0,
+        hologram=True,
+        holo_m=48,
+        holo_sr=80,
+        holo_d=9,
+        holo_iters=250,
+        seed=1,
+        outdir=str(outdir),
+    )
+    run_pipeline(config)
+    phase, intensity, rec = (tmp_path / name for name in ("phase.csv", "intensity.csv", "rec.csv"))
+    synth = ["holo", "synth", str(outdir / "potential.csv"), "--m", "48", "--sr", "80", "--d", "9"]
+    synth += ["--iters", "250", "--seed", "1", "--out", f"{phase},{intensity}"]
+    assert main(synth) == 0
+    assert main(["holo", "extract", str(intensity), "--out", str(rec)]) == 0
+    assert phase.read_bytes() == (outdir / "phase.csv").read_bytes()
+    assert intensity.read_bytes() == (outdir / "intensity.csv").read_bytes()
+    assert rec.read_bytes() == (outdir / "potential_reconstructed.csv").read_bytes()

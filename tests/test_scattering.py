@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.signal import find_peaks
 
 from primepot.eigensolver import bound_states
 from primepot.grid import Grid, PotentialGrid, default_grid
 from primepot.scattering import (
+    _local_maxima,
     compose_apparatus,
     filter_lucky_prime,
     lucky_prime_test,
@@ -196,3 +198,16 @@ def test_transfer_product_determinant_unit_modulus():
         # and the same product reproduces the kernel's transmission
         t_kernel, _ = transmission_from_cells(cells, h, np.array([energy]), c, 0.0)
         assert abs(1.0 / np.abs(m[1, 1]) ** 2 - t_kernel[0]) < 1e-10
+
+
+def test_local_maxima_matches_find_peaks(filter_apparatus):
+    rng = np.random.default_rng(11)
+    # small integer alphabets give flat tops, edge plateaus and ties
+    rows = [rng.integers(0, 4, rng.integers(1, 40)).astype(float) for _ in range(500)]
+    composed = filter_apparatus.composed()
+    cells = 0.5 * (composed.values[:-1] + composed.values[1:])
+    t, _ = transmission_from_cells(cells, composed.grid.spacing, np.linspace(6.5, 7.5, 241), KINETIC_HALF)
+    rows.append(t)
+    for row in rows:
+        expected, _ = find_peaks(row, height=0.0)
+        assert np.array_equal(_local_maxima(row), expected)
