@@ -131,9 +131,7 @@ def _cmd_holo_synth(args) -> int:
     holo.write(phase_out, intensity_out)
     history = holo.result.history
     if args.cost_out:
-        with open(args.cost_out, "w") as fh:
-            json.dump(history.tolist(), fh)
-            fh.write("\n")
+        write_json(args.cost_out, history.tolist())
     print(
         f"wrote {phase_out}, {intensity_out}; iterations {history.size - 1}, "
         f"SR intensity rms error {holo.sr_error:.4f}"

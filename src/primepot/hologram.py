@@ -1,14 +1,20 @@
 """Phase-only Fourier holography simulation: synth a potential as an
 intensity profile, retrieve the modulator phase, and read the profile back.
 
-The modulator plane (m x m) is embedded in a zero-padded 2m x 2m plane so
-the output plane is fully resolved; light propagates by a centered unitary
-Fourier transform. The cost is the steepened squared deficit of the
-amplitude overlap accumulated over the signal region (SR), a single pixel
-row holding the 1D intensity profile; everywhere else the field is
-unconstrained. The overlap takes the modulus per pixel before summing, so
-a zero cost means the SR intensity profile matches exactly while the output
-phase stays free.
+The modulator plane (m x m) sits in a zero-padded 2m x 2m plane and light
+propagates to the output plane by a centered unitary Fourier transform. The
+cost is the steepened squared deficit of the amplitude overlap accumulated
+over the signal region (SR), a single pixel row holding the 1D intensity
+profile; everywhere else the field is unconstrained. The overlap takes the
+modulus per pixel before summing, so a zero cost means the SR intensity
+profile matches exactly while the output phase stays free.
+
+The SR lies on the zero-vertical-frequency row of the output plane, which is
+the 1D centered transform of the modulated plane's column sums scaled by
+1/(2m). The cost therefore depends on the phase only through those m column
+sums, and only that row is ever computed: one length-2m FFT forward, one
+length-2m inverse FFT broadcast over the rows for the adjoint. The full 2D
+plane exists only as a reference implementation in the tests.
 
 Minimization is Polak-Ribiere conjugate gradient with an Armijo backtracking
 line search; the steepness prefactor makes fixed step sizes diverge, so the
@@ -28,7 +34,6 @@ from .grid import Grid, PotentialGrid, read_table, write_table
 __all__ = [
     "TargetMap",
     "HologramState",
-    "OutputField",
     "OptimizeResult",
     "potential_to_target",
     "make_state",
@@ -67,13 +72,11 @@ class TargetMap:
 
 @dataclass
 class HologramState:
-    """Phase plane plus the padded-output-plane target description."""
+    """Phase plane plus the unit-power target amplitude of the SR row."""
 
     phase: np.ndarray
     m: int
-    signal_mask: np.ndarray
-    target_amplitude: np.ndarray
-    target_phase: float = 0.0
+    target_row: np.ndarray
     steepness_d: int = DEFAULT_STEEPNESS
     target_map: TargetMap | None = None
 
@@ -81,25 +84,17 @@ class HologramState:
         self.phase = np.asarray(self.phase, dtype=np.float64)
         if self.phase.shape != (self.m, self.m):
             raise ValueError("phase plane must be m x m")
-        if self.signal_mask.shape != (2 * self.m, 2 * self.m):
-            raise ValueError("signal mask must live on the padded 2m x 2m plane")
-        if self.target_amplitude.shape != self.signal_mask.shape:
-            raise ValueError("target amplitude must live on the padded plane")
-        power = float(np.sum(self.target_amplitude[self.signal_mask] ** 2))
-        if abs(power - 1.0) > 1e-9:
+        self.target_row = np.asarray(self.target_row, dtype=np.float64)
+        if self.target_row.ndim != 1 or self.target_row.size >= 2 * self.m:
+            raise ValueError("signal region must sit strictly inside the output plane")
+        if abs(float(np.sum(self.target_row**2)) - 1.0) > 1e-9:
             raise ValueError("target amplitude must carry unit power over the SR")
 
     @property
-    def padded_size(self) -> int:
-        return 2 * self.m
-
-
-@dataclass(frozen=True)
-class OutputField:
-    """Complex field on the padded output plane."""
-
-    values: np.ndarray
-    power: float
+    def sr_columns(self) -> slice:
+        """Output-row pixels of the SR, centred on the zero-frequency pixel m."""
+        start = self.m - self.target_row.size // 2
+        return slice(start, start + self.target_row.size)
 
 
 @dataclass
@@ -107,10 +102,6 @@ class OptimizeResult:
     state: HologramState
     history: np.ndarray
     line_search_failed: bool = False
-
-    @property
-    def final_cost(self) -> float:
-        return float(self.history[-1])
 
 
 def potential_to_target(
@@ -165,25 +156,13 @@ def make_state(
     steepness_d: int = DEFAULT_STEEPNESS,
     target_map: TargetMap | None = None,
 ) -> HologramState:
-    """Seeded random-phase state with the 1D target centred on the output plane."""
-    amplitude_row = np.asarray(amplitude_row, dtype=np.float64)
-    sr_length = amplitude_row.size
-    size = 2 * m
-    if sr_length >= size:
-        raise ValueError("signal region must sit strictly inside the output plane")
-    mask = np.zeros((size, size), dtype=bool)
-    row = m
-    col0 = m - sr_length // 2
-    mask[row, col0 : col0 + sr_length] = True
-    target = np.zeros((size, size))
-    target[row, col0 : col0 + sr_length] = amplitude_row
+    """Seeded random-phase state with the 1D target centred on the output row."""
     rng = np.random.default_rng(seed)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=(m, m))
     return HologramState(
         phase=phase,
         m=m,
-        signal_mask=mask,
-        target_amplitude=target,
+        target_row=amplitude_row,
         steepness_d=steepness_d,
         target_map=target_map,
     )
@@ -202,32 +181,23 @@ def gaussian_illumination(m: int, waist_fraction: float = 0.5) -> np.ndarray:
     return beam / np.sqrt(np.sum(beam**2))
 
 
-def _fft_centered(plane: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(plane), norm="ortho"))
+def _output_row(modulated: np.ndarray) -> np.ndarray:
+    """Zero-vertical-frequency row of the centered unitary 2m x 2m transform
+    of the zero-padded plane: the centered FFT of its column sums over 2m."""
+    m = modulated.shape[0]
+    sums = np.zeros(2 * m, dtype=np.complex128)
+    sums[m // 2 : m // 2 + m] = modulated.sum(axis=0)
+    return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(sums))) / (2 * m)
 
 
-def _ifft_centered(plane: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(plane), norm="ortho"))
-
-
-def _embed(state_m: int, plane: np.ndarray) -> np.ndarray:
-    size = 2 * state_m
-    padded = np.zeros((size, size), dtype=np.complex128)
-    lo = state_m // 2
-    padded[lo : lo + state_m, lo : lo + state_m] = plane
-    return padded
-
-
-def propagate(state: HologramState, illumination: np.ndarray) -> OutputField:
-    """Embed the modulated beam in the padded plane and transform to the output."""
+def propagate(state: HologramState, illumination: np.ndarray) -> np.ndarray:
+    """Complex output field on the SR row for the modulated beam."""
     illumination = np.asarray(illumination, dtype=np.float64)
     if illumination.shape != (state.m, state.m):
         raise ValueError("illumination must be m x m")
     if np.any(illumination < 0.0):
         raise ValueError("illumination must be non-negative")
-    modulated = illumination * np.exp(1j * state.phase)
-    out = _fft_centered(_embed(state.m, modulated))
-    return OutputField(values=out, power=float(np.sum(np.abs(out) ** 2)))
+    return _output_row(illumination * np.exp(1j * state.phase))[state.sr_columns]
 
 
 def cost_and_gradient(state: HologramState, illumination: np.ndarray):
@@ -235,13 +205,13 @@ def cost_and_gradient(state: HologramState, illumination: np.ndarray):
     transform."""
     illumination = np.asarray(illumination, dtype=np.float64)
     modulated = illumination * np.exp(1j * state.phase)
-    out = _fft_centered(_embed(state.m, modulated))
-    mask = state.signal_mask
-    f_sr = out[mask]
+    row = _output_row(modulated)
+    sr = state.sr_columns
+    f_sr = row[sr]
     power_sr = float(np.sum(np.abs(f_sr) ** 2))
     if power_sr <= 0.0:
         raise ValueError("no power in the signal region; normalization undefined")
-    w_sr = state.target_amplitude[mask]
+    w_sr = state.target_row
     amp = np.abs(f_sr)
     sqrt_p = np.sqrt(power_sr)
     overlap = float(np.sum(w_sr * amp) / sqrt_p)
@@ -250,12 +220,12 @@ def cost_and_gradient(state: HologramState, illumination: np.ndarray):
 
     amp_safe = np.where(amp > 0.0, amp, 1.0)
     bracket = w_sr / (amp_safe * sqrt_p) - overlap / power_sr
-    adj = np.zeros_like(out)
-    adj[mask] = f_sr * bracket
-    back = _ifft_centered(adj)
+    adj = np.zeros_like(row)
+    adj[sr] = f_sr * bracket
+    # adjoint of _output_row: one row over the modulator columns, the same on every row
+    back = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(adj)))
     lo = state.m // 2
-    back_center = back[lo : lo + state.m, lo : lo + state.m]
-    d_overlap = np.imag(np.conj(modulated) * back_center)
+    d_overlap = np.imag(np.conj(modulated) * back[lo : lo + state.m])
     grad = -2.0 * steep * (1.0 - overlap) * d_overlap
     return cost, grad
 
@@ -264,8 +234,6 @@ def optimize_phase(
     state: HologramState,
     illumination: np.ndarray | None = None,
     max_iters: int = 500,
-    seed: int | None = None,
-    grad_tol: float = 0.0,
 ) -> OptimizeResult:
     """Polak-Ribiere conjugate gradient with Armijo backtracking.
 
@@ -276,11 +244,7 @@ def optimize_phase(
         raise ValueError("max_iters must be >= 1")
     if illumination is None:
         illumination = uniform_illumination(state.m)
-    if seed is not None:
-        rng = np.random.default_rng(seed)
-        state = replace(state, phase=rng.uniform(0.0, 2.0 * np.pi, size=(state.m, state.m)))
-    else:
-        state = replace(state, phase=state.phase.copy())
+    state = replace(state, phase=state.phase.copy())
 
     phase = state.phase
     cost, grad = cost_and_gradient(replace(state, phase=phase), illumination)
@@ -323,7 +287,7 @@ def optimize_phase(
         cost, grad = trial_cost, trial_grad
         history.append(cost)
         step = 2.0 * alpha
-        if cost <= floor or float(np.max(np.abs(grad))) <= grad_tol:
+        if cost <= floor:
             break
     return OptimizeResult(
         state=replace(state, phase=phase),
@@ -353,15 +317,11 @@ def intensity_to_potential(intensity: np.ndarray, tmap: TargetMap) -> PotentialG
     )
 
 
-def extract_profile(field: OutputField, state: HologramState) -> PotentialGrid:
+def extract_profile(field: np.ndarray, state: HologramState) -> PotentialGrid:
     """Invert the SR intensity row back to a potential on the design grid."""
     if state.target_map is None:
         raise ValueError("state carries no target map; build it with potential_to_target")
-    mask = state.signal_mask
-    rows = np.nonzero(mask.any(axis=1))[0]
-    if rows.size != 1:
-        raise ValueError("signal region must be a single pixel row")
-    return intensity_to_potential(np.abs(field.values[mask]) ** 2, state.target_map)
+    return intensity_to_potential(np.abs(field) ** 2, state.target_map)
 
 
 def write_intensity_csv(path, intensity: np.ndarray, tmap: TargetMap) -> None:
@@ -381,11 +341,10 @@ def read_intensity_csv(path) -> tuple[np.ndarray, TargetMap]:
     return intensity, TargetMap(**{name: kinds[name](meta[name]) for name in names})
 
 
-def sr_intensity_error(field: OutputField, state: HologramState) -> float:
+def sr_intensity_error(field: np.ndarray, state: HologramState) -> float:
     """RMS fractional mismatch between normalized SR intensity and target."""
-    mask = state.signal_mask
-    intensity = np.abs(field.values[mask]) ** 2
+    intensity = np.abs(field) ** 2
     intensity = intensity / intensity.sum()
-    target = state.target_amplitude[mask] ** 2
+    target = state.target_row**2
     target = target / target.sum()
     return float(np.sqrt(np.mean((intensity - target) ** 2)) / np.mean(target))

@@ -18,7 +18,6 @@ from .eigensolver import DiscrepancyReport, bound_states, compare_spectrum
 from .grid import PotentialGrid, default_grid
 from .hologram import (
     OptimizeResult,
-    OutputField,
     TargetMap,
     extract_profile,
     make_state,
@@ -172,15 +171,14 @@ class HologramRun:
     """Outcome of the hologram stage for one potential."""
 
     result: OptimizeResult
-    field: OutputField
+    field: np.ndarray  # complex SR row
     target_map: TargetMap
     sr_error: float
 
     def write(self, phase_path, intensity_path) -> None:
         """Phase plane as bare CSV; SR intensity with its target map."""
         np.savetxt(phase_path, self.result.state.phase, delimiter=",")
-        intensity = np.abs(self.field.values[self.result.state.signal_mask]) ** 2
-        write_intensity_csv(intensity_path, intensity, self.target_map)
+        write_intensity_csv(intensity_path, np.abs(self.field) ** 2, self.target_map)
 
 
 def synthesize_hologram(

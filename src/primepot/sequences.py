@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import expi
 
 __all__ = [
     "sieve_primes",
@@ -126,11 +126,10 @@ def moebius(n: int) -> int:
 
 
 def log_integral(x: float) -> float:
-    """li(x) = integral of dt/ln t from 2 to x (no principal value needed)."""
+    """li(x) = integral of dt/ln t from 2 to x, in closed form Ei(ln x) - Ei(ln 2)."""
     if x <= 2.0:
         return 0.0
-    value, _ = quad(lambda t: 1.0 / math.log(t), 2.0, x, limit=200)
-    return value
+    return float(expi(math.log(x)) - expi(math.log(2.0)))
 
 
 def riemann_r(x: float, terms: int = 25) -> float:

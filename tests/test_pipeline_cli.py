@@ -256,11 +256,15 @@ def test_cli_holo_matches_pipeline_bytes(tmp_path):
         outdir=str(outdir),
     )
     run_pipeline(config)
-    phase, intensity, rec = (tmp_path / name for name in ("phase.csv", "intensity.csv", "rec.csv"))
+    phase, intensity, rec, cost = (
+        tmp_path / name for name in ("phase.csv", "intensity.csv", "rec.csv", "cost.json")
+    )
     synth = ["holo", "synth", str(outdir / "potential.csv"), "--m", "48", "--sr", "80", "--d", "9"]
     synth += ["--iters", "250", "--seed", "1", "--out", f"{phase},{intensity}"]
+    synth += ["--cost-out", str(cost)]
     assert main(synth) == 0
     assert main(["holo", "extract", str(intensity), "--out", str(rec)]) == 0
     assert phase.read_bytes() == (outdir / "phase.csv").read_bytes()
     assert intensity.read_bytes() == (outdir / "intensity.csv").read_bytes()
     assert rec.read_bytes() == (outdir / "potential_reconstructed.csv").read_bytes()
+    assert cost.read_bytes() == (outdir / "cost_history.json").read_bytes()

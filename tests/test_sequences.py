@@ -90,7 +90,7 @@ def test_moebius_multiplicative_coprime():
 
 def test_log_integral_against_mpmath():
     mpmath.mp.dps = 30
-    for x in (10.0, 100.0, 1000.0):
+    for x in (10.0, 100.0, 1000.0, 1e6):
         oracle = float(mpmath.quad(lambda t: 1 / mpmath.log(t), [2, x]))
         assert log_integral(x) == pytest.approx(oracle, abs=1e-9)
 
