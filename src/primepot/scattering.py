@@ -20,6 +20,11 @@ Resonance widths shrink exponentially with level depth, so the windowed
 filter search refines adaptively around local maxima; the refinement floor
 deliberately under-resolves the far narrower inter-well cavity modes, which
 would otherwise transmit at energies unrelated to any level.
+
+The filter never scans the composed grid: one kernel pass gives both wells'
+transfer matrices (the wells run in lockstep), and the flat gap between them
+is the exact lead-basis phase ``diag(exp(ikL), exp(-ikL))``, so every
+separation costs one 2x2 product per energy.
 """
 
 from __future__ import annotations
@@ -129,27 +134,29 @@ def truncate_potential(
     return PotentialGrid.from_even_half(new_grid, new_right, asymptote=baseline)
 
 
+def _gap_cells(points_a: int, points_b: int, separation: float, spacing: float) -> int:
+    """Flat cells between two devices `separation` apart: the nearest whole
+    number of cells, at least one, plus one if needed to keep the composed
+    node count odd (x = 0 on a node)."""
+    if separation < 0.0:
+        raise ValueError("separation must be non-negative")
+    n = max(int(round(separation / spacing)), 1)
+    return n + (points_a + points_b + n) % 2
+
+
 def compose_apparatus(
     pot_a: PotentialGrid, pot_b: PotentialGrid, separation: float
 ) -> PotentialGrid:
     """Concatenate A, a flat gap, and B on one merged grid."""
-    if separation < 0.0:
-        raise ValueError("separation must be non-negative")
     h_a, h_b = pot_a.grid.spacing, pot_b.grid.spacing
     if abs(h_a - h_b) > 1e-12 * max(h_a, h_b):
         raise ValueError("grids must share the same spacing")
     if abs(pot_a.asymptote - pot_b.asymptote) > 1e-9:
         raise ValueError("asymptote mismatch between the two devices")
     flat = pot_a.asymptote
-    n_gap = int(round(separation / h_a))
-    total = pot_a.grid.points + pot_b.grid.points + max(n_gap - 1, 0)
-    if total % 2 == 0:
-        n_gap += 1
-        total += 1
-    values = np.concatenate(
-        [pot_a.values, np.full(max(n_gap - 1, 0), flat), pot_b.values]
-    )
-    grid = Grid(half_width=(total - 1) * h_a / 2.0, points=total)
+    n_gap = _gap_cells(pot_a.grid.points, pot_b.grid.points, separation, h_a)
+    values = np.concatenate([pot_a.values, np.full(n_gap - 1, flat), pot_b.values])
+    grid = Grid(half_width=(values.size - 1) * h_a / 2.0, points=values.size)
     return PotentialGrid(
         grid=grid,
         values=values,
@@ -169,8 +176,10 @@ def transmission_from_cells(
     energies = np.atleast_1d(np.asarray(energies, dtype=np.float64))
     if np.any(energies <= lead_potential):
         raise ValueError("scan energies must exceed the lead potential")
-    return _kernels.transfer_scan(
-        np.asarray(cells, dtype=np.float64), float(spacing), energies, float(kinetic_scale), float(lead_potential)
+    return _kernels.transmission_reflection(
+        *_kernels.transfer_scan(
+            np.asarray(cells, dtype=np.float64), float(spacing), energies, float(kinetic_scale), float(lead_potential)
+        )
     )
 
 
@@ -215,7 +224,7 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
 
 
 def windowed_max_transmission(
-    potential: PotentialGrid,
+    source,
     lo: float,
     hi: float,
     kinetic_scale: float = KINETIC_HALF,
@@ -226,21 +235,17 @@ def windowed_max_transmission(
 ) -> tuple[float, float]:
     """(max T, argmax E) over [lo, hi] by zooming on local maxima.
 
-    The refinement step never drops below `resolution`: peaks narrower than
+    `source` is a PotentialGrid, scanned at `kinetic_scale`, or a callable
+    mapping an energy array to T (the filter's composed devices). The
+    refinement step never drops below `resolution`: peaks narrower than
     that (inter-well cavity modes) stay unresolved on purpose, while genuine
     level resonances are orders of magnitude wider.
     """
     if lo <= 0.0 or hi <= lo:
         raise ValueError("need 0 < lo < hi")
-    v = potential.values
-    v_lead = float(v[0])
-    cells = 0.5 * (v[:-1] + v[1:])
-    h = potential.grid.spacing
-    c = float(kinetic_scale)
 
     def scan(e_arr):
-        t, _ = _kernels.transfer_scan(cells, h, np.asarray(e_arr), c, v_lead)
-        return t
+        return source(e_arr) if callable(source) else transmission(source, e_arr, kinetic_scale)[0]
 
     energies = np.linspace(lo, hi, coarse)
     t = scan(energies)
@@ -320,9 +325,52 @@ class FilterApparatus:
     kinetic_scale: float
     w_max: int
 
+    def __post_init__(self):
+        a, b = self.device_lucky, self.device_prime
+        if abs(a.grid.spacing - b.grid.spacing) > 1e-12 * max(a.grid.spacing, b.grid.spacing):
+            raise ValueError("grids must share the same spacing")
+        for device in (a, b):
+            if device.values[0] != a.asymptote or device.values[-1] != a.asymptote:
+                raise ValueError("both devices must start and end at one lead potential")
+
     def composed(self, separation: float | None = None) -> PotentialGrid:
         s = self.separation if separation is None else separation
         return compose_apparatus(self.device_lucky, self.device_prime, s)
+
+    def device_matrices(self, energies):
+        """Both wells' transfer matrices at `energies`, from one kernel pass.
+
+        The wells run in lockstep as two cell profiles; the shorter one is
+        padded with lead cells on its outer side (before the lucky well,
+        after the prime well), a phase on the lead amplitudes that neither
+        T nor R sees. Returns ``transfer_scan``'s ``(m, log_scale)``, the
+        last axis being (lucky, prime).
+        """
+        lead = self.device_lucky.asymptote
+        a, b = (0.5 * (d.values[:-1] + d.values[1:]) for d in (self.device_lucky, self.device_prime))
+        n = max(a.size, b.size)
+        cells = np.full((n, 2), lead)
+        cells[n - a.size :, 0] = a
+        cells[: b.size, 1] = b
+        return _kernels.transfer_scan(cells, self.device_lucky.grid.spacing, energies, self.kinetic_scale, lead)
+
+    def compose(self, energies, matrices, separation: float | None = None):
+        """(T, R) of the lucky well, a flat gap and the prime well.
+
+        ``M = M_prime G M_lucky``, with ``G = diag(exp(ikL), exp(-ikL))`` the
+        gap in the lead basis and L from the same gap-cell rule as
+        ``compose_apparatus``, so T matches ``transmission(composed(s))``.
+        """
+        s = self.separation if separation is None else separation
+        a, b = self.device_lucky, self.device_prime
+        h = a.grid.spacing
+        gap = _gap_cells(a.grid.points, b.grid.points, s, h) * h
+        energies = np.asarray(energies, dtype=np.float64)
+        k = np.sqrt((energies - a.asymptote).astype(np.complex128)) / self.kinetic_scale
+        m, log_scale = matrices
+        through_gap = np.stack([np.exp(1j * k * gap), np.exp(-1j * k * gap)])[:, None] * m[..., 0]
+        total = np.einsum("ij...,jk...->ik...", m[..., 1], through_gap)
+        return _kernels.transmission_reflection(total, log_scale.sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -401,25 +449,31 @@ def filter_lucky_prime(
         raise ValueError("w must be a positive integer")
     if w > apparatus.w_max:
         raise ValueError(f"w={w} is outside the filter window (w_max={apparatus.w_max})")
-    composed = apparatus.composed()
+    # one device pass per distinct energy list of this verdict: the coarse
+    # scans at 2s and 3s use the same energies and share theirs
+    passes: dict[bytes, tuple] = {}
+
+    def scan_at(separation):
+        def scan(energies):
+            key = energies.tobytes()
+            if key not in passes:
+                passes[key] = apparatus.device_matrices(energies)
+            return apparatus.compose(energies, passes[key], separation)[0]
+
+        return scan
+
     lo = max(w - window, 1e-6)
     hi = w + window
     peak_t, peak_e = windowed_max_transmission(
-        composed,
-        lo,
-        hi,
-        kinetic_scale=apparatus.kinetic_scale,
-        resolution=resolution,
+        scan_at(apparatus.separation), lo, hi, resolution=resolution
     )
     if peak_t < threshold:
         return FilterResult(w, False, peak_e, peak_t, confirmed=False)
     for factor in (2.0, 3.0):
-        alt = apparatus.composed(factor * apparatus.separation)
         t_alt, _ = windowed_max_transmission(
-            alt,
+            scan_at(factor * apparatus.separation),
             peak_e - confirm_window,
             peak_e + confirm_window,
-            kinetic_scale=apparatus.kinetic_scale,
             resolution=resolution,
             stop_above=threshold,
         )

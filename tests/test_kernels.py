@@ -76,10 +76,14 @@ def _barrier_cells():
     return np.concatenate([np.zeros(200), np.full(600, 12.0), np.zeros(200)])
 
 
+def _scan_tr(v_cells, h, energies, c, v_lead):
+    return _kernels.transmission_reflection(*_kernels.transfer_scan(v_cells, h, energies, c, v_lead))
+
+
 def test_transfer_paths_agree():
     cells = _barrier_cells()
     energies = np.linspace(0.5, 30.0, 211)
-    t_np, r_np = _kernels.transfer_scan(cells, 0.004, energies, KINETIC_HALF, 0.0)
+    t_np, r_np = _scan_tr(cells, 0.004, energies, KINETIC_HALF, 0.0)
     t_ref, r_ref = _transfer_scan_oracle(cells, 0.004, energies, KINETIC_HALF, 0.0)
     assert np.allclose(t_np, t_ref, atol=1e-10)
     assert np.allclose(r_np, r_ref, atol=1e-10)
@@ -88,9 +92,34 @@ def test_transfer_paths_agree():
 def test_transfer_unitarity_deep_tunneling():
     cells = np.full(4000, 60.0)
     energies = np.array([0.5, 1.0, 5.0, 20.0, 59.0, 61.0, 200.0])
-    t, r = _kernels.transfer_scan(cells, 0.005, energies, KINETIC_HALF, 0.0)
+    t, r = _scan_tr(cells, 0.005, energies, KINETIC_HALF, 0.0)
     assert np.all(t >= 0.0)
     assert np.max(np.abs(t + r - 1.0)) < 1e-8
+
+
+def test_blocked_scan_matches_oracle_at_block_edges():
+    rng = np.random.default_rng(5)
+    b = _kernels.BLOCK
+    energies = np.linspace(0.5, 30.0, 37)
+    for n_cells in (1, b - 1, b, b + 1, 3 * b + 5):
+        # a barrier-and-well profile with steps, so every block holds interfaces
+        cells = np.where(rng.random(n_cells) < 0.5, 12.0, 2.0) * rng.uniform(0.5, 1.5, n_cells)
+        t, r = _scan_tr(cells, 0.01, energies, KINETIC_HALF, 0.0)
+        t_ref, r_ref = _transfer_scan_oracle(cells, 0.01, energies, KINETIC_HALF, 0.0)
+        assert np.allclose(t, t_ref, atol=1e-10), n_cells
+        assert np.allclose(r, r_ref, atol=1e-10), n_cells
+
+
+def test_profiles_scan_independently():
+    rng = np.random.default_rng(9)
+    cells = rng.uniform(0.0, 15.0, (3 * _kernels.BLOCK + 5, 2))
+    energies = np.linspace(0.5, 20.0, 23)
+    m, log_scale = _kernels.transfer_scan(cells, 0.01, energies, KINETIC_HALF, 0.0)
+    assert m.shape == (2, 2, 23, 2) and log_scale.shape == (23, 2)
+    for j in range(2):
+        m_j, log_j = _kernels.transfer_scan(cells[:, j], 0.01, energies, KINETIC_HALF, 0.0)
+        assert np.array_equal(m[..., j], m_j)
+        assert np.array_equal(log_scale[:, j], log_j)
 
 
 def test_riccati_sweep_matches_tanh():

@@ -223,6 +223,8 @@ def test_cli_filter_verdicts(capsys):
     assert json.loads(capsys.readouterr().out)["lucky_prime"] is True
     assert main(["filter", "--w", "9"]) == 0
     assert json.loads(capsys.readouterr().out)["lucky_prime"] is False
+    assert main(["filter", "--w", "3", "--separation", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["w"] == 3
 
 
 def test_cli_pipeline_exit_zero(tmp_path):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
+from primepot import _kernels, scattering
 from primepot.eigensolver import bound_states
 from primepot.grid import Grid, PotentialGrid, default_grid
 from primepot.scattering import (
@@ -125,6 +128,18 @@ def test_compose_length_and_padding(filter_apparatus):
     assert np.all(gap == composed.asymptote)
 
 
+def test_compose_separations_below_a_cell(filter_apparatus):
+    a = filter_apparatus.device_lucky
+    b = filter_apparatus.device_prime
+    h = a.grid.spacing
+    for sep in (0.0, h / 4, h, 2.0):
+        composed = compose_apparatus(a, b, sep)
+        n_gap = composed.grid.points - a.grid.points - b.grid.points + 1
+        assert n_gap >= 1 and abs(n_gap * h - sep) <= 2.0 * h
+        gap = composed.values[a.grid.points - 1 : a.grid.points + n_gap]
+        assert np.all(gap == composed.asymptote)
+
+
 def test_compose_with_flat_pad_keeps_transmission(filter_apparatus):
     a = filter_apparatus.device_lucky
     flat = PotentialGrid(
@@ -211,3 +226,51 @@ def test_local_maxima_matches_find_peaks(filter_apparatus):
     for row in rows:
         expected, _ = find_peaks(row, height=0.0)
         assert np.array_equal(_local_maxima(row), expected)
+
+
+# the filter's peak energies for w = 1, 3, 7, 8, 13 plus a coarse sweep
+DEVICE_ENERGIES = np.concatenate(
+    [np.linspace(0.5, 25.0, 41), [0.95105317, 2.99970366, 6.99640757, 8.37902069, 12.99384492]]
+)
+
+
+def _check_device_composition(apparatus, sep):
+    matrices = apparatus.device_matrices(DEVICE_ENERGIES)
+    t, r = apparatus.compose(DEVICE_ENERGIES, matrices, sep)
+    t_ref, _ = transmission(apparatus.composed(sep), DEVICE_ENERGIES)
+    assert np.max(np.abs(t - t_ref)) <= 1e-9
+    assert np.max(np.abs(t + r - 1.0)) <= 1e-8
+
+
+def test_device_composition_matches_composed_grid(filter_apparatus):
+    h = filter_apparatus.device_lucky.grid.spacing
+    for sep in (0.0, h, 2.0, 4.0, 6.0):
+        _check_device_composition(filter_apparatus, sep)
+
+
+@settings(max_examples=20, deadline=None)
+@given(sep=st.floats(0.0, 6.0))
+def test_device_composition_matches_at_any_separation(filter_apparatus, sep):
+    _check_device_composition(filter_apparatus, sep)
+
+
+def test_filter_scan_budget(filter_apparatus, monkeypatch):
+    passes = []
+    scan = _kernels.transfer_scan
+
+    def counted(*args, **kwargs):
+        passes.append(args[2].size)
+        return scan(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the filter composed a PotentialGrid")
+
+    monkeypatch.setattr(_kernels, "transfer_scan", counted)
+    monkeypatch.setattr(scattering, "compose_apparatus", forbidden)
+    # accepted; cavity mode rejected at the 2s check; rejected by the window search
+    for w, expected in ((3, 7), (8, 9), (2, 6)):
+        passes.clear()
+        result = filter_lucky_prime(w, filter_apparatus)
+        assert result.is_lucky_prime == (w == 3)
+        assert (result.peak_transmission >= 0.5) == (w != 2)
+        assert len(passes) == expected, w
