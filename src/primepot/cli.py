@@ -17,7 +17,6 @@ from .eigensolver import bound_states, compare_spectrum
 from .grid import PotentialGrid, default_grid
 from .hologram import intensity_to_potential, read_intensity_csv
 from .pipeline import (
-    ADMIT_EDGE_WINDOW,
     PipelineConfig,
     PipelineStageError,
     kinetic_from_name,
@@ -70,18 +69,14 @@ def _cmd_design(args) -> int:
 def _cmd_solve(args) -> int:
     pot = PotentialGrid.read_csv(args.potential)
     kinetic = kinetic_from_name(args.kinetic)
-    spectrum = bound_states(pot, kinetic, margin=args.margin)
+    targets = parse_sequence_spec(args.targets) if args.targets else None
+    spectrum = bound_states(pot, kinetic, count=None if targets is None else targets.size)
     payload = {
         "eigenvalues": spectrum.eigenvalues.tolist(),
         "continuum_edge": spectrum.continuum_edge,
         "targets": [],
     }
-    if args.targets:
-        targets = parse_sequence_spec(args.targets)
-        if targets.size != spectrum.eigenvalues.size:
-            raise ValueError(
-                f"found {spectrum.eigenvalues.size} levels but {targets.size} targets"
-            )
+    if targets is not None:
         report = compare_spectrum(spectrum, targets)
         payload["targets"] = targets.tolist()
         payload.update(report.as_dict())
@@ -213,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="bound states of a potential CSV")
     p.add_argument("potential")
     p.add_argument("--kinetic", choices=("half", "unit"), default="half")
-    p.add_argument("--margin", type=float, default=-ADMIT_EDGE_WINDOW)
     p.add_argument("--targets", help="primes:N | lucky:N | file:path")
     p.add_argument("--json")
     p.set_defaults(func=_cmd_solve)

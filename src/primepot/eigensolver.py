@@ -1,6 +1,8 @@
 """Bound states of a sampled potential by symmetric tridiagonal diagonalization.
 
-Three-point central differences for the kinetic term, Dirichlet box ends.
+Three-point central differences for the kinetic term, Neumann (cell-centred)
+box ends, and the first-order correction of Paine, de Hoog & Anderssen,
+Computing 26, 123 (1981), which lifts the levels from O(h^2) to O(h^4).
 A direct tridiagonal eigensolve is robust against the near-degenerate level
 pairs that twin-prime targets produce, where shooting methods struggle.
 """
@@ -68,15 +70,16 @@ def count_nodes(psi: np.ndarray, dead_band_frac: float = 1e-8) -> int:
 def bound_states(
     potential: PotentialGrid,
     kinetic_scale: float,
-    margin: float | None = None,
+    count: int | None = None,
     keep_wavefunctions: bool = False,
 ) -> Spectrum:
-    """All eigenvalues below continuum_edge - margin, ascending.
+    """The lowest ``count`` eigenvalues, or all strictly bound ones, ascending.
 
-    The continuum edge is the mean of the two boundary samples. The default
-    margin excludes box-artifact states hugging the edge; a negative margin
-    deliberately admits them (used to pick up the threshold state a designed
-    potential places exactly at its asymptote).
+    With ``count`` the levels are taken by index, which holds the threshold
+    state a designed potential places exactly at its asymptote: Neumann box
+    ends keep that state (psi -> const) at the edge. Without it, a state is
+    bound when it lies below continuum_edge - 1e-3 * depth; the continuum
+    edge is the mean of the two boundary samples.
     """
     c = float(kinetic_scale)
     if c <= 0.0:
@@ -91,29 +94,26 @@ def bound_states(
             f"use spacing <= {suggested:.3g}"
         )
     edge = potential.boundary_mean()
-    if margin is None:
-        margin = 1e-3 * (edge - float(v.min()))
-    cutoff = edge - margin
 
     inv_h2 = c * c / (h * h)
     diag = v + 2.0 * inv_h2
+    diag[[0, -1]] -= inv_h2
     off = np.full(v.size - 1, -inv_h2)
-    lo = float(v.min()) - 1.0
-    if cutoff <= lo:
-        return Spectrum(
-            eigenvalues=np.empty(0),
-            continuum_edge=edge,
-            kinetic_scale=c,
-            node_counts=np.empty(0, dtype=np.int64),
-        )
-    eigvals, eigvecs = eigh_tridiagonal(diag, off, select="v", select_range=(lo, cutoff))
-    order = np.argsort(eigvals)
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
-    # normalize under trapezoid weights (boundary samples carry half weight,
-    # immaterial for decaying states but fixed repo-wide)
-    norms = np.sqrt(np.sum(eigvecs**2, axis=0) * h)
-    eigvecs = eigvecs / norms
+    if count is not None:
+        eigvals, eigvecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
+    else:
+        depth = edge - float(v.min())
+        # a flat potential's psi = const sits at the edge up to roundoff: not bound
+        if depth <= 0.0:
+            eigvals, eigvecs = np.empty(0), np.empty((v.size, 0))
+        else:
+            eigvals, eigvecs = eigh_tridiagonal(
+                diag, off, select="v", select_range=(float(v.min()) - 1.0, edge - 1e-3 * depth)
+            )
+    # normalize to h * sum(psi^2) = 1: each sample stands for one cell of width h
+    eigvecs = eigvecs / np.sqrt(np.sum(eigvecs**2, axis=0) * h)
+    # the three-point rule undershoots each level by h^2/(12 c^2) <((V - E) psi)^2>
+    eigvals = eigvals + h**3 / (12.0 * c * c) * np.sum(((v[:, None] - eigvals) * eigvecs) ** 2, axis=0)
     nodes = np.array([count_nodes(eigvecs[:, i]) for i in range(eigvals.size)], dtype=np.int64)
     return Spectrum(
         eigenvalues=eigvals,

@@ -32,7 +32,6 @@ from .sequences import first_lucky, first_primes
 from .susy import KINETIC_HALF, KINETIC_UNIT, ChainError, design_potential
 
 __all__ = [
-    "ADMIT_EDGE_WINDOW",
     "HologramRun",
     "PipelineConfig",
     "PipelineReport",
@@ -43,13 +42,6 @@ __all__ = [
     "synthesize_hologram",
     "write_json",
 ]
-
-# The designed top level sits exactly at the continuum edge; in a finite box
-# it reappears just above. Admitting states up to edge + this window captures
-# it while staying clear of the next box state (first spacings ~0.011/0.046
-# at half_width 12).
-ADMIT_EDGE_WINDOW = 0.025
-
 
 class PipelineStageError(RuntimeError):
     def __init__(self, stage: str, original: Exception):
@@ -139,9 +131,7 @@ class PipelineReport:
 
     @property
     def all_round(self) -> bool:
-        return (
-            self.eigenvalues.size == self.targets.size and self.report.all_round
-        )
+        return self.report.all_round
 
     def as_dict(self) -> dict:
         # elapsed time stays off the report so identical runs write identical bytes
@@ -241,17 +231,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         holo_err = holo.sr_error
 
     try:
-        spectrum = bound_states(solve_input, kinetic, margin=-ADMIT_EDGE_WINDOW)
+        spectrum = bound_states(solve_input, kinetic, count=targets.size)
     except ValueError as err:
         raise PipelineStageError("solve", err) from err
     eigenvalues = spectrum.eigenvalues
-    if eigenvalues.size != targets.size:
-        raise PipelineStageError(
-            "solve",
-            RuntimeError(
-                f"expected {targets.size} levels, found {eigenvalues.size} below the edge window"
-            ),
-        )
     report = compare_spectrum(eigenvalues, targets)
 
     spectrum_path = outdir / "spectrum.json"

@@ -41,9 +41,6 @@ from primepot.susy import (
     poschl_teller_reference,
 )
 
-ADMIT = -0.025  # admit the threshold state the design parks at the edge
-
-
 def _report(name, ok, detail):
     print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, detail
@@ -52,7 +49,7 @@ def _report(name, ok, detail):
 def _round_trip(count, targets, grid):
     t0 = time.perf_counter()
     pot = design_potential(targets, grid)
-    spec = bound_states(pot, KINETIC_HALF, margin=ADMIT)
+    spec = bound_states(pot, KINETIC_HALF, count=count)
     elapsed = time.perf_counter() - t0
     return pot, spec, elapsed
 
@@ -218,7 +215,7 @@ def test_criterion_8_hologram(prime10_potential):
     monotone = bool(np.all(np.diff(result.history) <= 0.0))
 
     reconstructed = extract_profile(field, result.state)
-    spec = bound_states(reconstructed, KINETIC_HALF, margin=ADMIT)
+    spec = bound_states(reconstructed, KINETIC_HALF, count=10)
     rounds = spec.eigenvalues.size == 10 and np.array_equal(
         np.rint(spec.eigenvalues).astype(int), first_primes(10)
     )

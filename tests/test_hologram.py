@@ -225,7 +225,7 @@ def test_full_holographic_round_trip(prime10_potential, v10_target):
     ill = uniform_illumination(64)
     result = optimize_phase(state, ill, max_iters=500)
     reconstructed = extract_profile(propagate(result.state, ill), result.state)
-    spec = bound_states(reconstructed, KINETIC_HALF, margin=-0.025)
+    spec = bound_states(reconstructed, KINETIC_HALF, count=10)
     targets = first_primes(10)
     assert spec.eigenvalues.size == 10
     assert np.array_equal(np.rint(spec.eigenvalues).astype(int), targets)

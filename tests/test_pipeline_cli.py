@@ -86,6 +86,21 @@ def test_pipeline_with_hologram(tmp_path):
     assert all(b <= a for a, b in zip(history, history[1:]))
 
 
+@pytest.mark.parametrize("half_width", [8.0, 12.0, 20.0, 40.0])
+def test_pipeline_levels_independent_of_box(tmp_path, half_width):
+    config = PipelineConfig(sequence="primes:10", half_width=half_width, outdir=str(tmp_path))
+    report = run_pipeline(config)
+    assert report.all_round
+    assert np.max(report.report.per_level_abs) <= 1e-4
+
+
+def test_pipeline_primes40_coarse_spacing_within_budget(tmp_path):
+    config = PipelineConfig(sequence="primes:40", spacing=0.005, outdir=str(tmp_path))
+    report = run_pipeline(config)
+    assert report.all_round
+    assert np.max(report.report.per_level_abs) <= 0.05
+
+
 def test_cli_primes_output(capsys):
     assert main(["primes", "--limit", "12"]) == 0
     assert capsys.readouterr().out.split() == ["2", "3", "5", "7", "11"]
@@ -160,22 +175,22 @@ def test_cli_validation_exit_code(capsys):
 
 
 def test_cli_numerical_exit_code(tmp_path, capsys):
-    # a box this small pushes the threshold state past the admission window,
-    # so the solve stage comes up one level short: numerical failure
-    levels = tmp_path / "levels.txt"
-    levels.write_text("0.5\n1.0\n")
+    # one optimizer iteration leaves the hologram far from its target, so the
+    # reconstructed levels miss theirs: numerical failure
     code = main(
         [
             "pipeline",
             "--sequence",
-            f"file:{levels}",
-            "--half-width",
-            "6",
+            "primes:10",
+            "--hologram",
+            "--holo-iters",
+            "1",
             "--outdir",
             str(tmp_path / "out"),
         ]
     )
     assert code == 2
+    assert "MISS" in capsys.readouterr().out
 
 
 def test_cli_holo_commands(tmp_path, capsys):

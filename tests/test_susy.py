@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from primepot.eigensolver import bound_states
 from primepot.grid import PotentialGrid, default_grid
-from primepot.sequences import first_primes
+from primepot.sequences import check_growth_bound, first_primes
 from primepot.susy import (
     ChainError,
     GapSequence,
@@ -94,14 +96,15 @@ def test_design_asymptote_is_top_level(prime10_potential):
 
 
 def test_level_count_grows_with_chain(grid12):
-    # after k insertions the well holds k true bound states plus the
-    # threshold state the box pushes just above the edge
+    # after k insertions the well holds k strictly bound states plus the
+    # threshold state at the edge
     gaps = gaps_from_spectrum([2.0, 3.0, 5.0, 7.0])
     current = PotentialGrid(grid=grid12, values=np.zeros(grid12.points), asymptote=0.0)
     for k in range(1, 4):
         _, current = chain_step(current, float(gaps.gaps[k]), KINETIC_HALF)
-        spec = bound_states(current, KINETIC_HALF, margin=-0.025)
-        assert spec.eigenvalues.size == k + 1
+        assert bound_states(current, KINETIC_HALF).eigenvalues.size == k
+        spec = bound_states(current, KINETIC_HALF, count=k + 1)
+        assert abs(spec.eigenvalues[-1] - spec.continuum_edge) <= 1e-6
 
 
 def test_oscillations_for_linear_gaps():
@@ -137,7 +140,26 @@ def test_round_trip_all_sequences(prime10_potential, prime15_potential, lucky10_
         (prime15_potential, first_primes(15)),
         (lucky10_potential, [1, 3, 7, 9, 13, 15, 21, 25, 31, 33]),
     ):
-        spec = bound_states(pot, KINETIC_HALF, margin=-0.025)
         targets = np.asarray(targets, dtype=float)
+        spec = bound_states(pot, KINETIC_HALF, count=targets.size)
         assert spec.eigenvalues.size == targets.size
         assert np.max(np.abs(spec.eigenvalues - targets)) <= 5e-2
+
+
+@st.composite
+def admissible_levels(draw):
+    count = draw(st.integers(2, 25))
+    first = draw(st.integers(1, 3))
+    gaps = draw(st.lists(st.integers(1, 8), min_size=count - 1, max_size=count - 1))
+    levels = np.cumsum([first] + gaps).astype(float)
+    assume(check_growth_bound(levels, 3.0))
+    return levels
+
+
+@settings(max_examples=15, deadline=None)
+@given(levels=admissible_levels(), half_width=st.integers(8, 20))
+def test_round_trip_random_admissible(levels, half_width):
+    pot = design_potential(levels, default_grid(float(half_width), 0.005))
+    spec = bound_states(pot, KINETIC_HALF, count=levels.size)
+    assert np.array_equal(np.rint(spec.eigenvalues), levels)
+    assert np.max(np.abs(spec.eigenvalues - levels)) <= 0.05
