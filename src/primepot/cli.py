@@ -109,11 +109,7 @@ def _cmd_scatter(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    apparatus = build_filter_apparatus(
-        lucky_count=args.lucky_count,
-        prime_count=args.prime_count,
-        separation=args.separation,
-    )
+    apparatus = build_filter_apparatus(lucky_count=args.lucky_count, prime_count=args.prime_count)
     result = filter_lucky_prime(args.w, apparatus, threshold=args.threshold)
     _print_json(result.as_dict())
     return EXIT_OK
@@ -233,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--lucky-count", type=int, default=10, dest="lucky_count")
     p.add_argument("--prime-count", type=int, default=10, dest="prime_count")
-    p.add_argument("--separation", type=float, default=2.0)
     p.add_argument("--threshold", type=float, default=0.5)
     p.set_defaults(func=_cmd_filter)
 

@@ -16,15 +16,17 @@ has two modes:
   needs: a wave arriving at energy w can only cross the apparatus when both
   wells hold a level at w.
 
-Resonance widths shrink exponentially with level depth, so the windowed
-filter search refines adaptively around local maxima; the refinement floor
-deliberately under-resolves the far narrower inter-well cavity modes, which
-would otherwise transmit at energies unrelated to any level.
-
-The filter never scans the composed grid: one kernel pass gives both wells'
-transfer matrices (the wells run in lockstep), and the flat gap between them
-is the exact lead-basis phase ``diag(exp(ikL), exp(-ikL))``, so every
-separation costs one 2x2 product per energy.
+The filter decides from the transmission of the two wells in series averaged
+over the phase the flat gap between them adds,
+``<T> = T_a T_b / (1 - R_a R_b)`` (two incoherent scatterers; Datta,
+*Electronic Transport in Mesoscopic Systems*, 1995, ch. 2). A coherent scan
+of the composed grid also shows inter-well cavity modes, which transmit at
+energies unrelated to any level and move with the gap length; the average
+over the gap phase has none, so it is near 1 only where both wells hold a
+level and the verdict does not depend on the separation. One kernel pass
+gives both wells' transfer matrices (the wells run in lockstep as two cell
+profiles). Resonance widths shrink exponentially with level depth, so the
+windowed search refines adaptively around local maxima.
 """
 
 from __future__ import annotations
@@ -48,13 +50,15 @@ __all__ = [
     "transmission_scan",
     "compose_apparatus",
     "windowed_max_transmission",
-    "lucky_prime_test",
     "build_filter_apparatus",
     "filter_lucky_prime",
 ]
 
 RESONANCE_HEIGHT = 0.5
-RESOLUTION_FLOOR = 1e-6
+COARSE = 241  # energies of the first scan of a search window
+TOP_K = 3  # coarse local maxima refined
+RESOLUTION_FLOOR = 1e-6  # refinement stops once the step is below this
+FILTER_WINDOW = 0.5  # half-width around w absorbing the truncation shift
 
 
 @dataclass
@@ -134,27 +138,25 @@ def truncate_potential(
     return PotentialGrid.from_even_half(new_grid, new_right, asymptote=baseline)
 
 
-def _gap_cells(points_a: int, points_b: int, separation: float, spacing: float) -> int:
-    """Flat cells between two devices `separation` apart: the nearest whole
-    number of cells, at least one, plus one if needed to keep the composed
-    node count odd (x = 0 on a node)."""
-    if separation < 0.0:
-        raise ValueError("separation must be non-negative")
-    n = max(int(round(separation / spacing)), 1)
-    return n + (points_a + points_b + n) % 2
-
-
 def compose_apparatus(
     pot_a: PotentialGrid, pot_b: PotentialGrid, separation: float
 ) -> PotentialGrid:
-    """Concatenate A, a flat gap, and B on one merged grid."""
+    """Concatenate A, a flat gap, and B on one merged grid.
+
+    The gap is the nearest whole number of cells to `separation`, at least
+    one, plus one if needed to keep the composed node count odd (x = 0 on a
+    node).
+    """
     h_a, h_b = pot_a.grid.spacing, pot_b.grid.spacing
     if abs(h_a - h_b) > 1e-12 * max(h_a, h_b):
         raise ValueError("grids must share the same spacing")
     if abs(pot_a.asymptote - pot_b.asymptote) > 1e-9:
         raise ValueError("asymptote mismatch between the two devices")
+    if separation < 0.0:
+        raise ValueError("separation must be non-negative")
     flat = pot_a.asymptote
-    n_gap = _gap_cells(pot_a.grid.points, pot_b.grid.points, separation, h_a)
+    n_gap = max(int(round(separation / h_a)), 1)
+    n_gap += (pot_a.grid.points + pot_b.grid.points + n_gap) % 2
     values = np.concatenate([pot_a.values, np.full(n_gap - 1, flat), pot_b.values])
     grid = Grid(half_width=(values.size - 1) * h_a / 2.0, points=values.size)
     return PotentialGrid(
@@ -223,47 +225,32 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
     return (starts[1:-1][inner] + ends[1:-1][inner]) // 2
 
 
-def windowed_max_transmission(
-    source,
-    lo: float,
-    hi: float,
-    kinetic_scale: float = KINETIC_HALF,
-    coarse: int = 241,
-    resolution: float = RESOLUTION_FLOOR,
-    top_k: int = 3,
-    stop_above: float | None = None,
-) -> tuple[float, float]:
+def windowed_max_transmission(scan, lo: float, hi: float) -> tuple[float, float]:
     """(max T, argmax E) over [lo, hi] by zooming on local maxima.
 
-    `source` is a PotentialGrid, scanned at `kinetic_scale`, or a callable
-    mapping an energy array to T (the filter's composed devices). The
-    refinement step never drops below `resolution`: peaks narrower than
-    that (inter-well cavity modes) stay unresolved on purpose, while genuine
-    level resonances are orders of magnitude wider.
+    `scan` maps an energy array to T. A coarse scan of ``COARSE`` energies
+    seeds the ``TOP_K`` highest local maxima; each is refined by 33-point
+    scans of shrinking width until the step drops below
+    ``RESOLUTION_FLOOR``, far below the width of any level resonance the
+    filter resolves.
     """
     if lo <= 0.0 or hi <= lo:
         raise ValueError("need 0 < lo < hi")
-
-    def scan(e_arr):
-        return source(e_arr) if callable(source) else transmission(source, e_arr, kinetic_scale)[0]
-
-    energies = np.linspace(lo, hi, coarse)
+    energies = np.linspace(lo, hi, COARSE)
     t = scan(energies)
     best_t = float(t.max())
     best_e = float(energies[int(t.argmax())])
-    if stop_above is not None and best_t >= stop_above:
-        return best_t, best_e
     peaks = _local_maxima(t)
     if peaks.size:
-        order = np.argsort(t[peaks])[::-1][:top_k]
+        order = np.argsort(t[peaks])[::-1][:TOP_K]
         seeds = [int(peaks[i]) for i in order]
     else:
         seeds = [int(t.argmax())]
-    step0 = (hi - lo) / (coarse - 1)
+    step0 = (hi - lo) / (COARSE - 1)
     for seed in seeds:
         e_center = float(energies[seed])
         step = step0
-        while step > resolution:
+        while step > RESOLUTION_FLOOR:
             e_lo = max(lo, e_center - step)
             e_hi = min(hi, e_center + step)
             local = np.linspace(e_lo, e_hi, 33)
@@ -272,46 +259,14 @@ def windowed_max_transmission(
             if t_loc[idx] > best_t:
                 best_t = float(t_loc[idx])
                 best_e = float(local[idx])
-                if stop_above is not None and best_t >= stop_above:
-                    return best_t, best_e
             e_center = float(local[idx])
             step = (e_hi - e_lo) / 16.0
     return best_t, best_e
 
 
-def lucky_prime_test(
-    w: int,
-    apparatus: PotentialGrid,
-    kinetic_scale: float = KINETIC_HALF,
-    threshold: float = 0.5,
-    window: float = 0.5,
-    resolution: float = RESOLUTION_FLOOR,
-) -> bool:
-    """True iff the composite apparatus transmits above `threshold` near w.
-
-    The +-window search absorbs the small resonance shift truncation causes.
-    """
-    if w < 1:
-        raise ValueError("w must be a positive integer")
-    rim = float(apparatus.values.max())
-    if w >= rim:
-        raise ValueError(f"w={w} is not below the apparatus cutoff {rim:.3f}")
-    lo = max(w - window, 0.25 * apparatus.grid.spacing, 1e-6)
-    hi = w + window
-    best_t, _ = windowed_max_transmission(
-        apparatus,
-        lo,
-        hi,
-        kinetic_scale=kinetic_scale,
-        resolution=resolution,
-        stop_above=threshold,
-    )
-    return bool(best_t >= threshold)
-
-
 @dataclass
 class FilterApparatus:
-    """Opened lucky and prime wells ready for composition at any separation.
+    """Opened lucky and prime wells, the two halves of the filter.
 
     ``w_max`` is the largest integer safely below both rims; the filter is
     only meaningful inside that window.
@@ -321,7 +276,6 @@ class FilterApparatus:
     device_prime: PotentialGrid
     lucky_levels: np.ndarray
     prime_levels: np.ndarray
-    separation: float
     kinetic_scale: float
     w_max: int
 
@@ -333,9 +287,9 @@ class FilterApparatus:
             if device.values[0] != a.asymptote or device.values[-1] != a.asymptote:
                 raise ValueError("both devices must start and end at one lead potential")
 
-    def composed(self, separation: float | None = None) -> PotentialGrid:
-        s = self.separation if separation is None else separation
-        return compose_apparatus(self.device_lucky, self.device_prime, s)
+    def composed(self, separation: float = 2.0) -> PotentialGrid:
+        """Both wells on one grid, `separation` apart (for coherent checks)."""
+        return compose_apparatus(self.device_lucky, self.device_prime, separation)
 
     def device_matrices(self, energies):
         """Both wells' transfer matrices at `energies`, from one kernel pass.
@@ -354,23 +308,18 @@ class FilterApparatus:
         cells[: b.size, 1] = b
         return _kernels.transfer_scan(cells, self.device_lucky.grid.spacing, energies, self.kinetic_scale, lead)
 
-    def compose(self, energies, matrices, separation: float | None = None):
-        """(T, R) of the lucky well, a flat gap and the prime well.
+    def averaged_transmission(self, energies):
+        """T of the lucky well, a flat gap and the prime well, averaged over
+        the gap phase: ``T_a T_b / (1 - R_a R_b)``.
 
-        ``M = M_prime G M_lucky``, with ``G = diag(exp(ikL), exp(-ikL))`` the
-        gap in the lead basis and L from the same gap-cell rule as
-        ``compose_apparatus``, so T matches ``transmission(composed(s))``.
+        The denominator is written ``T_a + T_b - T_a T_b`` (equal given
+        T + R = 1): deep in both wells' tunnelling regime ``1 - R_a R_b``
+        cancels to roundoff, and can go negative, while this form stays
+        positive.
         """
-        s = self.separation if separation is None else separation
-        a, b = self.device_lucky, self.device_prime
-        h = a.grid.spacing
-        gap = _gap_cells(a.grid.points, b.grid.points, s, h) * h
-        energies = np.asarray(energies, dtype=np.float64)
-        k = np.sqrt((energies - a.asymptote).astype(np.complex128)) / self.kinetic_scale
-        m, log_scale = matrices
-        through_gap = np.stack([np.exp(1j * k * gap), np.exp(-1j * k * gap)])[:, None] * m[..., 0]
-        total = np.einsum("ij...,jk...->ik...", m[..., 1], through_gap)
-        return _kernels.transmission_reflection(total, log_scale.sum(axis=-1))
+        t, _ = _kernels.transmission_reflection(*self.device_matrices(energies))
+        t_a, t_b = t[..., 0], t[..., 1]
+        return t_a * t_b / (t_a + t_b - t_a * t_b)
 
 
 @dataclass(frozen=True)
@@ -379,7 +328,6 @@ class FilterResult:
     is_lucky_prime: bool
     peak_energy: float
     peak_transmission: float
-    confirmed: bool
 
     def as_dict(self) -> dict:
         return {
@@ -387,7 +335,6 @@ class FilterResult:
             "lucky_prime": self.is_lucky_prime,
             "peak_energy": self.peak_energy,
             "peak_T": self.peak_transmission,
-            "confirmed": self.confirmed,
         }
 
 
@@ -395,7 +342,6 @@ def build_filter_apparatus(
     lucky_count: int = 10,
     prime_count: int = 10,
     cutoff_factor: float = 1.2,
-    separation: float = 2.0,
     flat_fraction: float = 0.05,
     resample: int = 4,
     grid: Grid | None = None,
@@ -424,59 +370,21 @@ def build_filter_apparatus(
         device_prime=device["prime"],
         lucky_levels=lucky_levels,
         prime_levels=prime_levels,
-        separation=separation,
         kinetic_scale=kinetic_scale,
         w_max=w_max,
     )
 
 
-def filter_lucky_prime(
-    w: int,
-    apparatus: FilterApparatus,
-    threshold: float = 0.5,
-    window: float = 0.5,
-    resolution: float = RESOLUTION_FLOOR,
-    confirm_window: float = 0.01,
-) -> FilterResult:
-    """Windowed peak search plus separation-insensitivity confirmation.
-
-    A genuine level resonance sits at a quasi-bound energy of the individual
-    wells, so its position survives changing the flat gap between them;
-    cavity modes of the gap move with the gap length and fail the re-check
-    at doubled and tripled separation.
-    """
+def filter_lucky_prime(w: int, apparatus: FilterApparatus, threshold: float = 0.5) -> FilterResult:
+    """w is lucky and prime when the gap-averaged transmission of the two
+    wells peaks at or above `threshold` within ``FILTER_WINDOW`` of w."""
     if w < 1:
         raise ValueError("w must be a positive integer")
     if w > apparatus.w_max:
         raise ValueError(f"w={w} is outside the filter window (w_max={apparatus.w_max})")
-    # one device pass per distinct energy list of this verdict: the coarse
-    # scans at 2s and 3s use the same energies and share theirs
-    passes: dict[bytes, tuple] = {}
-
-    def scan_at(separation):
-        def scan(energies):
-            key = energies.tobytes()
-            if key not in passes:
-                passes[key] = apparatus.device_matrices(energies)
-            return apparatus.compose(energies, passes[key], separation)[0]
-
-        return scan
-
-    lo = max(w - window, 1e-6)
-    hi = w + window
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold={threshold} must lie strictly between 0 and 1")
     peak_t, peak_e = windowed_max_transmission(
-        scan_at(apparatus.separation), lo, hi, resolution=resolution
+        apparatus.averaged_transmission, max(w - FILTER_WINDOW, 1e-6), w + FILTER_WINDOW
     )
-    if peak_t < threshold:
-        return FilterResult(w, False, peak_e, peak_t, confirmed=False)
-    for factor in (2.0, 3.0):
-        t_alt, _ = windowed_max_transmission(
-            scan_at(factor * apparatus.separation),
-            peak_e - confirm_window,
-            peak_e + confirm_window,
-            resolution=resolution,
-            stop_above=threshold,
-        )
-        if t_alt < threshold:
-            return FilterResult(w, False, peak_e, peak_t, confirmed=False)
-    return FilterResult(w, True, peak_e, peak_t, confirmed=True)
+    return FilterResult(w, peak_t >= threshold, peak_e, peak_t)

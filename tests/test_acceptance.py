@@ -168,17 +168,29 @@ def test_criterion_7_scattering(filter_apparatus):
 
     lucky = set(filter_apparatus.lucky_levels.tolist())
     prime = set(filter_apparatus.prime_levels.tolist())
+    threshold = 0.5
     mismatches = []
+    accepted, rejected = [1.0], [0.0]  # peak T on each side of the threshold
     for w in range(1, min(filter_apparatus.w_max, 30) + 1):
-        verdict = filter_lucky_prime(w, filter_apparatus).is_lucky_prime
-        if verdict != (w in lucky and w in prime):
+        result = filter_lucky_prime(w, filter_apparatus, threshold=threshold)
+        if result.is_lucky_prime != (w in lucky and w in prime):
             mismatches.append(w)
-    ok = barrier_err <= 1e-6 and unit_err <= 1e-8 and not mismatches
+        (accepted if result.is_lucky_prime else rejected).append(result.peak_transmission)
+    margin_in = min(accepted) - threshold
+    margin_out = threshold - max(rejected)
+    ok = (
+        barrier_err <= 1e-6
+        and unit_err <= 1e-8
+        and not mismatches
+        and margin_in >= 0.05
+        and margin_out >= 0.05
+    )
     _report(
         "7 scattering and lucky-prime filter",
         ok,
         f"barrier err={barrier_err:.1e}, |T+R-1|={unit_err:.1e}, "
-        f"filter window w<= {min(filter_apparatus.w_max, 30)}, mismatches={mismatches}",
+        f"filter window w<= {min(filter_apparatus.w_max, 30)}, mismatches={mismatches}, "
+        f"margin accepted {margin_in:.3f} / rejected {margin_out:.3f}",
     )
 
 

@@ -238,8 +238,11 @@ def test_cli_filter_verdicts(capsys):
     assert json.loads(capsys.readouterr().out)["lucky_prime"] is True
     assert main(["filter", "--w", "9"]) == 0
     assert json.loads(capsys.readouterr().out)["lucky_prime"] is False
-    assert main(["filter", "--w", "3", "--separation", "0"]) == 0
+    assert main(["filter", "--w", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["w"] == 3
+    # a threshold of 0 would accept every w
+    assert main(["filter", "--w", "3", "--threshold", "0"]) == 1
+    assert "threshold" in capsys.readouterr().err
 
 
 def test_cli_pipeline_exit_zero(tmp_path):
