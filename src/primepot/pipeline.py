@@ -8,7 +8,6 @@ seed, including the bytes of every artifact written.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -127,14 +126,12 @@ class PipelineReport:
     report: DiscrepancyReport
     files: dict
     hologram_sr_error: float | None = None
-    elapsed_s: float = 0.0
 
     @property
     def all_round(self) -> bool:
         return self.report.all_round
 
     def as_dict(self) -> dict:
-        # elapsed time stays off the report so identical runs write identical bytes
         payload = {
             "sequence": self.config.sequence,
             "targets": self.targets.tolist(),
@@ -186,7 +183,6 @@ def synthesize_hologram(
 
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
     """design -> (optional hologram synth + extract) -> eigensolve -> compare."""
-    t0 = time.perf_counter()
     try:
         targets = parse_sequence_spec(config.sequence)
         kinetic = kinetic_from_name(config.kinetic)
@@ -257,7 +253,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         report=report,
         files=files,
         hologram_sr_error=holo_err,
-        elapsed_s=time.perf_counter() - t0,
     )
     report_path = outdir / "report.json"
     write_json(report_path, out.as_dict())

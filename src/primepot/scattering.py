@@ -59,6 +59,9 @@ COARSE = 241  # energies of the first scan of a search window
 TOP_K = 3  # coarse local maxima refined
 RESOLUTION_FLOOR = 1e-6  # refinement stops once the step is below this
 FILTER_WINDOW = 0.5  # half-width around w absorbing the truncation shift
+CUTOFF_FACTOR = 1.2  # filter wells are capped at this multiple of their asymptote
+FLAT_FRACTION = 0.05  # opened walls end where they come this close to the rim, relative to the depth
+RESAMPLE = 4  # filter wells are opened on a grid this many times finer than the design grid
 
 
 @dataclass
@@ -89,7 +92,6 @@ def truncate_potential(
     potential: PotentialGrid,
     cutoff: float,
     open_baseline: float | None = None,
-    flat_fraction: float = 0.02,
 ) -> PotentialGrid:
     """Clip at `cutoff` and prepare asymptotically free states.
 
@@ -124,7 +126,7 @@ def truncate_potential(
     grid = potential.grid
     center = grid.center_index
     right = values[center:]
-    flat_tol = flat_fraction * (rim - float(values.min()))
+    flat_tol = FLAT_FRACTION * (rim - float(values.min()))
     below = np.nonzero(rim - right > flat_tol)[0]
     if below.size == 0:
         raise ValueError("potential never departs from its rim; nothing to open")
@@ -341,28 +343,21 @@ class FilterResult:
 def build_filter_apparatus(
     lucky_count: int = 10,
     prime_count: int = 10,
-    cutoff_factor: float = 1.2,
-    flat_fraction: float = 0.05,
-    resample: int = 4,
-    grid: Grid | None = None,
     kinetic_scale: float = KINETIC_HALF,
 ) -> FilterApparatus:
     """Design both wells, open them for scattering, and fix the valid window.
 
-    The designed staircase is resampled finer before opening so the two
-    wells' quasi-levels agree to well within their resonance widths.
+    Each well is designed on the default grid and resampled ``RESAMPLE``
+    times finer before opening, so the two wells' quasi-levels agree to well
+    within their resonance widths.
     """
     lucky_levels = first_lucky(lucky_count)
     prime_levels = first_primes(prime_count)
     device = {}
     for name, levels in (("lucky", lucky_levels), ("prime", prime_levels)):
-        designed = design_potential(levels, grid, kinetic_scale)
-        fine = designed.resampled(resample)
+        designed = design_potential(levels, kinetic_scale=kinetic_scale)
         device[name] = truncate_potential(
-            fine,
-            cutoff_factor * designed.asymptote,
-            open_baseline=0.0,
-            flat_fraction=flat_fraction,
+            designed.resampled(RESAMPLE), CUTOFF_FACTOR * designed.asymptote, open_baseline=0.0
         )
     w_max = int(min(device["lucky"].max(), device["prime"].max()) - 1.0)
     return FilterApparatus(

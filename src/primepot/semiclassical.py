@@ -5,7 +5,9 @@ tracks the primes on average; it trades the exactness of the chain
 construction for the ability to extend to any energy without redesigning.
 The substitution E = V - t^2 removes the inverse-square-root endpoint of
 the inversion integral analytically, leaving a smooth integrand for
-composite Gauss-Legendre panels.
+composite Gauss-Legendre panels. The density is called once per inversion,
+on the whole (samples - 1) x (panels * nodes) array of quadrature energies,
+and every x(V) is one weighted sum over its row.
 """
 
 from __future__ import annotations
@@ -54,23 +56,26 @@ class SemiclassicalProfile:
         return float(self.v_values[-1])
 
 
-def prime_density_of_states(energy: float, terms: int = DEFAULT_TERMS) -> float:
+def prime_density_of_states(energy, terms: int = DEFAULT_TERMS):
     """Truncated Moebius series for the smoothed level density at `energy`.
 
-    All `terms` terms are kept: unlike the counting series, dropping terms
-    below energy**(1/m) = 2 would make the density discontinuous at powers
-    of two and the inverted profile non-monotone.
+    `energy` is a scalar or an array; the Moebius weights are computed once
+    and the series is summed over the whole array. All `terms` terms are
+    kept: unlike the counting series, dropping terms below
+    energy**(1/m) = 2 would make the density discontinuous at powers of two
+    and the inverted profile non-monotone.
     """
-    if energy <= 2.0:
+    energy = np.asarray(energy, dtype=np.float64)
+    if np.any(energy <= 2.0):
         raise ValueError("density series needs energy > 2")
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    total = 0.0
+    total = np.zeros_like(energy)
     for m in range(1, terms + 1):
         mu = moebius(m)
         if mu:
             total += mu / m * energy ** ((1.0 - m) / m)
-    return total / math.log(energy)
+    return total / np.log(energy)
 
 
 def invert_to_potential(
@@ -86,6 +91,8 @@ def invert_to_potential(
 
     After E = V - t^2 the integrand is 2 c dos(V - t^2) on t in [0, sqrt(V-e0)],
     handled by `panels` Gauss-Legendre panels of `nodes_per_panel` nodes.
+    `dos` is called once, on the array of all quadrature energies; a scalar
+    it returns stands for a constant density.
     """
     if v_max <= e0:
         raise ValueError("v_max must exceed e0")
@@ -94,21 +101,17 @@ def invert_to_potential(
     c = float(kinetic_scale)
     nodes, weights = np.polynomial.legendre.leggauss(nodes_per_panel)
     v_values = np.linspace(e0, v_max, samples)
-    x_values = np.empty_like(v_values)
-    x_values[0] = 0.0
-    for i, v in enumerate(v_values[1:], start=1):
-        t_max = math.sqrt(v - e0)
-        edges = np.linspace(0.0, t_max, panels + 1)
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-            energies = v - t * t
-            rho = np.array([dos(e) for e in energies])
-            if np.any(rho <= 0.0):
-                bad = float(energies[np.argmax(rho <= 0.0)])
-                raise ValueError(f"density of states not positive at E={bad:.6g}")
-            total += 0.5 * (b - a) * np.sum(weights * 2.0 * rho)
-        x_values[i] = c * total
+    v = v_values[1:, None]
+    edges = np.linspace(0.0, np.sqrt(v - e0), panels + 1, axis=1)
+    half = 0.5 * np.diff(edges, axis=1)
+    t = half * nodes + 0.5 * (edges[:, :-1] + edges[:, 1:])
+    energies = (v[..., None] - t * t).reshape(samples - 1, panels * nodes_per_panel)
+    rho = np.broadcast_to(dos(energies), energies.shape)
+    if np.any(rho <= 0.0):
+        bad = float(energies.flat[np.argmax(rho <= 0.0)])
+        raise ValueError(f"density of states not positive at E={bad:.6g}")
+    panel_sums = np.sum(weights * 2.0 * rho.reshape(t.shape), axis=-1)
+    x_values = np.concatenate(([0.0], c * np.sum(half[..., 0] * panel_sums, axis=-1)))
     return SemiclassicalProfile(v_values=v_values, x_values=x_values, e0=float(e0), kinetic_scale=c)
 
 

@@ -162,7 +162,6 @@ class CountingEstimates:
     gauss: float
     li: float
     riemann_r: float
-    terms_used: int
 
     def as_dict(self) -> dict:
         return {
@@ -183,18 +182,12 @@ def counting_estimates(x: float, terms: int = 25) -> CountingEstimates:
     exact = int(sieve_primes(int(math.floor(x))).size)
     gauss = x / math.log(x)
     li = log_integral(x)
-    used = 0
-    for n in range(1, terms + 1):
-        if x ** (1.0 / n) < 2.0:
-            break
-        used = n
     return CountingEstimates(
         x=float(x),
         exact=exact,
         gauss=gauss,
         li=li,
         riemann_r=riemann_r(x, terms),
-        terms_used=used,
     )
 
 

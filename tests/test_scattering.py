@@ -95,7 +95,6 @@ def test_opened_well_resonates_at_bound_levels(lucky10_potential):
         lucky10_potential.resampled(2),
         1.2 * lucky10_potential.asymptote,
         open_baseline=0.0,
-        flat_fraction=0.05,
     )
     assert opened.asymptote == 0.0
     rim = opened.max()

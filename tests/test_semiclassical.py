@@ -1,15 +1,58 @@
+import math
+
 import numpy as np
 import pytest
 
 from primepot.eigensolver import bound_states
 from primepot.semiclassical import (
+    SemiclassicalProfile,
     invert_to_potential,
     prime_density_of_states,
     profile_to_potential,
     wkb_level_count,
 )
-from primepot.sequences import riemann_r, sieve_primes
+from primepot.sequences import moebius, riemann_r, sieve_primes
 from primepot.susy import KINETIC_HALF
+
+
+_MU = [moebius(m) for m in range(1, 26)]
+
+
+def _scalar_density(energy):
+    """The 25-term density at one energy in Python floats."""
+    total = 0.0
+    for m, mu in enumerate(_MU, start=1):
+        if mu:
+            total += mu / m * energy ** ((1.0 - m) / m)
+    return total / math.log(energy)
+
+
+def _loop_inversion(dos, e0, v_max, samples, kinetic_scale=KINETIC_HALF, panels=4, nodes_per_panel=64):
+    """Per-sample, per-panel, per-energy form of the inversion (the oracle)."""
+    nodes, weights = np.polynomial.legendre.leggauss(nodes_per_panel)
+    v_values = np.linspace(e0, v_max, samples)
+    x_values = np.zeros_like(v_values)
+    for i, v in enumerate(v_values[1:], start=1):
+        edges = np.linspace(0.0, math.sqrt(v - e0), panels + 1)
+        total = 0.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+            rho = np.array([dos(float(e)) for e in v - t * t])
+            total += 0.5 * (b - a) * np.sum(weights * 2.0 * rho)
+        x_values[i] = kinetic_scale * total
+    return v_values, x_values
+
+
+def _mpmath_density(energy, terms):
+    import mpmath
+
+    e = mpmath.mpf(energy)
+    total = mpmath.mpf(0)
+    for m in range(1, terms + 1):
+        mu = moebius(m)
+        if mu:
+            total += mpmath.mpf(mu) / m * e ** ((1 - mpmath.mpf(m)) / m)
+    return float(total / mpmath.log(e))
 
 
 def test_single_term_is_inverse_log():
@@ -21,16 +64,18 @@ def test_density_series_extended_precision_oracle():
     import mpmath
 
     mpmath.mp.dps = 40
-    e = mpmath.mpf(100)
-    total = mpmath.mpf(0)
-    from primepot.sequences import moebius
+    assert prime_density_of_states(100.0, terms=10) == pytest.approx(_mpmath_density(100.0, 10), abs=1e-12)
 
-    for m in range(1, 11):
-        mu = moebius(m)
-        if mu:
-            total += mpmath.mpf(mu) / m * e ** ((1 - mpmath.mpf(m)) / m)
-    oracle = float(total / mpmath.log(e))
-    assert prime_density_of_states(100.0, terms=10) == pytest.approx(oracle, abs=1e-12)
+
+def test_density_array_call_matches_extended_precision_oracle():
+    import mpmath
+
+    mpmath.mp.dps = 40
+    energies = np.array([[2.0 + 1e-9, 2.0 + 1e-6, 2.001, 3.0], [4.0, 8.0, 64.0, 1024.0], [5.5, 100.0, 109.7, 150.0]])
+    values = prime_density_of_states(energies, terms=25)
+    assert values.shape == energies.shape
+    oracle = np.vectorize(lambda e: _mpmath_density(e, 25))(energies)
+    np.testing.assert_allclose(values, oracle, rtol=1e-12, atol=0.0)
 
 
 def test_density_rejects_low_energy():
@@ -65,6 +110,29 @@ def test_quadrature_fourth_order_with_two_point_panels():
         errs.append(abs(prof.x_values[-1] - reference.x_values[-1]))
     ratio = errs[0] / errs[1]
     assert ratio == pytest.approx(16.0, rel=0.5)
+
+
+@pytest.mark.parametrize("v_max, samples", [(40.0, 20), (100.0, 400), (110.0, 600)])
+def test_array_inversion_matches_loop_oracle(v_max, samples):
+    prof = invert_to_potential(lambda e: prime_density_of_states(e, 25), 2.0, v_max, samples)
+    v_ref, x_ref = _loop_inversion(_scalar_density, 2.0, v_max, samples)
+    assert np.array_equal(prof.v_values, v_ref)
+    assert prof.x_values[0] == x_ref[0] == 0.0
+    np.testing.assert_allclose(prof.x_values[1:], x_ref[1:], rtol=1e-13, atol=0.0)
+    oracle = SemiclassicalProfile(v_ref, x_ref, 2.0, KINETIC_HALF)
+    for energy in range(3, int(v_max) + 1):
+        assert wkb_level_count(prof, float(energy)) == wkb_level_count(oracle, float(energy))
+
+
+def test_dos_called_once_on_the_energy_lattice():
+    shapes = []
+
+    def counting_dos(e):
+        shapes.append(np.shape(e))
+        return prime_density_of_states(e)
+
+    invert_to_potential(counting_dos, 2.0, 60.0, samples=37, panels=3, nodes_per_panel=16)
+    assert shapes == [(36, 48)]
 
 
 def test_negative_dos_reported_with_energy():

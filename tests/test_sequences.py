@@ -163,5 +163,4 @@ def test_counting_estimates_record_fields():
     est = counting_estimates(50.0, terms=5)
     assert isinstance(est, CountingEstimates)
     assert est.gauss == pytest.approx(50.0 / math.log(50.0))
-    assert est.terms_used == 5
     assert set(est.as_dict()) == {"x", "exact", "gauss", "li", "riemann_r"}
