@@ -144,27 +144,6 @@ class PotentialGrid:
         even = bool(np.array_equal(values, values[::-1]))
         return cls(grid=grid, values=values, asymptote=asym, even_symmetric=even)
 
-    def resampled(self, factor: int) -> "PotentialGrid":
-        """Same potential on a grid `factor` times finer (cubic spline)."""
-        if factor < 1:
-            raise ValueError("factor must be >= 1")
-        if factor == 1:
-            return self
-        from scipy.interpolate import CubicSpline
-
-        fine = Grid(half_width=self.grid.half_width, points=factor * (self.grid.points - 1) + 1)
-        spline = CubicSpline(self.grid.x, self.values)
-        values = spline(fine.x)
-        if self.even_symmetric:
-            values = 0.5 * (values + values[::-1])
-        return PotentialGrid(
-            grid=fine,
-            values=values,
-            asymptote=self.asymptote,
-            even_symmetric=self.even_symmetric,
-            energy_shift=self.energy_shift,
-        )
-
     def write_csv(self, path) -> None:
         """Write `x,V` rows in decimal text under the asymptote and energy shift."""
         meta = {"asymptote": self.asymptote, "energy_shift": self.energy_shift}

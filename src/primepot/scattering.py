@@ -1,8 +1,11 @@
 """Transmission through truncated potentials and the lucky-prime filter.
 
-Transfer matrices over piecewise-constant grid cells give T(E), R(E) with
-semi-infinite flat leads attached at the boundary value. ``truncate_potential``
-has two modes:
+Transfer matrices give T(E), R(E) with semi-infinite flat leads attached
+at the boundary value. One real kernel carries ``(psi, psi')`` across each
+cell by the fourth-order two-point Gauss Magnus step
+(``_kernels.transfer_scan``); a potential sampled on grid nodes enters as
+piecewise-constant cells (node midpoints), the kernel's exact special case.
+``truncate_potential`` has two modes:
 
 * cap-and-shift (default): clip the potential at the cutoff, flatten beyond
   the last crossing, and re-reference energies so the flat value sits at
@@ -25,7 +28,10 @@ energies unrelated to any level and move with the gap length; the average
 over the gap phase has none, so it is near 1 only where both wells hold a
 level and the verdict does not depend on the separation. One kernel pass
 gives both wells' transfer matrices (the wells run in lockstep as two cell
-profiles). Resonance widths shrink exponentially with level depth, so the
+profiles). Each well is scanned on the cells of its design grid, with the
+potential at each cell's two Gauss points taken from a cubic through the
+designed nodes, so its quasi-levels carry only the fourth-order error of the
+Magnus step. Resonance widths shrink exponentially with level depth, so the
 windowed search refines adaptively around local maxima.
 """
 
@@ -45,6 +51,8 @@ __all__ = [
     "FilterApparatus",
     "FilterResult",
     "truncate_potential",
+    "cell_samples",
+    "opened_cells",
     "transmission",
     "transmission_from_cells",
     "transmission_scan",
@@ -61,7 +69,7 @@ RESOLUTION_FLOOR = 1e-6  # refinement stops once the step is below this
 FILTER_WINDOW = 0.5  # half-width around w absorbing the truncation shift
 CUTOFF_FACTOR = 1.2  # filter wells are capped at this multiple of their asymptote
 FLAT_FRACTION = 0.05  # opened walls end where they come this close to the rim, relative to the depth
-RESAMPLE = 4  # filter wells are opened on a grid this many times finer than the design grid
+GAUSS_POINTS = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)  # two-point Gauss nodes, as fractions of a cell
 
 
 @dataclass
@@ -117,27 +125,77 @@ def truncate_potential(
             energy_shift=flat,
         )
 
+    baseline = float(open_baseline)
+    i_wall_end, i_keep = _opened_extent(potential, cutoff, baseline)
+    grid = potential.grid
+    new_right = values[grid.center_index :][: i_keep + 1].copy()
+    new_right[i_wall_end + 1 :] = baseline
+    new_grid = Grid(half_width=i_keep * grid.spacing, points=2 * i_keep + 1)
+    return PotentialGrid.from_even_half(new_grid, new_right, asymptote=baseline)
+
+
+def _opened_extent(potential: PotentialGrid, cutoff: float, baseline: float) -> tuple[int, int]:
+    """Where an opened well ends, in nodes from the center: ``(i_wall_end,
+    i_keep)``.
+
+    The capped wall ends at the first node past the last one further than
+    ``FLAT_FRACTION`` of the depth below the rim; two baseline nodes follow,
+    so the opened well keeps ``i_keep`` nodes on each side of the center.
+    """
     if not potential.even_symmetric:
         raise ValueError("opened truncation expects an even designed potential")
-    baseline = float(open_baseline)
     rim = min(cutoff, potential.asymptote)
     if rim <= baseline:
         raise ValueError("rim must sit above the baseline")
-    grid = potential.grid
-    center = grid.center_index
-    right = values[center:]
-    flat_tol = FLAT_FRACTION * (rim - float(values.min()))
+    right = np.minimum(potential.values[potential.grid.center_index :], cutoff)
+    flat_tol = FLAT_FRACTION * (rim - float(right.min()))
     below = np.nonzero(rim - right > flat_tol)[0]
     if below.size == 0:
         raise ValueError("potential never departs from its rim; nothing to open")
     i_wall_end = int(below[-1]) + 1
-    # keep two baseline nodes outside the wall so the boundary is flat
-    i_keep = min(i_wall_end + 2, right.size - 1)
-    new_right = right[: i_keep + 1].copy()
-    new_right[i_wall_end + 1 :] = baseline
-    points = 2 * i_keep + 1
-    new_grid = Grid(half_width=i_keep * grid.spacing, points=points)
-    return PotentialGrid.from_even_half(new_grid, new_right, asymptote=baseline)
+    return i_wall_end, min(i_wall_end + 2, right.size - 1)
+
+
+def cell_samples(values, fractions) -> np.ndarray:
+    """Samples at `fractions` of each cell of a uniform grid, shape
+    (n_nodes - 1, len(fractions)).
+
+    Each cell takes the cubic through its two end nodes and one neighbour on
+    either side (the four nearest nodes at the grid ends), the stencil of
+    ``_kernels.riccati_sweep``'s midpoint.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if v.size < 4:
+        raise ValueError("need at least 4 nodes for the cubic stencil")
+    first = np.clip(np.arange(v.size - 1) - 1, 0, v.size - 4)
+    # position of each sample on the stencil's nodes 0..3
+    x = (np.arange(v.size - 1) - first)[:, None] + np.asarray(fractions, dtype=np.float64)[None, :]
+    lagrange = (
+        -(x - 1.0) * (x - 2.0) * (x - 3.0) / 6.0,
+        x * (x - 2.0) * (x - 3.0) / 2.0,
+        -x * (x - 1.0) * (x - 3.0) / 2.0,
+        x * (x - 1.0) * (x - 2.0) / 6.0,
+    )
+    return sum(w * v[first + j][:, None] for j, w in enumerate(lagrange))
+
+
+def opened_cells(
+    potential: PotentialGrid, cutoff: float, baseline: float, fractions=GAUSS_POINTS
+) -> np.ndarray:
+    """The cells of ``truncate_potential(potential, cutoff, baseline)``,
+    sampled at `fractions` of each cell: shape (2 i_keep, len(fractions)).
+
+    The samples come from the designed potential (``cell_samples``), then
+    take the cap. The wall keeps the cell that starts at its end node; the
+    cells past it sit at the baseline. With the default two Gauss points
+    these are ``_kernels.transfer_scan``'s cells.
+    """
+    i_wall_end, i_keep = _opened_extent(potential, cutoff, baseline)
+    center = potential.grid.center_index
+    samples = np.minimum(cell_samples(potential.values, fractions)[center - i_keep : center + i_keep], cutoff)
+    middles = np.abs(np.arange(-i_keep, i_keep) + 0.5)  # in cells from the center
+    samples[middles > i_wall_end + 1] = baseline
+    return samples
 
 
 def compose_apparatus(
@@ -172,10 +230,12 @@ def compose_apparatus(
 def transmission_from_cells(
     cells, spacing: float, energies, kinetic_scale: float = KINETIC_HALF, lead_potential: float = 0.0
 ):
-    """(T, R) for an explicit piecewise-constant cell profile.
+    """(T, R) for an explicit cell profile: constant cells, shape (n_cells,),
+    or Gauss-point pairs, shape (n_cells, 2) (see ``_kernels.transfer_scan``).
 
     Exact (to roundoff) for genuinely piecewise-constant potentials such as
-    rectangular barriers, since the matrix product is the analytic solution.
+    rectangular barriers, since each constant-cell step is the analytic
+    solution.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=np.float64))
     if np.any(energies <= lead_potential):
@@ -188,7 +248,7 @@ def transmission_from_cells(
 
 
 def transmission(potential: PotentialGrid, energies, kinetic_scale: float = KINETIC_HALF):
-    """(T, R) arrays from the piecewise-constant transfer-matrix product."""
+    """(T, R) arrays with the potential constant on each cell at its node midpoint."""
     v = potential.values
     if abs(float(v[0]) - float(v[-1])) > 1e-9:
         raise ValueError("potential must have equal asymptotes (truncate it first)")
@@ -270,12 +330,18 @@ def windowed_max_transmission(scan, lo: float, hi: float) -> tuple[float, float]
 class FilterApparatus:
     """Opened lucky and prime wells, the two halves of the filter.
 
-    ``w_max`` is the largest integer safely below both rims; the filter is
-    only meaningful inside that window.
+    ``cells_lucky`` and ``cells_prime`` are the wells the transfer scans
+    see: Gauss-point pairs (``opened_cells``) on cells of width ``spacing``.
+    ``device_lucky`` and ``device_prime`` are the same wells on their node
+    grids, for ``composed()``. ``w_max`` is the largest integer safely below
+    both rims; the filter is only meaningful inside that window.
     """
 
     device_lucky: PotentialGrid
     device_prime: PotentialGrid
+    cells_lucky: np.ndarray
+    cells_prime: np.ndarray
+    spacing: float
     lucky_levels: np.ndarray
     prime_levels: np.ndarray
     kinetic_scale: float
@@ -288,6 +354,9 @@ class FilterApparatus:
         for device in (a, b):
             if device.values[0] != a.asymptote or device.values[-1] != a.asymptote:
                 raise ValueError("both devices must start and end at one lead potential")
+        for cells in (self.cells_lucky, self.cells_prime):
+            if np.any(cells[[0, -1]] != a.asymptote):
+                raise ValueError("both cell profiles must start and end at the lead potential")
 
     def composed(self, separation: float = 2.0) -> PotentialGrid:
         """Both wells on one grid, `separation` apart (for coherent checks)."""
@@ -303,12 +372,12 @@ class FilterApparatus:
         last axis being (lucky, prime).
         """
         lead = self.device_lucky.asymptote
-        a, b = (0.5 * (d.values[:-1] + d.values[1:]) for d in (self.device_lucky, self.device_prime))
-        n = max(a.size, b.size)
-        cells = np.full((n, 2), lead)
-        cells[n - a.size :, 0] = a
-        cells[: b.size, 1] = b
-        return _kernels.transfer_scan(cells, self.device_lucky.grid.spacing, energies, self.kinetic_scale, lead)
+        a, b = self.cells_lucky, self.cells_prime
+        n = max(len(a), len(b))
+        cells = np.full((n, 2, 2), lead)
+        cells[n - len(a) :, :, 0] = a
+        cells[: len(b), :, 1] = b
+        return _kernels.transfer_scan(cells, self.spacing, energies, self.kinetic_scale, lead)
 
     def averaged_transmission(self, energies):
         """T of the lucky well, a flat gap and the prime well, averaged over
@@ -345,24 +414,23 @@ def build_filter_apparatus(
     prime_count: int = 10,
     kinetic_scale: float = KINETIC_HALF,
 ) -> FilterApparatus:
-    """Design both wells, open them for scattering, and fix the valid window.
-
-    Each well is designed on the default grid and resampled ``RESAMPLE``
-    times finer before opening, so the two wells' quasi-levels agree to well
-    within their resonance widths.
-    """
+    """Design both wells on the default grid, open them for scattering, and
+    fix the valid window."""
     lucky_levels = first_lucky(lucky_count)
     prime_levels = first_primes(prime_count)
-    device = {}
+    device, cells = {}, {}
     for name, levels in (("lucky", lucky_levels), ("prime", prime_levels)):
         designed = design_potential(levels, kinetic_scale=kinetic_scale)
-        device[name] = truncate_potential(
-            designed.resampled(RESAMPLE), CUTOFF_FACTOR * designed.asymptote, open_baseline=0.0
-        )
+        cutoff = CUTOFF_FACTOR * designed.asymptote
+        device[name] = truncate_potential(designed, cutoff, open_baseline=0.0)
+        cells[name] = opened_cells(designed, cutoff, 0.0)
     w_max = int(min(device["lucky"].max(), device["prime"].max()) - 1.0)
     return FilterApparatus(
         device_lucky=device["lucky"],
         device_prime=device["prime"],
+        cells_lucky=cells["lucky"],
+        cells_prime=cells["prime"],
+        spacing=device["lucky"].grid.spacing,
         lucky_levels=lucky_levels,
         prime_levels=prime_levels,
         kinetic_scale=kinetic_scale,

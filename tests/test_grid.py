@@ -45,12 +45,3 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back.values, pot.values)
     assert back.even_symmetric
 
-
-def test_resampled_preserves_shape_and_symmetry():
-    grid = default_grid(4.0, 0.01)
-    pot = PotentialGrid.from_callable(grid, lambda x: -np.exp(-(x**2)), asymptote=0.0)
-    fine = pot.resampled(4)
-    assert fine.grid.points == 4 * (grid.points - 1) + 1
-    assert fine.even_symmetric
-    coarse_on_fine = np.interp(np.abs(fine.x), pot.x[grid.center_index :], pot.values[grid.center_index :])
-    assert np.max(np.abs(fine.values - coarse_on_fine)) < 1e-4

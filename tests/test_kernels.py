@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import expm
 
 import primepot
 from primepot import _kernels
@@ -72,6 +73,55 @@ def _transfer_scan_oracle(v_cells, h, energies, c, v_lead):
     return t_out, r_out
 
 
+def _lead_basis_scan(v_cells, h, energies, c, v_lead):
+    """Complex lead-basis transfer matrices of constant cells, batched over
+    energies and profiles; (T, R) from ``|m22|``. Reference for the real
+    Magnus kernel on constant cells, where both are exact."""
+    v = np.asarray(v_cells, dtype=np.float64)
+    energies = np.ascontiguousarray(energies, dtype=np.float64)
+    out_shape = energies.shape + v.shape[1:]
+    v = v.reshape(v.shape[0], -1)
+    k_lead = np.repeat(np.sqrt((energies - v_lead).astype(np.complex128)) / c, v.shape[1])
+    m = np.zeros((2, 2, k_lead.size), dtype=np.complex128)
+    m[0, 0] = m[1, 1] = 1.0
+    log_scale = np.zeros(k_lead.size)
+    k_prev = k_lead
+    for start in range(0, v.shape[0], _kernels.BLOCK):
+        cells = v[start : start + _kernels.BLOCK]
+        k = np.sqrt((energies[None, :, None] - cells[:, None, :]).astype(np.complex128)) / c
+        k = np.where(np.abs(k) < 1e-12, 1e-12 + 0.0j, k).reshape(cells.shape[0], -1)
+        ratio = np.concatenate([k_prev[None], k[:-1]]) / k
+        ap = 0.5 * (1.0 + ratio)
+        am = 0.5 * (1.0 - ratio)
+        phase = np.stack([np.exp(1j * k * h), np.exp(-1j * k * h)], axis=1)[:, :, None]
+        for i in range(cells.shape[0]):
+            m = ap[i] * m + am[i] * m[::-1]
+            m *= phase[i]
+        s = np.abs(m).max(axis=(0, 1))
+        m /= s
+        log_scale += np.log(s)
+        k_prev = k[-1]
+    ratio = k_prev / k_lead
+    m = 0.5 * (1.0 + ratio) * m + 0.5 * (1.0 - ratio) * m[::-1]
+    denom = np.abs(m[1, 1])
+    t = np.exp(np.clip(-2.0 * (log_scale + np.log(denom)), -745.0, 50.0))
+    r = np.abs(m[1, 0] / denom) ** 2
+    return t.reshape(out_shape), r.reshape(out_shape)
+
+
+def _magnus_oracle(gauss_cells, h, energy, c, v_lead):
+    """One energy, cell by cell: ``expm`` of the Magnus exponent, then (T, R)
+    from the (psi, psi') matrix and the lead wavenumber."""
+    m = np.eye(2)
+    for v1, v2 in gauss_cells:
+        q1, q2 = (v1 - energy) / c**2, (v2 - energy) / c**2
+        alpha = math.sqrt(3.0) * h * h * (q1 - q2) / 12.0
+        m = expm(np.array([[alpha, h], [h * 0.5 * (q1 + q2), -alpha]])) @ m
+    k = math.sqrt(energy - v_lead) / c
+    denom = (m[0, 0] + m[1, 1]) ** 2 + (k * m[0, 1] - m[1, 0] / k) ** 2
+    return 4.0 / denom, ((m[0, 0] - m[1, 1]) ** 2 + (k * m[0, 1] + m[1, 0] / k) ** 2) / denom
+
+
 def _barrier_cells():
     return np.concatenate([np.zeros(200), np.full(600, 12.0), np.zeros(200)])
 
@@ -87,6 +137,8 @@ def test_transfer_paths_agree():
     t_ref, r_ref = _transfer_scan_oracle(cells, 0.004, energies, KINETIC_HALF, 0.0)
     assert np.allclose(t_np, t_ref, atol=1e-10)
     assert np.allclose(r_np, r_ref, atol=1e-10)
+    t_lead, _ = _lead_basis_scan(cells, 0.004, energies, KINETIC_HALF, 0.0)
+    assert np.max(np.abs(t_np - t_lead)) <= 1e-12
 
 
 def test_transfer_unitarity_deep_tunneling():
@@ -95,6 +147,8 @@ def test_transfer_unitarity_deep_tunneling():
     t, r = _scan_tr(cells, 0.005, energies, KINETIC_HALF, 0.0)
     assert np.all(t >= 0.0)
     assert np.max(np.abs(t + r - 1.0)) < 1e-8
+    t_lead, _ = _lead_basis_scan(cells, 0.005, energies, KINETIC_HALF, 0.0)
+    assert np.max(np.abs(t - t_lead)) <= 1e-12
 
 
 def test_blocked_scan_matches_oracle_at_block_edges():
@@ -108,18 +162,59 @@ def test_blocked_scan_matches_oracle_at_block_edges():
         t_ref, r_ref = _transfer_scan_oracle(cells, 0.01, energies, KINETIC_HALF, 0.0)
         assert np.allclose(t, t_ref, atol=1e-10), n_cells
         assert np.allclose(r, r_ref, atol=1e-10), n_cells
+        t_lead, _ = _lead_basis_scan(cells, 0.01, energies, KINETIC_HALF, 0.0)
+        assert np.max(np.abs(t - t_lead)) <= 1e-12, n_cells
+
+
+def test_gauss_cells_match_expm_product():
+    # unequal Gauss samples on both sides of E, across block edges, with a
+    # raised lead: the closed-form exponential against scipy's expm
+    rng = np.random.default_rng(3)
+    b = _kernels.BLOCK
+    cells = np.where(rng.random((b + 3, 2)) < 0.5, 14.0, 3.0) * rng.uniform(0.5, 1.5, (b + 3, 2))
+    energies = np.array([2.5, 6.0, 9.7, 21.0])
+    for h in (0.01, 0.2, 1.0):  # 1.0: steps through d = pi and beyond
+        t, r = _scan_tr(cells, h, energies, KINETIC_HALF, 2.0)
+        for j, energy in enumerate(energies):
+            t_ref, r_ref = _magnus_oracle(cells, h, energy, KINETIC_HALF, 2.0)
+            assert abs(t[j] - t_ref) <= 1e-10 and abs(r[j] - r_ref) <= 1e-10, (h, energy)
+
+
+def test_gauss_cells_converge_at_fourth_order():
+    # U0/cosh^2(x) has a closed-form T; Gauss samples converge like h^4,
+    # node-midpoint constant cells like h^2
+    u0, c = 3.0, KINETIC_HALF
+    energies = np.array([1.0, 2.5, 4.0])
+    s = math.sqrt(4.0 * u0 / c**2 - 1.0)
+    kh = np.sinh(math.pi * np.sqrt(energies) / c) ** 2
+    exact = kh / (kh + math.cosh(0.5 * math.pi * s) ** 2)
+    gauss = 0.5 + np.array([-0.5, 0.5]) / math.sqrt(3.0)
+    errors = {}
+    for h in (0.1, 0.05):
+        left = -20.0 + h * np.arange(int(round(40.0 / h)))
+        for name, x in (("gauss", left[:, None] + h * gauss), ("midpoint", left + 0.5 * h)):
+            t, _ = _scan_tr(u0 / np.cosh(x) ** 2, h, energies, c, 0.0)
+            errors[name, h] = np.max(np.abs(t - exact))
+    assert errors["gauss", 0.05] < 1e-6  # 1.5e-7; node midpoints: 2.1e-4
+    assert errors["gauss", 0.1] / errors["gauss", 0.05] > 12.0
+    assert 3.0 < errors["midpoint", 0.1] / errors["midpoint", 0.05] < 5.0
 
 
 def test_profiles_scan_independently():
     rng = np.random.default_rng(9)
-    cells = rng.uniform(0.0, 15.0, (3 * _kernels.BLOCK + 5, 2))
+    cells = rng.uniform(0.0, 15.0, (3 * _kernels.BLOCK + 5, 2, 2))
     energies = np.linspace(0.5, 20.0, 23)
     m, log_scale = _kernels.transfer_scan(cells, 0.01, energies, KINETIC_HALF, 0.0)
     assert m.shape == (2, 2, 23, 2) and log_scale.shape == (23, 2)
     for j in range(2):
-        m_j, log_j = _kernels.transfer_scan(cells[:, j], 0.01, energies, KINETIC_HALF, 0.0)
+        m_j, log_j = _kernels.transfer_scan(cells[..., j], 0.01, energies, KINETIC_HALF, 0.0)
         assert np.array_equal(m[..., j], m_j)
         assert np.array_equal(log_scale[:, j], log_j)
+    # constant-cell profiles in lockstep against the lead-basis product
+    constant = np.repeat(cells[:, :1], 2, axis=1)
+    t, _ = _scan_tr(constant, 0.01, energies, KINETIC_HALF, 0.0)
+    t_lead, _ = _lead_basis_scan(constant[:, 0], 0.01, energies, KINETIC_HALF, 0.0)
+    assert np.max(np.abs(t - t_lead)) <= 1e-12
 
 
 def test_riccati_sweep_matches_tanh():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,14 @@ from primepot import _kernels, scattering
 from primepot.eigensolver import bound_states
 from primepot.grid import Grid, PotentialGrid, default_grid
 from primepot.scattering import (
+    CUTOFF_FACTOR,
+    GAUSS_POINTS,
     _local_maxima,
+    build_filter_apparatus,
+    cell_samples,
     compose_apparatus,
     filter_lucky_prime,
+    opened_cells,
     transmission,
     transmission_from_cells,
     transmission_scan,
@@ -90,20 +97,48 @@ def test_truncate_rejects_cutoff_below_minimum(prime10_potential):
 
 
 def test_opened_well_resonates_at_bound_levels(lucky10_potential):
-    # every level well below the rim shows a resonance within 0.3
-    opened = truncate_potential(
-        lucky10_potential.resampled(2),
-        1.2 * lucky10_potential.asymptote,
-        open_baseline=0.0,
-    )
+    # every level well below the rim shows a resonance within 0.3, on the
+    # design grid's cells
+    cutoff = 1.2 * lucky10_potential.asymptote
+    opened = truncate_potential(lucky10_potential, cutoff, open_baseline=0.0)
+    cells = opened_cells(lucky10_potential, cutoff, 0.0)
     assert opened.asymptote == 0.0
+    assert len(cells) == opened.grid.points - 1
     rim = opened.max()
+    h = opened.grid.spacing
     for level in [v for v in first_lucky(10) if v < rim - 3.0]:
         peak_t, peak_e = windowed_max_transmission(
-            lambda e: transmission(opened, e)[0], level - 0.3, level + 0.3
+            lambda e: transmission_from_cells(cells, h, e)[0], level - 0.3, level + 0.3
         )
         assert peak_t > 0.9
         assert abs(peak_e - level) < 0.3
+
+
+def test_cell_samples_exact_on_cubics():
+    # the 4-point stencil reproduces a cubic anywhere in every cell, ends included
+    x = np.linspace(-1.0, 2.0, 31)
+    cubic = lambda y: 0.3 * y**3 - y**2 + 2.0 * y - 0.7
+    fractions = np.array([0.0, 0.2, 0.5, 0.9, 1.0])
+    samples = cell_samples(cubic(x), fractions)
+    assert samples.shape == (30, 5)
+    expected = cubic(x[:-1, None] + (x[1] - x[0]) * fractions)
+    assert np.max(np.abs(samples - expected)) < 1e-12
+
+
+def test_opened_cells_follow_truncated_well(prime10_potential):
+    # at the cell ends the samples are the opened node values, except that
+    # the wall keeps the cell starting at its end node
+    cutoff = CUTOFF_FACTOR * prime10_potential.asymptote
+    opened = truncate_potential(prime10_potential, cutoff, open_baseline=0.0)
+    ends = opened_cells(prime10_potential, cutoff, 0.0, fractions=[0.0, 1.0])
+    inner = ends[2:-2]
+    assert np.array_equal(inner[:, 0], opened.values[2:-3])
+    assert np.array_equal(inner[:, 1], opened.values[3:-2])
+    assert np.all(ends[[0, -1]] == 0.0)
+    assert ends[-2, 0] == opened.values[-3] and ends[-2, 1] > 0.9 * opened.max()
+    gauss = opened_cells(prime10_potential, cutoff, 0.0)
+    assert gauss.shape == (opened.grid.points - 1, 2)
+    assert np.max(np.abs(gauss - gauss[::-1, ::-1])) < 1e-12  # the mirror swaps the Gauss points
 
 
 def test_compose_requires_matching_asymptotes(prime10_potential):
@@ -221,40 +256,43 @@ def test_local_maxima_matches_find_peaks(filter_apparatus):
         assert np.array_equal(_local_maxima(row), expected)
 
 
-# the filter's peak energies for w = 1, 3, 7, 8, 13 plus a coarse sweep
-DEVICE_ENERGIES = np.concatenate(
-    [np.linspace(0.5, 25.0, 41), [0.95105317, 2.99970366, 6.99640757, 8.37902069, 12.99384492]]
-)
+# the filter's peak energies for w = 3, 7, 13 plus a coarse sweep
+DEVICE_ENERGIES = np.concatenate([np.linspace(0.5, 25.0, 41), [2.99972102, 6.99658178, 12.99354541]])
 
 
 def coherent_transmission(matrices, gap_phase):
     """(T, R) of the lucky well, a flat gap and the prime well, coherently.
 
-    ``M = M_prime G M_lucky`` with ``G = diag(exp(i phi), exp(-i phi))`` the
-    gap in the lead basis, ``phi = k L`` for a gap of length L; `gap_phase`
-    broadcasts against the energies.
+    ``M = M_prime G M_lucky`` with G the gap: ``[[cos kL, sin kL/k],
+    [-k sin kL, cos kL]]`` for a gap of length L in the (psi, psi') basis,
+    which is the rotation ``[[cos kL, sin kL], [-sin kL, cos kL]]`` in the
+    kernel's (psi, psi'/k) basis. `gap_phase` = kL broadcasts against the
+    energies.
     """
     m, log_scale = matrices
     a, b = m[..., 0], m[..., 1]
-    g = (np.exp(1j * gap_phase), np.exp(-1j * gap_phase))
-    total = np.array([[b[i, 0] * g[0] * a[0, j] + b[i, 1] * g[1] * a[1, j] for j in (0, 1)] for i in (0, 1)])
+    cos, sin = np.cos(gap_phase), np.sin(gap_phase)
+    g = ((cos, sin), (-sin, cos))
+    ga = [[g[i][0] * a[0, j] + g[i][1] * a[1, j] for j in (0, 1)] for i in (0, 1)]
+    total = np.array([[b[i, 0] * ga[0][j] + b[i, 1] * ga[1][j] for j in (0, 1)] for i in (0, 1)])
     return _kernels.transmission_reflection(total, log_scale.sum(axis=-1))
 
 
 def _check_device_composition(apparatus, sep):
-    a, b = apparatus.device_lucky, apparatus.device_prime
-    composed = apparatus.composed(sep)
-    gap = (composed.grid.points - a.grid.points - b.grid.points + 1) * a.grid.spacing
-    k = np.sqrt(DEVICE_ENERGIES - a.asymptote) / apparatus.kinetic_scale
+    # against one kernel pass over the same cells with a gap of lead cells
+    h, lead = apparatus.spacing, apparatus.device_lucky.asymptote
+    n_gap = int(round(sep / h))
+    cells = np.concatenate([apparatus.cells_lucky, np.full((n_gap, 2), lead), apparatus.cells_prime])
+    k = np.sqrt(DEVICE_ENERGIES - lead) / apparatus.kinetic_scale
     matrices = apparatus.device_matrices(DEVICE_ENERGIES)
-    t, r = coherent_transmission(matrices, k * gap)
-    t_ref, _ = transmission(composed, DEVICE_ENERGIES)
+    t, r = coherent_transmission(matrices, k * n_gap * h)
+    t_ref, _ = transmission_from_cells(cells, h, DEVICE_ENERGIES, apparatus.kinetic_scale, lead)
     assert np.max(np.abs(t - t_ref)) <= 1e-9
     assert np.max(np.abs(t + r - 1.0)) <= 1e-8
 
 
-def test_device_composition_matches_composed_grid(filter_apparatus):
-    h = filter_apparatus.device_lucky.grid.spacing
+def test_device_composition_matches_one_coherent_pass(filter_apparatus):
+    h = filter_apparatus.spacing
     for sep in (0.0, h, 2.0, 4.0, 6.0):
         _check_device_composition(filter_apparatus, sep)
 
@@ -305,11 +343,48 @@ def test_filter_scan_budget(filter_apparatus, monkeypatch):
 
     monkeypatch.setattr(_kernels, "transfer_scan", counted)
     monkeypatch.setattr(scattering, "compose_apparatus", forbidden)
-    # accepted; rejected where the coherent scan has a cavity mode above 0.5;
-    # rejected with no resonance of either well in the window
+    # accepted; rejected with neither well holding a level in the window
+    # (peak 2e-4); rejected with only the prime well holding one
     for w, expected in ((3, 6), (8, 5), (2, 5)):
         passes.clear()
         result = filter_lucky_prime(w, filter_apparatus)
         assert result.is_lucky_prime == (w == 3)
         assert (result.peak_transmission >= 0.5) == (w == 3)
         assert len(passes) == expected, w
+
+
+def test_filter_peaks_converge_in_the_cell_width(filter_apparatus, lucky10_potential, prime10_potential):
+    # the same designed wells with every cell split in two, Gauss samples
+    # from the same cubic: the Magnus step leaves no grid offset to speak of
+    halves = np.concatenate([GAUSS_POINTS, 1.0 + GAUSS_POINTS]) / 2.0
+    split = {
+        name: opened_cells(pot, CUTOFF_FACTOR * pot.asymptote, 0.0, fractions=halves).reshape(-1, 2)
+        for name, pot in (("lucky", lucky10_potential), ("prime", prime10_potential))
+    }
+    fine = replace(
+        filter_apparatus,
+        cells_lucky=split["lucky"],
+        cells_prime=split["prime"],
+        spacing=filter_apparatus.spacing / 2.0,
+    )
+    for w in (3, 7, 13):
+        coarse, refined = filter_lucky_prime(w, filter_apparatus), filter_lucky_prime(w, fine)
+        assert abs(coarse.peak_energy - refined.peak_energy) <= 1e-6, w
+        assert abs(coarse.peak_transmission - refined.peak_transmission) <= 1e-3, w
+
+
+@pytest.fixture(scope="module")
+def apparatus_15():
+    return build_filter_apparatus(lucky_count=15, prime_count=15)
+
+
+def test_filter_15_15_accepts_seven(apparatus_15):
+    # both wells' quasi-levels at 7 now fall within their resonance widths
+    result = filter_lucky_prime(7, apparatus_15)
+    assert result.is_lucky_prime
+    assert abs(result.peak_energy - 7.0) < 0.3
+
+
+def test_filter_15_15_rejects_non_lucky_primes(apparatus_15):
+    for w in (5, 9, 11):
+        assert not filter_lucky_prime(w, apparatus_15).is_lucky_prime, w
