@@ -1,11 +1,10 @@
-"""Hot numeric kernels, one numpy/python implementation each.
+"""Hot numeric kernels, one numpy implementation each.
 
-Two inner loops dominate runtime: the half-line sweep that linearizes each
-Riccati step of the potential-construction chain (a scalar RK4 loop over the
-nodes), and the real fourth-order Magnus transfer-matrix product behind
-every transmission scan (a loop over blocks of cells, batched over energies
-and over cell profiles, each block's step matrices and their product formed
-by vectorized numpy steps; constant cells are its exact special case).
+Both solve ``psi'' = q psi`` with one propagator, the two-point Gauss Magnus
+step (``magnus_step``) on samples from one cubic cell stencil
+(``cell_samples``). The Riccati sweep of the construction chain needs the
+solution at every node, the prefix products of the steps; each transmission
+scan needs only their total product, batched over energies and profiles.
 Timings of both are reported by ``python3 perfbench/run.py --trace 1``.
 """
 
@@ -15,78 +14,105 @@ import math
 
 import numpy as np
 
-__all__ = ["backend_name", "riccati_sweep", "transfer_scan", "transmission_reflection"]
+__all__ = ["backend_name", "cell_samples", "magnus_step", "riccati_sweep", "transfer_scan", "transmission_reflection"]
 
 BLOCK = 32  # cells whose step matrices one vectorized step computes
 SQRT3_12 = math.sqrt(3.0) / 12.0  # commutator weight of the two-point Gauss Magnus step
+GAUSS_POINTS = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)  # two-point Gauss nodes, as fractions of a cell
 
 
 def backend_name() -> str:
     return "numpy"
 
 
-def riccati_sweep(q: np.ndarray, h: float, c: float, renorm_every: int = 256):
-    """RK4 sweep of u'' = q(x) u on x >= 0 with u(0)=1, u'(0)=0.
+def cell_samples(values, fractions) -> np.ndarray:
+    """Samples at `fractions` of each cell of a uniform grid, shape
+    (n_nodes - 1, len(fractions)).
+
+    Each cell takes the cubic through its two end nodes and one neighbour on
+    either side (the four nearest nodes at the grid ends). At ``GAUSS_POINTS``
+    these are the samples both kernels step with.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if v.size < 4:
+        raise ValueError("need at least 4 nodes for the cubic stencil")
+    first = np.clip(np.arange(v.size - 1) - 1, 0, v.size - 4)
+    # position of each sample on the stencil's nodes 0..3
+    x = (np.arange(v.size - 1) - first)[:, None] + np.asarray(fractions, dtype=np.float64)[None, :]
+    lagrange = (
+        -(x - 1.0) * (x - 2.0) * (x - 3.0) / 6.0,
+        x * (x - 2.0) * (x - 3.0) / 2.0,
+        -x * (x - 1.0) * (x - 3.0) / 2.0,
+        x * (x - 1.0) * (x - 2.0) / 6.0,
+    )
+    return sum(w * v[first + j][:, None] for j, w in enumerate(lagrange))
+
+
+def magnus_step(alpha, h_qbar, h: float) -> np.ndarray:
+    """The two-point Gauss Magnus step of ``psi'' = q psi`` across cells of
+    width `h`: the map of ``(psi, psi')`` from a cell's left end to its right
+    end, shape (2, 2) + the broadcast shape of `alpha` and `h_qbar`.
+
+    Fourth order (Iserles & Norsett 1999): with ``q1``, ``q2`` at the Gauss
+    points ``x_mid -+ h/(2 sqrt 3)``, ``alpha = sqrt(3) h^2 (q1 - q2)/12`` and
+    ``h_qbar = h (q1 + q2)/2``, the step is ``exp(Omega)`` for
+    ``Omega = [[alpha, h], [h_qbar, -alpha]]``, which is
+    ``cosh(d) I + sinh(d)/d Omega`` with ``d^2 = alpha^2 + h h_qbar`` (cos
+    and sin where ``d^2 < 0``). A constant cell (``q1 == q2``) gives the
+    exact solution.
+    """
+    d2 = alpha * alpha + h * h_qbar
+    d = np.sqrt(np.abs(d2))
+    # cos and sin from tan(d/2): numpy's cos and sin cost several times tan
+    tan_half = np.tan(0.5 * d)
+    tan2 = tan_half * tan_half
+    grows = d2 > 0.0
+    cosh_d = np.where(grows, np.cosh(d), (1.0 - tan2) / (1.0 + tan2))
+    sinh_d = np.where(grows, np.sinh(d), 2.0 * tan_half / (1.0 + tan2))
+    sinh_d = np.divide(sinh_d, d, out=np.ones_like(d), where=d > 0.0)
+    s_alpha = sinh_d * alpha
+    return np.array([[cosh_d + s_alpha, sinh_d * h], [sinh_d * h_qbar, cosh_d - s_alpha]])
+
+
+def _product(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """``later @ earlier`` for stacks of 2x2 matrices on the two leading axes."""
+    return later[:, 0, None] * earlier[None, 0] + later[:, 1, None] * earlier[None, 1]
+
+
+def riccati_sweep(q: np.ndarray, h: float, c: float):
+    """Sweep of u'' = q(x) u on x >= 0 with u(0)=1, u'(0)=0.
 
     Returns W = -c u'/u on the nodes and a status index: -1 when u stayed
-    positive, else the first node where u crossed zero. q at step midpoints
-    comes from a 4-point cubic stencil, keeping the sweep 4th order on the
-    node spacing alone. (u, u') are renormalized periodically; the ratio W
-    is unaffected.
+    positive, else the first node where u <= 0 (W is zero from there on).
+    Each cell is carried by ``magnus_step`` on the Gauss samples of q from
+    ``cell_samples``. The solution at node i + 1 is the first column of the
+    product of steps 0..i, and all of these prefix products come from
+    log2(n) vectorized Hillis-Steele levels (Blelloch 1990). After each level
+    every product is divided by its largest entry: the scale is positive, so
+    the sign of u survives, and W is a ratio, so it needs no log scale.
     """
-    q = np.ascontiguousarray(q, dtype=np.float64)
-    if q.shape[0] < 4:
-        raise ValueError("need at least 4 nodes for the midpoint stencil")
-    h, c, renorm_every = float(h), float(c), int(renorm_every)
-    n = q.shape[0]
-    w = np.zeros(n)
-    u = 1.0
-    v = 0.0
-    status = -1
-    for i in range(n - 1):
-        qa = q[i]
-        qb = q[i + 1]
-        if i == 0:
-            qm = (5.0 * q[0] + 15.0 * q[1] - 5.0 * q[2] + q[3]) / 16.0
-        elif i == n - 2:
-            qm = (q[n - 4] - 5.0 * q[n - 3] + 15.0 * q[n - 2] + 5.0 * q[n - 1]) / 16.0
-        else:
-            qm = (-q[i - 1] + 9.0 * q[i] + 9.0 * q[i + 1] - q[i + 2]) / 16.0
-        k1u = v
-        k1v = qa * u
-        k2u = v + 0.5 * h * k1v
-        k2v = qm * (u + 0.5 * h * k1u)
-        k3u = v + 0.5 * h * k2v
-        k3v = qm * (u + 0.5 * h * k2u)
-        k4u = v + h * k3v
-        k4v = qb * (u + h * k3u)
-        u = u + h * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
-        v = v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
-        if u <= 0.0:
-            status = i + 1
-            break
-        w[i + 1] = -c * v / u
-        if (i + 1) % renorm_every == 0:
-            s = abs(u)
-            if abs(v) > s:
-                s = abs(v)
-            u /= s
-            v /= s
-    return w, status
+    gauss = cell_samples(q, GAUSS_POINTS)
+    alpha = SQRT3_12 * h * h * (gauss[:, 0] - gauss[:, 1])
+    p = magnus_step(alpha, 0.5 * h * (gauss[:, 0] + gauss[:, 1]), h)
+    shift = 1
+    while shift < p.shape[2]:
+        p = np.concatenate([p[:, :, :shift], _product(p[:, :, shift:], p[:, :, :-shift])], axis=2)
+        p /= np.abs(p).max(axis=(0, 1))
+        shift *= 2
+    u, du = p[0, 0], p[1, 0]
+    crossed = np.flatnonzero(u <= 0.0)
+    end = int(crossed[0]) if crossed.size else u.size
+    w = np.zeros(u.size + 1)
+    w[1 : end + 1] = -c * du[:end] / u[:end]
+    return w, end + 1 if crossed.size else -1
 
 
 def transfer_scan(v_cells: np.ndarray, h: float, energies: np.ndarray, c: float, v_lead: float = 0.0):
     """Transfer matrix of `v_cells` between two flat leads at `v_lead`.
 
     The solution ``(psi, psi')`` of ``psi'' = q psi``, ``q = (V - E)/c^2``,
-    is carried across each cell by the two-point Gauss Magnus step (fourth
-    order; Iserles & Norsett 1999): with ``q1``, ``q2`` at the Gauss points
-    ``x_mid -+ h/(2 sqrt 3)``, ``qbar = (q1 + q2)/2`` and
-    ``alpha = sqrt(3) h^2 (q1 - q2)/12``, the step is ``exp(Omega)`` for
-    ``Omega = [[alpha, h], [h qbar, -alpha]]``, which is
-    ``cosh(d) I + sinh(d)/d Omega`` with ``d^2 = alpha^2 + h^2 qbar`` (cos
-    and sin where ``d^2 < 0``). A constant cell (``q1 == q2``) gives the
-    exact solution, so piecewise-constant potentials are propagated exactly.
+    is carried across each cell by ``magnus_step``, so piecewise-constant
+    potentials are propagated exactly.
 
     `v_cells` holds constant cells, shape (n_cells,), or the potential at the
     two Gauss points of each cell, shape (n_cells, 2[, n_profiles]); several
@@ -120,24 +146,13 @@ def transfer_scan(v_cells: np.ndarray, h: float, energies: np.ndarray, c: float,
         block = v[start : start + BLOCK]
         alpha = ((SQRT3_12 * h * h / c2) * (block[:, 0] - block[:, 1]))[:, :, None]
         h_qbar = (h / c2) * (0.5 * (block[:, 0] + block[:, 1])[:, :, None] - energies)
-        d2 = alpha * alpha + h * h_qbar
-        d = np.sqrt(np.abs(d2))
-        # cos and sin from tan(d/2): numpy's cos and sin cost several times tan
-        tan_half = np.tan(0.5 * d)
-        tan2 = tan_half * tan_half
-        grows = d2 > 0.0
-        cosh_d = np.where(grows, np.cosh(d), (1.0 - tan2) / (1.0 + tan2))
-        sinh_d = np.where(grows, np.sinh(d), 2.0 * tan_half / (1.0 + tan2))
-        sinh_d = np.divide(sinh_d, d, out=np.ones_like(d), where=d > 0.0)
-        s_alpha = sinh_d * alpha
-        step = np.array([[cosh_d + s_alpha, sinh_d * h], [sinh_d * h_qbar, cosh_d - s_alpha]])
+        step = magnus_step(alpha, h_qbar, h)
         # the block's product pairwise, later cells on the left: log2(BLOCK) levels
         while step.shape[2] > 1:
             pairs = step.shape[2] // 2
-            later, earlier = step[:, :, 1 : 2 * pairs : 2], step[:, :, 0 : 2 * pairs : 2]
-            product = later[:, 0, None] * earlier[None, 0] + later[:, 1, None] * earlier[None, 1]
+            product = _product(step[:, :, 1 : 2 * pairs : 2], step[:, :, 0 : 2 * pairs : 2])
             step = np.concatenate([product, step[:, :, 2 * pairs :]], axis=2) if step.shape[2] % 2 else product
-        m = step[:, 0, 0, None] * m[None, 0] + step[:, 1, 0, None] * m[None, 1]
+        m = _product(step[:, :, 0], m)
         # each step has determinant 1, so the largest entry is finite and nonzero
         s = np.abs(m).max(axis=(0, 1))
         m /= s

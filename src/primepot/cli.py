@@ -116,7 +116,10 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_holo_synth(args) -> int:
-    phase_out, intensity_out = args.out.split(",")
+    paths = args.out.split(",")
+    if len(paths) != 2 or not all(paths):
+        raise ValueError(f"--out needs two comma-separated paths, phase,intensity; got {args.out!r}")
+    phase_out, intensity_out = paths
     pot = PotentialGrid.read_csv(args.potential)
     holo = synthesize_hologram(pot, args.m, args.sr, args.d, args.iters, args.seed)
     holo.write(phase_out, intensity_out)

@@ -73,6 +73,9 @@ def parse_sequence_spec(spec: str) -> np.ndarray:
     raise ValueError(f"unknown sequence kind {kind!r} (use primes/lucky/file)")
 
 
+_BOOLEANS = {"True": True, "true": True, "1": True, "False": False, "false": False, "0": False}
+
+
 @dataclass
 class PipelineConfig:
     sequence: str = "primes:10"
@@ -94,26 +97,27 @@ class PipelineConfig:
 
     @classmethod
     def read(cls, path) -> "PipelineConfig":
-        raw = {}
+        """Parse a file in ``write``'s format; an unknown key or an unreadable
+        value raises ValueError."""
+        kinds = {f.name: type(f.default) for f in fields(cls)}
+        kwargs = {}
         with open(path) as fh:
             for line in fh:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                key, _, value = line.partition("=")
-                raw[key.strip()] = value.strip()
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in raw:
-                continue
-            text = raw[f.name]
-            kind = type(f.default)
-            if kind is bool:
-                kwargs[f.name] = text in ("True", "true", "1")
-            elif kind is str:
-                kwargs[f.name] = text.strip("'\"")
-            else:
-                kwargs[f.name] = kind(text)
+                key, _, text = (part.strip() for part in line.partition("="))
+                kind = kinds.get(key)
+                if kind is None:
+                    raise ValueError(f"{path}: unknown config key {key!r}")
+                if kind is bool:
+                    if text not in _BOOLEANS:
+                        raise ValueError(f"{path}: {key} must be one of {sorted(_BOOLEANS)}, got {text!r}")
+                    kwargs[key] = _BOOLEANS[text]
+                elif kind is str:
+                    kwargs[key] = text.strip("'\"")
+                else:
+                    kwargs[key] = kind(text)
         return cls(**kwargs)
 
 

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._kernels import GAUSS_POINTS, cell_samples
 from .grid import Grid, PotentialGrid
 from .sequences import first_lucky, first_primes
 from .susy import KINETIC_HALF, design_potential
@@ -51,7 +52,6 @@ __all__ = [
     "FilterApparatus",
     "FilterResult",
     "truncate_potential",
-    "cell_samples",
     "opened_cells",
     "transmission",
     "transmission_from_cells",
@@ -69,7 +69,6 @@ RESOLUTION_FLOOR = 1e-6  # refinement stops once the step is below this
 FILTER_WINDOW = 0.5  # half-width around w absorbing the truncation shift
 CUTOFF_FACTOR = 1.2  # filter wells are capped at this multiple of their asymptote
 FLAT_FRACTION = 0.05  # opened walls end where they come this close to the rim, relative to the depth
-GAUSS_POINTS = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)  # two-point Gauss nodes, as fractions of a cell
 
 
 @dataclass
@@ -154,29 +153,6 @@ def _opened_extent(potential: PotentialGrid, cutoff: float, baseline: float) -> 
         raise ValueError("potential never departs from its rim; nothing to open")
     i_wall_end = int(below[-1]) + 1
     return i_wall_end, min(i_wall_end + 2, right.size - 1)
-
-
-def cell_samples(values, fractions) -> np.ndarray:
-    """Samples at `fractions` of each cell of a uniform grid, shape
-    (n_nodes - 1, len(fractions)).
-
-    Each cell takes the cubic through its two end nodes and one neighbour on
-    either side (the four nearest nodes at the grid ends), the stencil of
-    ``_kernels.riccati_sweep``'s midpoint.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    if v.size < 4:
-        raise ValueError("need at least 4 nodes for the cubic stencil")
-    first = np.clip(np.arange(v.size - 1) - 1, 0, v.size - 4)
-    # position of each sample on the stencil's nodes 0..3
-    x = (np.arange(v.size - 1) - first)[:, None] + np.asarray(fractions, dtype=np.float64)[None, :]
-    lagrange = (
-        -(x - 1.0) * (x - 2.0) * (x - 3.0) / 6.0,
-        x * (x - 2.0) * (x - 3.0) / 2.0,
-        -x * (x - 1.0) * (x - 3.0) / 2.0,
-        x * (x - 1.0) * (x - 2.0) / 6.0,
-    )
-    return sum(w * v[first + j][:, None] for j, w in enumerate(lagrange))
 
 
 def opened_cells(

@@ -119,11 +119,6 @@ def chain_step(prev: PotentialGrid, gap: float, kinetic_scale: float):
     grid = prev.grid
     center = grid.center_index
     v_right = prev.values[center:]
-    if gap == 0.0 and np.all(v_right == 0.0):
-        w = np.zeros(grid.points)
-        nxt = PotentialGrid(grid=grid, values=np.zeros(grid.points), asymptote=0.0)
-        return SuperpotentialGrid(grid=grid, values=w), nxt
-
     q = (v_right - gap) / (c * c)
     w_half, status = _kernels.riccati_sweep(q, grid.spacing, c)
     if status >= 0:

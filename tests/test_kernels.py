@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,9 @@ from scipy.linalg import expm
 
 import primepot
 from primepot import _kernels
-from primepot.susy import KINETIC_HALF
+from primepot.grid import PotentialGrid, default_grid
+from primepot.sequences import first_primes
+from primepot.susy import KINETIC_HALF, chain_step, gaps_from_spectrum
 
 
 def _transfer_scan_oracle(v_cells, h, energies, c, v_lead):
@@ -217,6 +220,33 @@ def test_profiles_scan_independently():
     assert np.max(np.abs(t - t_lead)) <= 1e-12
 
 
+def _rk4_sweep(q, h, c):
+    """Scalar RK4 sweep of u'' = q u from u(0)=1, u'(0)=0, q at step midpoints
+    from a 4-point cubic stencil; reference for the prefix-product sweep. It
+    does not rescale (u, u'), so u must stay below overflow."""
+    n = q.shape[0]
+    w = np.zeros(n)
+    u, v = 1.0, 0.0
+    for i in range(n - 1):
+        qa, qb = q[i], q[i + 1]
+        if i == 0:
+            qm = (5.0 * q[0] + 15.0 * q[1] - 5.0 * q[2] + q[3]) / 16.0
+        elif i == n - 2:
+            qm = (q[n - 4] - 5.0 * q[n - 3] + 15.0 * q[n - 2] + 5.0 * q[n - 1]) / 16.0
+        else:
+            qm = (-q[i - 1] + 9.0 * q[i] + 9.0 * q[i + 1] - q[i + 2]) / 16.0
+        k1u, k1v = v, qa * u
+        k2u, k2v = v + 0.5 * h * k1v, qm * (u + 0.5 * h * k1u)
+        k3u, k3v = v + 0.5 * h * k2v, qm * (u + 0.5 * h * k2u)
+        k4u, k4v = v + h * k3v, qb * (u + h * k3u)
+        u = u + h * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
+        v = v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
+        if u <= 0.0:
+            return w, i + 1
+        w[i + 1] = -c * v / u
+    return w, -1
+
+
 def test_riccati_sweep_matches_tanh():
     # flat q = const > 0 gives u = cosh, W = -c*sqrt(q)*c*tanh(...)
     h = 0.005
@@ -238,14 +268,40 @@ def test_riccati_sweep_flags_node():
     q = np.full(3001, -4.0)
     w, status = _kernels.riccati_sweep(q, h, KINETIC_HALF)
     assert status > 0
+    assert status == _rk4_sweep(q, h, KINETIC_HALF)[1]
 
 
-def test_riccati_renormalization_invariance():
-    rng = np.random.default_rng(7)
-    q = 50.0 + rng.normal(0.0, 1.0, 4001).cumsum() * 0.01
-    w_a, _ = _kernels.riccati_sweep(q, 0.005, KINETIC_HALF, renorm_every=64)
-    w_b, _ = _kernels.riccati_sweep(q, 0.005, KINETIC_HALF, renorm_every=100000)
-    assert np.max(np.abs(w_a - w_b)) < 1e-9
+def test_riccati_sweep_survives_overflow():
+    # u = cosh(sqrt(q) x) reaches about e^894, far past float64's range
+    h, q0, c = 0.005, 2000.0, KINETIC_HALF
+    q = np.full(4001, q0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        w, status = _kernels.riccati_sweep(q, h, c)
+    assert status == -1
+    assert np.all(np.isfinite(w))
+    x = h * np.arange(q.size)
+    assert np.max(np.abs(w + c * math.sqrt(q0) * np.tanh(math.sqrt(q0) * x))) <= 1e-12
+
+
+def test_riccati_sweep_matches_rk4_on_prime_chain():
+    # every step of the primes:10 chain: both sweeps are fourth order, so
+    # their difference shrinks about 16x when the spacing halves
+    gaps = gaps_from_spectrum(first_primes(10).astype(float)).gaps
+    worst = {}
+    for h in (0.01, 0.005):
+        grid = default_grid(12.0, h)
+        current = PotentialGrid(grid=grid, values=np.zeros(grid.points), asymptote=0.0)
+        worst[h] = 0.0
+        for gap in gaps[1:]:
+            q = (current.values[grid.center_index :] - gap) / KINETIC_HALF**2
+            w, status = _kernels.riccati_sweep(q, h, KINETIC_HALF)
+            w_ref, status_ref = _rk4_sweep(q, h, KINETIC_HALF)
+            assert status == status_ref == -1
+            worst[h] = max(worst[h], float(np.max(np.abs(w - w_ref))))
+            _, current = chain_step(current, float(gap), KINETIC_HALF)
+    assert worst[0.005] <= 1e-7
+    assert worst[0.01] / worst[0.005] >= 12.0
 
 
 def test_cli_import_graph_is_numpy_only():

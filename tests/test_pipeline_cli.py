@@ -32,6 +32,17 @@ def test_config_round_trips(tmp_path):
     assert PipelineConfig.read(path) == config
 
 
+@pytest.mark.parametrize("line, named", [("spaceing=0.01", "spaceing"), ("hologram=yes", "yes")])
+def test_config_rejects_bad_input(tmp_path, capsys, line, named):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"sequence='primes:4'\n{line}\noutdir='{tmp_path / 'out'}'\n")
+    with pytest.raises(ValueError, match=named):
+        PipelineConfig.read(path)
+    assert main(["pipeline", "--config", str(path)]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_pipeline_primes5(tmp_path):
     config = PipelineConfig(
         sequence="primes:5", half_width=10.0, outdir=str(tmp_path / "out")
@@ -221,6 +232,12 @@ def test_cli_holo_commands(tmp_path, capsys):
     assert main(["solve", str(rec), "--targets", "primes:5"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["rounds_to_target"] == [True] * 5
+
+
+@pytest.mark.parametrize("out", ["one.csv", "a.csv,b.csv,c.csv", "phase.csv,"])
+def test_cli_holo_synth_needs_two_outputs(tmp_path, capsys, out):
+    assert main(["holo", "synth", str(tmp_path / "pot.csv"), "--out", out]) == 1
+    assert "two comma-separated paths" in capsys.readouterr().err
 
 
 def test_cli_semiclassical(tmp_path, capsys):

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from primepot import _kernels, scattering
+from primepot._kernels import GAUSS_POINTS, cell_samples
 from primepot.eigensolver import bound_states
 from primepot.grid import Grid, PotentialGrid, default_grid
 from primepot.scattering import (
     CUTOFF_FACTOR,
-    GAUSS_POINTS,
     _local_maxima,
     build_filter_apparatus,
-    cell_samples,
     compose_apparatus,
     filter_lucky_prime,
     opened_cells,

@@ -49,7 +49,7 @@ def test_single_step_poschl_teller():
     flat = PotentialGrid(grid=grid, values=np.zeros(grid.points), asymptote=0.0)
     _, nxt = chain_step(flat, -0.5, KINETIC_HALF)
     ref = poschl_teller_reference(1, grid)
-    assert np.max(np.abs(nxt.values - ref.values)) < 1e-9
+    assert np.max(np.abs(nxt.values - ref.values)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3])
