@@ -145,9 +145,10 @@ def _cmd_holo_extract(args) -> int:
 def _cmd_units(args) -> int:
     try:
         mass = float(args.mass)
-        ctx = PhysicalContext(mass=mass, l=args.l, L=args.L)
     except ValueError:
         ctx = PhysicalContext.for_atom(args.mass, l=args.l, L=args.L)
+    else:
+        ctx = PhysicalContext(mass=mass, l=args.l, L=args.L)
     _print_json(energy_scale(ctx).as_dict())
     return EXIT_OK
 
@@ -198,15 +199,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", help="build a potential for a level sequence")
     p.add_argument("--levels", required=True, help="primes:N | lucky:N | file:path")
-    p.add_argument("--half-width", type=float, default=12.0, dest="half_width")
-    p.add_argument("--spacing", type=float, default=0.005)
-    p.add_argument("--kinetic", choices=("half", "unit"), default="half")
+    p.add_argument("--half-width", type=float, default=PipelineConfig.half_width, dest="half_width")
+    p.add_argument("--spacing", type=float, default=PipelineConfig.spacing)
+    p.add_argument("--kinetic", choices=("half", "unit"), default=PipelineConfig.kinetic)
     p.add_argument("--out", default="pot.csv")
     p.set_defaults(func=_cmd_design)
 
     p = sub.add_parser("solve", help="bound states of a potential CSV")
     p.add_argument("potential")
-    p.add_argument("--kinetic", choices=("half", "unit"), default="half")
+    p.add_argument("--kinetic", choices=("half", "unit"), default=PipelineConfig.kinetic)
     p.add_argument("--targets", help="primes:N | lucky:N | file:path")
     p.add_argument("--json")
     p.set_defaults(func=_cmd_solve)
@@ -224,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emin", type=float, required=True)
     p.add_argument("--emax", type=float, required=True)
     p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--kinetic", choices=("half", "unit"), default="half")
+    p.add_argument("--kinetic", choices=("half", "unit"), default=PipelineConfig.kinetic)
     p.add_argument("--json")
     p.set_defaults(func=_cmd_scatter)
 
@@ -239,11 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     holo_sub = p.add_subparsers(dest="holo_command", required=True)
     ps = holo_sub.add_parser("synth", help="optimize a phase hologram for a potential")
     ps.add_argument("potential")
-    ps.add_argument("--m", type=int, default=64)
-    ps.add_argument("--sr", type=int, default=100)
-    ps.add_argument("--d", type=int, default=9)
-    ps.add_argument("--iters", type=int, default=500)
-    ps.add_argument("--seed", type=int, default=1)
+    ps.add_argument("--m", type=int, default=PipelineConfig.holo_m)
+    ps.add_argument("--sr", type=int, default=PipelineConfig.holo_sr)
+    ps.add_argument("--d", type=int, default=PipelineConfig.holo_d)
+    ps.add_argument("--iters", type=int, default=PipelineConfig.holo_iters)
+    ps.add_argument("--seed", type=int, default=PipelineConfig.seed)
     ps.add_argument("--out", default="phase.csv,intensity.csv")
     ps.add_argument("--cost-out", dest="cost_out")
     ps.set_defaults(func=_cmd_holo_synth)

@@ -25,7 +25,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     continuum_edge: float
-    kinetic_scale: float
     node_counts: np.ndarray
     wavefunctions: np.ndarray | None = field(default=None, repr=False)
 
@@ -58,9 +57,12 @@ class DiscrepancyReport:
         }
 
 
-def count_nodes(psi: np.ndarray, dead_band_frac: float = 1e-8) -> int:
+DEAD_BAND_FRAC = 1e-8  # samples below this fraction of max |psi| carry no sign
+
+
+def count_nodes(psi: np.ndarray) -> int:
     """Sign changes of psi, ignoring samples inside the numerical dead band."""
-    band = dead_band_frac * np.max(np.abs(psi))
+    band = DEAD_BAND_FRAC * np.max(np.abs(psi))
     signs = np.sign(psi[np.abs(psi) > band])
     if signs.size < 2:
         return 0
@@ -93,7 +95,7 @@ def bound_states(
             f"grid spacing {h:.3g} cannot resolve this potential; "
             f"use spacing <= {suggested:.3g}"
         )
-    edge = potential.boundary_mean()
+    edge = 0.5 * (float(v[0]) + float(v[-1]))
 
     inv_h2 = c * c / (h * h)
     diag = v + 2.0 * inv_h2
@@ -118,7 +120,6 @@ def bound_states(
     return Spectrum(
         eigenvalues=eigvals,
         continuum_edge=edge,
-        kinetic_scale=c,
         node_counts=nodes,
         wavefunctions=eigvecs.T if keep_wavefunctions else None,
     )

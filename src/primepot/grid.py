@@ -1,8 +1,8 @@
 """Spatial grids and sampled potentials.
 
-All potentials live on uniform grids. Designed potentials are even-symmetric
-on grids centered at zero; scattering apparatuses built by concatenation keep
-the uniform spacing but drop the symmetry flag.
+All potentials live on uniform grids centered at zero. Designed potentials
+are even; scattering apparatuses built by concatenation keep the uniform
+spacing but need not be.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class Grid:
 
 
 def default_grid(half_width: float = 12.0, spacing: float = 0.005) -> Grid:
-    """Production grid: wide enough for the shallowest gap state at N <= 15."""
+    """Production grid: holds primes:40 within 6.1e-4 of every level."""
     points = int(round(2.0 * half_width / spacing)) + 1
     if points % 2 == 0:
         points += 1
@@ -91,17 +91,11 @@ def read_table(path) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
 
 @dataclass
 class PotentialGrid:
-    """Sampled potential with its declared asymptotic value.
-
-    `energy_shift` records any re-referencing applied when a potential is
-    prepared for scattering (original frame = values + energy_shift).
-    """
+    """Sampled potential with its declared asymptotic value."""
 
     grid: Grid
     values: np.ndarray
     asymptote: float
-    even_symmetric: bool = True
-    energy_shift: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -109,12 +103,15 @@ class PotentialGrid:
             raise ValueError(
                 f"values has shape {self.values.shape}, grid expects ({self.grid.points},)"
             )
-        if self.even_symmetric and not np.array_equal(self.values, self.values[::-1]):
-            raise ValueError("values are not mirror-symmetric but even_symmetric is set")
 
     @property
     def x(self) -> np.ndarray:
         return self.grid.x
+
+    @property
+    def even(self) -> bool:
+        """Whether the samples are exactly mirror-symmetric about x = 0."""
+        return bool(np.array_equal(self.values, self.values[::-1]))
 
     def min(self) -> float:
         return float(self.values.min())
@@ -125,9 +122,6 @@ class PotentialGrid:
     def depth(self) -> float:
         return self.asymptote - self.min()
 
-    def boundary_mean(self) -> float:
-        return 0.5 * (float(self.values[0]) + float(self.values[-1]))
-
     @classmethod
     def from_even_half(cls, grid: Grid, right_values: np.ndarray, asymptote: float) -> "PotentialGrid":
         """Build an even potential from samples on x >= 0 (center first)."""
@@ -135,19 +129,17 @@ class PotentialGrid:
         if right.shape != (grid.center_index + 1,):
             raise ValueError("right_values must cover the center node through x=+half_width")
         full = np.concatenate([right[:0:-1], right])
-        return cls(grid=grid, values=full, asymptote=float(asymptote), even_symmetric=True)
+        return cls(grid=grid, values=full, asymptote=float(asymptote))
 
     @classmethod
     def from_callable(cls, grid: Grid, func, asymptote: float | None = None) -> "PotentialGrid":
         values = np.asarray(func(grid.x), dtype=np.float64)
         asym = float(values[-1]) if asymptote is None else float(asymptote)
-        even = bool(np.array_equal(values, values[::-1]))
-        return cls(grid=grid, values=values, asymptote=asym, even_symmetric=even)
+        return cls(grid=grid, values=values, asymptote=asym)
 
     def write_csv(self, path) -> None:
-        """Write `x,V` rows in decimal text under the asymptote and energy shift."""
-        meta = {"asymptote": self.asymptote, "energy_shift": self.energy_shift}
-        write_table(path, meta, "x,V", self.grid.x, self.values)
+        """Write `x,V` rows in decimal text under the asymptote."""
+        write_table(path, {"asymptote": self.asymptote}, "x,V", self.grid.x, self.values)
 
     @classmethod
     def read_csv(cls, path) -> "PotentialGrid":
@@ -163,6 +155,4 @@ class PotentialGrid:
             raise ValueError(f"{path}: grid must have an odd number of nodes")
         grid = Grid(half_width=float(x[-1]), points=x.size)
         asym = float(meta.get("asymptote", values[-1]))
-        shift = float(meta.get("energy_shift", 0.0))
-        even = bool(np.array_equal(values, values[::-1]))
-        return cls(grid=grid, values=values, asymptote=asym, even_symmetric=even, energy_shift=shift)
+        return cls(grid=grid, values=values, asymptote=asym)

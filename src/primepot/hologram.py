@@ -104,17 +104,13 @@ class OptimizeResult:
     line_search_failed: bool = False
 
 
-def potential_to_target(
-    potential: PotentialGrid,
-    sr_length: int,
-    ceiling: float | None = None,
-    span: float | None = None,
-):
+def potential_to_target(potential: PotentialGrid, sr_length: int, ceiling: float | None = None):
     """Resample ceiling - V to `sr_length` pixels; return (amplitude row, map).
 
     Higher intensity encodes lower potential (red-detuned trapping), so the
     amplitude is the square root of the affinely inverted potential,
-    normalized to unit power over the row.
+    normalized to unit power over the row. The row spans 1.15 times the
+    extent where V departs from its asymptote, within the grid.
     """
     if sr_length < 4:
         raise ValueError("sr_length must be at least 4")
@@ -124,14 +120,13 @@ def potential_to_target(
         ceiling = potential.max() + 0.02 * depth
     if ceiling < potential.max():
         raise ValueError("ceiling must not be below the potential maximum")
-    if span is None:
-        tol = 0.005 * max(potential.asymptote - potential.min(), 1e-12)
-        away = np.nonzero(np.abs(v - potential.asymptote) > tol)[0]
-        if away.size == 0:
-            span = potential.grid.half_width
-        else:
-            x_edge = max(abs(potential.x[away[0]]), abs(potential.x[away[-1]]))
-            span = min(1.15 * x_edge, potential.grid.half_width)
+    tol = 0.005 * max(potential.asymptote - potential.min(), 1e-12)
+    away = np.nonzero(np.abs(v - potential.asymptote) > tol)[0]
+    if away.size == 0:
+        span = potential.grid.half_width
+    else:
+        x_edge = max(abs(potential.x[away[0]]), abs(potential.x[away[-1]]))
+        span = min(1.15 * x_edge, potential.grid.half_width)
     x_sr = np.linspace(-span, span, sr_length)
     v_sr = np.interp(x_sr, potential.x, v)
     intensity = ceiling - v_sr
@@ -309,12 +304,7 @@ def intensity_to_potential(intensity: np.ndarray, tmap: TargetMap) -> PotentialG
     grid = Grid(half_width=tmap.grid_half_width, points=tmap.grid_points)
     spline = CubicSpline(tmap.x_sr, v_sr, bc_type="natural")
     values = np.where(np.abs(grid.x) <= tmap.span, spline(grid.x), tmap.asymptote)
-    return PotentialGrid(
-        grid=grid,
-        values=values,
-        asymptote=tmap.asymptote,
-        even_symmetric=bool(np.array_equal(values, values[::-1])),
-    )
+    return PotentialGrid(grid=grid, values=values, asymptote=tmap.asymptote)
 
 
 def extract_profile(field: np.ndarray, state: HologramState) -> PotentialGrid:

@@ -5,19 +5,13 @@ at the boundary value. One real kernel carries ``(psi, psi')`` across each
 cell by the fourth-order two-point Gauss Magnus step
 (``_kernels.transfer_scan``); a potential sampled on grid nodes enters as
 piecewise-constant cells (node midpoints), the kernel's exact special case.
-``truncate_potential`` has two modes:
-
-* cap-and-shift (default): clip the potential at the cutoff, flatten beyond
-  the last crossing, and re-reference energies so the flat value sits at
-  zero. Bound levels below the cutoff survive (shifted), which is what the
-  before/after eigensolver check exercises.
-* opened (``open_baseline`` given): keep the well in its original energy
-  frame, cap the walls at the cutoff, and drop the potential to the given
-  baseline outside the wall region. Levels between baseline and rim become
-  quasi-bound, so a transmission scan shows a sharp resonance at (almost)
-  every original bound level. This is the geometry the composite filter
-  needs: a wave arriving at energy w can only cross the apparatus when both
-  wells hold a level at w.
+``truncate_potential`` opens a well: it keeps the well in its original
+energy frame, caps the walls at the cutoff, and drops the potential to a
+baseline outside the wall region. Levels between baseline and rim become
+quasi-bound, so a transmission scan shows a sharp resonance at (almost)
+every original bound level. This is the geometry the composite filter
+needs: a wave arriving at energy w can only cross the apparatus when both
+wells hold a level at w.
 
 The filter decides from the transmission of the two wells in series averaged
 over the phase the flat gap between them adds,
@@ -95,39 +89,15 @@ class TransmissionScan:
         }
 
 
-def truncate_potential(
-    potential: PotentialGrid,
-    cutoff: float,
-    open_baseline: float | None = None,
-) -> PotentialGrid:
-    """Clip at `cutoff` and prepare asymptotically free states.
-
-    Default mode re-references energies so the flat outer value is zero
-    (shift recorded in ``energy_shift``). With ``open_baseline`` the original
-    frame is kept and the outside drops to the baseline instead, turning
-    bound levels into scattering resonances at their original energies.
-    """
+def truncate_potential(potential: PotentialGrid, cutoff: float, baseline: float) -> PotentialGrid:
+    """Open an even well: cap it at `cutoff` and drop the outside to
+    `baseline`, keeping the original energy frame, so bound levels become
+    scattering resonances at their original energies."""
     if cutoff <= potential.min():
         raise ValueError("cutoff must exceed the potential minimum")
-    values = np.minimum(potential.values, cutoff)
-
-    if open_baseline is None:
-        # beyond the last crossing the capped potential is identically the
-        # cutoff, so min() already flattens it; the flat value becomes zero
-        crossed = bool(np.any(potential.values > cutoff))
-        flat = cutoff if crossed else potential.asymptote
-        return PotentialGrid(
-            grid=potential.grid,
-            values=values - flat,
-            asymptote=0.0,
-            even_symmetric=potential.even_symmetric,
-            energy_shift=flat,
-        )
-
-    baseline = float(open_baseline)
     i_wall_end, i_keep = _opened_extent(potential, cutoff, baseline)
     grid = potential.grid
-    new_right = values[grid.center_index :][: i_keep + 1].copy()
+    new_right = np.minimum(potential.values[grid.center_index :][: i_keep + 1], cutoff)
     new_right[i_wall_end + 1 :] = baseline
     new_grid = Grid(half_width=i_keep * grid.spacing, points=2 * i_keep + 1)
     return PotentialGrid.from_even_half(new_grid, new_right, asymptote=baseline)
@@ -141,7 +111,7 @@ def _opened_extent(potential: PotentialGrid, cutoff: float, baseline: float) -> 
     ``FLAT_FRACTION`` of the depth below the rim; two baseline nodes follow,
     so the opened well keeps ``i_keep`` nodes on each side of the center.
     """
-    if not potential.even_symmetric:
+    if not potential.even:
         raise ValueError("opened truncation expects an even designed potential")
     rim = min(cutoff, potential.asymptote)
     if rim <= baseline:
@@ -195,12 +165,7 @@ def compose_apparatus(
     n_gap += (pot_a.grid.points + pot_b.grid.points + n_gap) % 2
     values = np.concatenate([pot_a.values, np.full(n_gap - 1, flat), pot_b.values])
     grid = Grid(half_width=(values.size - 1) * h_a / 2.0, points=values.size)
-    return PotentialGrid(
-        grid=grid,
-        values=values,
-        asymptote=flat,
-        even_symmetric=bool(np.array_equal(values, values[::-1])),
-    )
+    return PotentialGrid(grid=grid, values=values, asymptote=flat)
 
 
 def transmission_from_cells(
@@ -234,13 +199,8 @@ def transmission(potential: PotentialGrid, energies, kinetic_scale: float = KINE
     )
 
 
-def transmission_scan(
-    potential: PotentialGrid,
-    energies,
-    kinetic_scale: float = KINETIC_HALF,
-    resonance_height: float = RESONANCE_HEIGHT,
-) -> TransmissionScan:
-    """T over the energy list plus local maxima with T above the threshold."""
+def transmission_scan(potential: PotentialGrid, energies, kinetic_scale: float = KINETIC_HALF) -> TransmissionScan:
+    """T over the energy list plus local maxima with T above ``RESONANCE_HEIGHT``."""
     energies = np.asarray(energies, dtype=np.float64)
     if np.any(energies <= 0.0):
         raise ValueError("energies must be positive")
@@ -248,7 +208,7 @@ def transmission_scan(
 
     t_values, _ = transmission(potential, energies, kinetic_scale)
     # prominence floor keeps roundoff ripples on flat T = 1 stretches out
-    peaks, _ = find_peaks(t_values, height=resonance_height, prominence=1e-3)
+    peaks, _ = find_peaks(t_values, height=RESONANCE_HEIGHT, prominence=1e-3)
     resonances = [(float(energies[i]), float(t_values[i])) for i in peaks]
     return TransmissionScan(energies=energies, t_values=t_values, resonances=resonances)
 
@@ -398,7 +358,7 @@ def build_filter_apparatus(
     for name, levels in (("lucky", lucky_levels), ("prime", prime_levels)):
         designed = design_potential(levels, kinetic_scale=kinetic_scale)
         cutoff = CUTOFF_FACTOR * designed.asymptote
-        device[name] = truncate_potential(designed, cutoff, open_baseline=0.0)
+        device[name] = truncate_potential(designed, cutoff, 0.0)
         cells[name] = opened_cells(designed, cutoff, 0.0)
     w_max = int(min(device["lucky"].max(), device["prime"].max()) - 1.0)
     return FilterApparatus(

@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 DEFAULT_TERMS = 25
+PROFILE_SPACING = 0.005  # grid spacing of profile_to_potential's output
+WKB_POINTS = 4001  # trapezoid nodes of wkb_level_count's phase integral
 
 
 @dataclass(frozen=True)
@@ -115,20 +117,20 @@ def invert_to_potential(
     return SemiclassicalProfile(v_values=v_values, x_values=x_values, e0=float(e0), kinetic_scale=c)
 
 
-def profile_to_potential(profile: SemiclassicalProfile, spacing: float = 0.005) -> PotentialGrid:
+def profile_to_potential(profile: SemiclassicalProfile) -> PotentialGrid:
     """Mirror x(V) into an even potential grid, flat at v_max beyond the edge."""
     x_max = float(profile.x_values[-1])
-    points = int(round(2.0 * 1.05 * x_max / spacing)) + 1
+    points = int(round(2.0 * 1.05 * x_max / PROFILE_SPACING)) + 1
     if points % 2 == 0:
         points += 1
-    grid = Grid(half_width=(points - 1) * spacing / 2.0, points=points)
+    grid = Grid(half_width=(points - 1) * PROFILE_SPACING / 2.0, points=points)
     values = np.interp(
         np.abs(grid.x), profile.x_values, profile.v_values, right=profile.v_max
     )
-    return PotentialGrid(grid=grid, values=values, asymptote=profile.v_max, even_symmetric=True)
+    return PotentialGrid(grid=grid, values=values, asymptote=profile.v_max)
 
 
-def wkb_level_count(profile: SemiclassicalProfile, energy: float, dense: int = 4001) -> int:
+def wkb_level_count(profile: SemiclassicalProfile, energy: float) -> int:
     """Semiclassical count of levels at or below `energy` for the profile.
 
     Uses the standard half-integer quantization of the phase integral over
@@ -139,7 +141,7 @@ def wkb_level_count(profile: SemiclassicalProfile, energy: float, dense: int = 4
     if energy > profile.v_max:
         raise ValueError("energy exceeds the profile range")
     x_turn = float(np.interp(energy, profile.v_values, profile.x_values))
-    x = np.linspace(0.0, x_turn, dense)
+    x = np.linspace(0.0, x_turn, WKB_POINTS)
     v = np.interp(x, profile.x_values, profile.v_values)
     integrand = np.sqrt(np.clip(energy - v, 0.0, None)) / profile.kinetic_scale
     phase = 2.0 * np.trapezoid(integrand, x)

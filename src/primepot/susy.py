@@ -28,7 +28,6 @@ __all__ = [
     "KINETIC_HALF",
     "KINETIC_UNIT",
     "GapSequence",
-    "SuperpotentialGrid",
     "ChainError",
     "gaps_from_spectrum",
     "chain_step",
@@ -72,24 +71,6 @@ class GapSequence:
             raise ValueError("gaps must be strictly decreasing")
 
 
-@dataclass(frozen=True)
-class SuperpotentialGrid:
-    """Odd superpotential samples, W(0) = 0."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.values.shape != (self.grid.points,):
-            raise ValueError("superpotential length does not match grid")
-        center = self.grid.center_index
-        if self.values[center] != 0.0:
-            raise ValueError("superpotential must vanish at the origin")
-        if not np.array_equal(self.values, -self.values[::-1]):
-            raise ValueError("superpotential must be odd")
-
-
 def gaps_from_spectrum(levels) -> GapSequence:
     """Shift levels e_0..e_{N-1} to gaps e_{N-1-k} - e_{N-1}, k = 0..N-1."""
     values = np.asarray(levels, dtype=np.float64)
@@ -105,14 +86,14 @@ def gaps_from_spectrum(levels) -> GapSequence:
 def chain_step(prev: PotentialGrid, gap: float, kinetic_scale: float):
     """One superpotential step: returns (W, next potential).
 
-    `gap` must lie strictly below the ground state already present in `prev`;
-    a node in the linearizing solution u signals that it does not, and raises
-    ChainError.
+    W is the odd superpotential on ``prev.grid``, W(0) = 0. `gap` must lie
+    strictly below the ground state already present in `prev`; a node in the
+    linearizing solution u signals that it does not, and raises ChainError.
     """
     if gap > 0.0:
         raise ValueError("gap must be non-positive")
-    if not prev.even_symmetric:
-        raise ValueError("chain steps require an even-symmetric potential")
+    if not prev.even:
+        raise ValueError("chain steps require an even potential")
     c = float(kinetic_scale)
     if c <= 0.0:
         raise ValueError("kinetic_scale must be positive")
@@ -126,10 +107,9 @@ def chain_step(prev: PotentialGrid, gap: float, kinetic_scale: float):
             f"gap {gap} not addable below current ground state "
             f"(u crossed zero at x = {grid.right_half()[status]:.4f})"
         )
-    w_full = np.concatenate([-w_half[:0:-1], w_half])
     v_next_right = 2.0 * gap + 2.0 * w_half**2 - v_right
     nxt = PotentialGrid.from_even_half(grid, v_next_right, asymptote=float(v_next_right[-1]))
-    return SuperpotentialGrid(grid=grid, values=w_full), nxt
+    return np.concatenate([-w_half[:0:-1], w_half]), nxt
 
 
 def chain_from_gaps(gaps: GapSequence, grid: Grid, kinetic_scale: float) -> PotentialGrid:
@@ -162,13 +142,7 @@ def design_potential(levels, grid: Grid | None = None, kinetic_scale: float = KI
             f"state; need at least {needed:.2f}"
         )
     pot = chain_from_gaps(gaps, grid, c)
-    values = pot.values + gaps.top_level
-    return PotentialGrid(
-        grid=grid,
-        values=values,
-        asymptote=gaps.top_level,
-        even_symmetric=True,
-    )
+    return PotentialGrid(grid=grid, values=pot.values + gaps.top_level, asymptote=gaps.top_level)
 
 
 def poschl_teller_reference(n: int, grid: Grid) -> PotentialGrid:
@@ -176,24 +150,17 @@ def poschl_teller_reference(n: int, grid: Grid) -> PotentialGrid:
     if n < 0:
         raise ValueError("n must be non-negative")
     values = -0.5 * n * (n + 1) / np.cosh(grid.x) ** 2
-    return PotentialGrid(grid=grid, values=values, asymptote=0.0, even_symmetric=True)
+    return PotentialGrid(grid=grid, values=values, asymptote=0.0)
 
 
-def riccati_residual(
-    w: SuperpotentialGrid, prev: PotentialGrid, gap: float, kinetic_scale: float
-) -> np.ndarray:
-    """Pointwise residual of c W' - W^2 + V - gap on interior nodes.
+def riccati_residual(w: np.ndarray, prev: PotentialGrid, gap: float, kinetic_scale: float) -> np.ndarray:
+    """Pointwise residual of c W' - W^2 + V - gap on interior nodes of
+    ``prev.grid``, the grid W is sampled on.
 
     W' uses a 5-point stencil so the differentiation error stays well below
     the sweep's own accuracy at production spacings.
     """
-    values = w.values
-    h = w.grid.spacing
-    dw = (values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]) / (12.0 * h)
+    h = prev.grid.spacing
+    dw = (w[:-4] - 8.0 * w[1:-3] + 8.0 * w[3:-1] - w[4:]) / (12.0 * h)
     interior = slice(2, -2)
-    return (
-        kinetic_scale * dw
-        - values[interior] ** 2
-        + prev.values[interior]
-        - gap
-    )
+    return kinetic_scale * dw - w[interior] ** 2 + prev.values[interior] - gap

@@ -243,7 +243,7 @@ def test_uniform_target_extracts_flat_profile():
 
     grid = default_grid(4.0, 0.01)
     flat = PotentialGrid(grid=grid, values=np.full(grid.points, 2.0), asymptote=2.0)
-    amp, tmap = potential_to_target(flat, 40, ceiling=3.0, span=3.0)
+    amp, tmap = potential_to_target(flat, 40, ceiling=3.0)
     state = make_state(32, amp, seed=5, target_map=tmap)
     result = optimize_phase(state, max_iters=300)
     rec = extract_profile(propagate(result.state, uniform_illumination(32)), result.state)

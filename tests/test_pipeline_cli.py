@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from primepot.cli import main
+from primepot.cli import build_parser, main
 from primepot.pipeline import (
     PipelineConfig,
     PipelineStageError,
@@ -181,6 +181,30 @@ def test_cli_units_anchor(capsys):
     assert payload["scale_J"] > 0
 
 
+def test_cli_units_mass_error_names_lengths(capsys):
+    # a numeric mass with a bad length is a length error, not an unknown atom
+    assert main(["units", "--mass", "1.4e-25", "--l", "-1", "--L", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "lengths" in err and "unknown atom" not in err
+
+
+def test_cli_defaults_match_pipeline_config():
+    config = PipelineConfig()
+    parser = build_parser()
+    design = parser.parse_args(["design", "--levels", "primes:3"])
+    assert (design.half_width, design.spacing, design.kinetic) == (config.half_width, config.spacing, config.kinetic)
+    assert parser.parse_args(["solve", "pot.csv"]).kinetic == config.kinetic
+    assert parser.parse_args(["scatter", "pot.csv", "--emin", "30", "--emax", "60"]).kinetic == config.kinetic
+    synth = parser.parse_args(["holo", "synth", "pot.csv"])
+    assert (synth.m, synth.sr, synth.d, synth.iters, synth.seed) == (
+        config.holo_m,
+        config.holo_sr,
+        config.holo_d,
+        config.holo_iters,
+        config.seed,
+    )
+
+
 def test_cli_validation_exit_code(capsys):
     assert main(["design", "--levels", "nonsense:3", "--out", "/tmp/x.csv"]) == 1
 
@@ -247,7 +271,7 @@ def test_cli_semiclassical(tmp_path, capsys):
 
     pot = PotentialGrid.read_csv(out)
     assert pot.asymptote == pytest.approx(40.0)
-    assert pot.even_symmetric
+    assert pot.even
 
 
 def test_cli_filter_verdicts(capsys):

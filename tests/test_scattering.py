@@ -8,7 +8,6 @@ from scipy.signal import find_peaks
 
 from primepot import _kernels, scattering
 from primepot._kernels import GAUSS_POINTS, cell_samples
-from primepot.eigensolver import bound_states
 from primepot.grid import Grid, PotentialGrid, default_grid
 from primepot.scattering import (
     CUTOFF_FACTOR,
@@ -68,38 +67,24 @@ def test_scan_rejects_nonpositive_energy():
         transmission_scan(flat, np.array([-1.0, 2.0]))
 
 
-def test_truncate_above_max_shifts_only(prime10_potential):
-    out = truncate_potential(prime10_potential, 31.0)
-    assert out.energy_shift == pytest.approx(29.0)
-    assert np.allclose(out.values, prime10_potential.values - 29.0)
-    assert out.min() == pytest.approx(prime10_potential.min() - 29.0)
-
-
-def test_truncate_preserves_bound_levels(prime10_potential):
-    out = truncate_potential(prime10_potential, 31.0)
-    before = bound_states(prime10_potential, KINETIC_HALF).eigenvalues
-    after = bound_states(out, KINETIC_HALF).eigenvalues + out.energy_shift
-    assert before.size == after.size
-    assert np.max(np.abs(before - after)) < 1e-2
-
-
-def test_truncate_caps_below_asymptote(prime10_potential):
-    out = truncate_potential(prime10_potential, 20.0)
-    assert out.values.max() == pytest.approx(0.0)  # cap sits at the new zero
-    assert out.energy_shift == pytest.approx(20.0)
-    assert abs(float(out.values[0])) < 1e-12
-
-
 def test_truncate_rejects_cutoff_below_minimum(prime10_potential):
     with pytest.raises(ValueError):
-        truncate_potential(prime10_potential, prime10_potential.min() - 1.0)
+        truncate_potential(prime10_potential, prime10_potential.min() - 1.0, 0.0)
+
+
+def test_truncate_rejects_uneven_potential(prime10_potential):
+    values = prime10_potential.values.copy()
+    values[0] += 1e-9
+    uneven = PotentialGrid(grid=prime10_potential.grid, values=values, asymptote=prime10_potential.asymptote)
+    with pytest.raises(ValueError, match="even"):
+        truncate_potential(uneven, CUTOFF_FACTOR * uneven.asymptote, 0.0)
 
 
 def test_opened_well_resonates_at_bound_levels(lucky10_potential):
     # every level well below the rim shows a resonance within 0.3, on the
     # design grid's cells
     cutoff = 1.2 * lucky10_potential.asymptote
-    opened = truncate_potential(lucky10_potential, cutoff, open_baseline=0.0)
+    opened = truncate_potential(lucky10_potential, cutoff, 0.0)
     cells = opened_cells(lucky10_potential, cutoff, 0.0)
     assert opened.asymptote == 0.0
     assert len(cells) == opened.grid.points - 1
@@ -128,7 +113,7 @@ def test_opened_cells_follow_truncated_well(prime10_potential):
     # at the cell ends the samples are the opened node values, except that
     # the wall keeps the cell starting at its end node
     cutoff = CUTOFF_FACTOR * prime10_potential.asymptote
-    opened = truncate_potential(prime10_potential, cutoff, open_baseline=0.0)
+    opened = truncate_potential(prime10_potential, cutoff, 0.0)
     ends = opened_cells(prime10_potential, cutoff, 0.0, fractions=[0.0, 1.0])
     inner = ends[2:-2]
     assert np.array_equal(inner[:, 0], opened.values[2:-3])
@@ -140,13 +125,12 @@ def test_opened_cells_follow_truncated_well(prime10_potential):
     assert np.max(np.abs(gauss - gauss[::-1, ::-1])) < 1e-12  # the mirror swaps the Gauss points
 
 
-def test_compose_requires_matching_asymptotes(prime10_potential):
-    a = truncate_potential(prime10_potential, 31.0)
-    b = PotentialGrid(
-        grid=a.grid, values=a.values + 1e-6, asymptote=a.asymptote + 1e-6, even_symmetric=False
-    )
+def test_compose_requires_matching_asymptotes(filter_apparatus):
+    a = filter_apparatus.device_lucky
+    b = filter_apparatus.device_prime
+    raised = PotentialGrid(grid=b.grid, values=b.values + 1e-6, asymptote=b.asymptote + 1e-6)
     with pytest.raises(ValueError, match="asymptote"):
-        compose_apparatus(a, b, 2.0)
+        compose_apparatus(a, raised, 2.0)
 
 
 def test_compose_length_and_padding(filter_apparatus):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from primepot.eigensolver import bound_states
 from primepot.grid import PotentialGrid, default_grid
-from primepot.sequences import check_growth_bound, first_primes
+from primepot.sequences import check_growth_bound, first_lucky, first_primes
 from primepot.susy import (
     ChainError,
     GapSequence,
@@ -40,8 +41,24 @@ def test_trivial_zero_step():
     grid = default_grid(6.0, 0.01)
     flat = PotentialGrid(grid=grid, values=np.zeros(grid.points), asymptote=0.0)
     w, nxt = chain_step(flat, 0.0, KINETIC_HALF)
-    assert np.all(w.values == 0.0)
+    assert np.all(w == 0.0)
     assert np.all(nxt.values == 0.0)
+
+
+def test_superpotential_is_odd(prime10_potential):
+    grid = prime10_potential.grid
+    w, _ = chain_step(prime10_potential, -1.0, KINETIC_HALF)
+    assert w.shape == (grid.points,)
+    assert w[grid.center_index] == 0.0
+    assert np.array_equal(w, -w[::-1])
+
+
+def test_chain_step_rejects_uneven_potential(grid12):
+    values = np.zeros(grid12.points)
+    values[0] = 1e-9
+    uneven = PotentialGrid(grid=grid12, values=values, asymptote=0.0)
+    with pytest.raises(ValueError, match="even"):
+        chain_step(uneven, -0.5, KINETIC_HALF)
 
 
 def test_single_step_poschl_teller():
@@ -83,6 +100,42 @@ def test_chain_residuals_small(grid12):
         res = riccati_residual(w, current, float(gaps.gaps[k]), KINETIC_HALF)
         assert np.max(np.abs(res)) < budget
         current = nxt
+
+
+def crum_potential(levels, x_values, c=KINETIC_HALF):
+    """Exact chain output, V = top - 2 c^2 (ln W)'' (Crum, Q. J. Math. 6, 121
+    (1955)), W the Wronskian of cosh/sinh seeds alternating from the second
+    highest level down, in mpmath at 30 digits."""
+    top = mp.mpf(levels[-1])
+    with mp.workdps(30):
+        kappas = [mp.sqrt(top - e) / c for e in levels[-2::-1]]
+        n = len(kappas)
+
+        def log_wronskian(x):
+            rows = [
+                [k**i * (mp.cosh(k * x) if (i + j) % 2 == 0 else mp.sinh(k * x)) for j, k in enumerate(kappas)]
+                for i in range(n)
+            ]
+            return mp.log(mp.det(mp.matrix(rows)))
+
+        return np.array([float(top - 2 * c**2 * mp.diff(log_wronskian, x, 2)) for x in x_values])
+
+
+@pytest.mark.parametrize("levels", [first_primes(10), first_lucky(10)], ids=["primes10", "lucky10"])
+def test_design_matches_exact_crum_potential(levels):
+    # the construction error is fourth order: at most 1e-5 at spacing 0.005
+    # and about 16x smaller than at 0.01
+    levels = [int(v) for v in levels]
+    x_values = 0.2 * np.arange(41)
+    exact = crum_potential(levels, x_values)
+    sup = {}
+    for h in (0.01, 0.005):
+        grid = default_grid(12.0, h)
+        pot = design_potential(levels, grid)
+        nodes = grid.center_index + np.rint(x_values / h).astype(int)
+        sup[h] = float(np.max(np.abs(pot.values[nodes] - exact)))
+    assert sup[0.005] <= 1e-5
+    assert sup[0.01] / sup[0.005] >= 12.0
 
 
 def test_evenness_preserved(prime10_potential):
