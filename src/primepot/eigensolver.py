@@ -3,8 +3,22 @@
 Three-point central differences for the kinetic term, Neumann (cell-centred)
 box ends, and the first-order correction of Paine, de Hoog & Anderssen,
 Computing 26, 123 (1981), which lifts the levels from O(h^2) to O(h^4).
-A direct tridiagonal eigensolve is robust against the near-degenerate level
-pairs that twin-prime targets produce, where shooting methods struggle.
+
+An exactly even potential (every designed one) gives a centrosymmetric
+matrix, which splits into two half-size blocks on the right half-grid
+(Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976)): the even block,
+rows centre..end, stores psi_c / sqrt(2) so that its first off-diagonal,
+scaled by sqrt(2), stays symmetric; the odd block, rows centre+1..end, has
+psi_c = 0. In both a full-grid sum is twice the block sum, so normalization
+and correction run on the half vectors, and a vector is mirrored to full
+length only to count its nodes or to be returned. The levels of a
+reflection-symmetric Jacobi matrix alternate even, odd, even, ... from the
+ground state up, so the lowest k levels are the lowest ceil(k/2) of the even
+block and floor(k/2) of the odd one. Any other potential, such as a
+hologram reconstruction, is solved as one full-grid block. A direct
+eigensolve is robust against the near-degenerate pairs that twin-prime
+targets produce, where shooting methods struggle; such a pair has one level
+of each parity, so its two levels come from different blocks.
 """
 
 from __future__ import annotations
@@ -81,11 +95,14 @@ def bound_states(
     state a designed potential places exactly at its asymptote: Neumann box
     ends keep that state (psi -> const) at the edge. Without it, a state is
     bound when it lies below continuum_edge - 1e-3 * depth; the continuum
-    edge is the mean of the two boundary samples.
+    edge is the mean of the two boundary samples. An exactly even potential
+    is solved as its even and odd parity blocks, any other as one matrix.
     """
     c = float(kinetic_scale)
     if c <= 0.0:
         raise ValueError("kinetic_scale must be positive")
+    if count is not None and count < 1:
+        raise ValueError("count must be positive")
     v = potential.values
     h = potential.grid.spacing
     v_span = float(v.max() - v.min())
@@ -101,27 +118,55 @@ def bound_states(
     diag = v + 2.0 * inv_h2
     diag[[0, -1]] -= inv_h2
     off = np.full(v.size - 1, -inv_h2)
-    if count is not None:
-        eigvals, eigvecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
+    # a block is (first full-grid row, off-diagonal, levels under count, weight,
+    # index, sign): weight times a block sum is the full-grid sum, and a block
+    # vector u is the full-grid vector sign * u[index]
+    if potential.even:
+        mid = v.size // 2
+        to_mid = np.arange(v.size) - mid
+        dist = np.abs(to_mid)
+        even_off = off[mid:].copy()
+        even_off[0] *= np.sqrt(2.0)
+        even_sign = np.ones(v.size)
+        even_sign[mid] = np.sqrt(2.0)
+        odd_sign = np.sign(to_mid).astype(np.float64)
+        shares = (None, None) if count is None else ((count + 1) // 2, count // 2)
+        blocks = [
+            (mid, even_off, shares[0], 2.0, dist, even_sign),
+            (mid + 1, off[mid + 1 :], shares[1], 2.0, np.maximum(dist - 1, 0), odd_sign),
+        ]
     else:
-        depth = edge - float(v.min())
-        # a flat potential's psi = const sits at the edge up to roundoff: not bound
-        if depth <= 0.0:
-            eigvals, eigvecs = np.empty(0), np.empty((v.size, 0))
+        blocks = [(0, off, count, 1.0, np.arange(v.size), np.ones(v.size))]
+    depth = edge - float(v.min())
+    window = (float(v.min()) - 1.0, edge - 1e-3 * depth)
+    # a flat potential's psi = const sits at the edge up to roundoff: not bound
+    if count is None and depth <= 0.0:
+        blocks = []
+
+    levels, nodes, psis = [np.empty(0)], [np.empty(0, dtype=np.int64)], [np.empty((0, v.size))]
+    for start, block_off, share, weight, index, sign in blocks:
+        if share == 0:  # the odd block at count = 1
+            continue
+        if share is None:
+            vals, vecs = eigh_tridiagonal(diag[start:], block_off, select="v", select_range=window)
         else:
-            eigvals, eigvecs = eigh_tridiagonal(
-                diag, off, select="v", select_range=(float(v.min()) - 1.0, edge - 1e-3 * depth)
-            )
-    # normalize to h * sum(psi^2) = 1: each sample stands for one cell of width h
-    eigvecs = eigvecs / np.sqrt(np.sum(eigvecs**2, axis=0) * h)
-    # the three-point rule undershoots each level by h^2/(12 c^2) <((V - E) psi)^2>
-    eigvals = eigvals + h**3 / (12.0 * c * c) * np.sum(((v[:, None] - eigvals) * eigvecs) ** 2, axis=0)
-    nodes = np.array([count_nodes(eigvecs[:, i]) for i in range(eigvals.size)], dtype=np.int64)
+            vals, vecs = eigh_tridiagonal(diag[start:], block_off, select="i", select_range=(0, share - 1))
+        # normalize to h * sum(psi^2) = 1: each sample stands for one cell of width h
+        vecs = vecs / np.sqrt(np.sum(vecs**2, axis=0) * (weight * h))
+        # the three-point rule undershoots each level by h^2/(12 c^2) <((V - E) psi)^2>
+        vals = vals + weight * h**3 / (12.0 * c * c) * np.sum(((v[start:, None] - vals) * vecs) ** 2, axis=0)
+        levels.append(vals)
+        nodes.append(np.array([count_nodes(sign * vecs[index, i]) for i in range(vals.size)], dtype=np.int64))
+        if keep_wavefunctions:
+            psis.append((sign[:, None] * vecs[index]).T)
+    # even and odd levels interleave; a stable sort merges them
+    eigvals = np.concatenate(levels)
+    order = np.argsort(eigvals, kind="stable")
     return Spectrum(
-        eigenvalues=eigvals,
+        eigenvalues=eigvals[order],
         continuum_edge=edge,
-        node_counts=nodes,
-        wavefunctions=eigvecs.T if keep_wavefunctions else None,
+        node_counts=np.concatenate(nodes)[order],
+        wavefunctions=np.concatenate(psis)[order] if keep_wavefunctions else None,
     )
 
 

@@ -7,7 +7,6 @@ criterion alongside the pytest verdicts.
 import time
 
 import numpy as np
-import pytest
 
 from primepot.eigensolver import bound_states, compare_spectrum
 from primepot.grid import PotentialGrid, default_grid

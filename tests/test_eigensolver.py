@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
-from primepot.eigensolver import bound_states, compare_spectrum, count_nodes
-from primepot.grid import Grid, PotentialGrid, default_grid
+from primepot.eigensolver import Spectrum, bound_states, compare_spectrum, count_nodes
+from primepot.grid import PotentialGrid, default_grid
 from primepot.susy import KINETIC_HALF, KINETIC_UNIT
 
 FIG3C_V10 = [1.58, 3.31, 5.40, 7.33, 10.9, 13.2, 16.9, 19.4, 23.2, 29.3]
@@ -17,6 +20,59 @@ PRIMES15 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 def sech2_well(depth, grid):
     return PotentialGrid.from_callable(grid, lambda x: -depth / np.cosh(x) ** 2, asymptote=0.0)
+
+
+def _full_matrix_bound_states(potential, kinetic_scale, count=None):
+    """The whole (2n+1)-point matrix in one eigensolve; reference for the parity blocks."""
+    c = float(kinetic_scale)
+    v = potential.values
+    h = potential.grid.spacing
+    edge = 0.5 * (float(v[0]) + float(v[-1]))
+    inv_h2 = c * c / (h * h)
+    diag = v + 2.0 * inv_h2
+    diag[[0, -1]] -= inv_h2
+    off = np.full(v.size - 1, -inv_h2)
+    if count is not None:
+        eigvals, eigvecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
+    else:
+        depth = edge - float(v.min())
+        if depth <= 0.0:
+            eigvals, eigvecs = np.empty(0), np.empty((v.size, 0))
+        else:
+            eigvals, eigvecs = eigh_tridiagonal(
+                diag, off, select="v", select_range=(float(v.min()) - 1.0, edge - 1e-3 * depth)
+            )
+    eigvecs = eigvecs / np.sqrt(np.sum(eigvecs**2, axis=0) * h)
+    eigvals = eigvals + h**3 / (12.0 * c * c) * np.sum(((v[:, None] - eigvals) * eigvecs) ** 2, axis=0)
+    nodes = np.array([count_nodes(eigvecs[:, i]) for i in range(eigvals.size)], dtype=np.int64)
+    return Spectrum(eigenvalues=eigvals, continuum_edge=edge, node_counts=nodes, wavefunctions=eigvecs.T)
+
+
+WELL_SHAPES = {
+    "gauss": lambda x: np.exp(-(x**2)),
+    "sech2": lambda x: 1.0 / np.cosh(x) ** 2,
+}
+
+# (shape, depth, width, offset): two wells -depth/2 * shape((x -+ offset * width) / width),
+# one full-depth well at offset 0; they overlap within one width, so no two
+# levels are degenerate to roundoff
+wells = st.tuples(
+    st.sampled_from(sorted(WELL_SHAPES)),
+    st.floats(1.0, 15.0),
+    st.floats(0.4, 2.0),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def even_potentials(draw):
+    grid = default_grid(draw(st.floats(4.0, 8.0)), draw(st.floats(0.01, 0.03)))
+    x = grid.right_half()
+    right = np.zeros_like(x)
+    for shape, depth, width, offset in draw(st.lists(wells, min_size=1, max_size=3)):
+        f = WELL_SHAPES[shape]
+        right -= 0.5 * depth * (f((x - offset * width) / width) + f((x + offset * width) / width))
+    return PotentialGrid.from_even_half(grid, right, asymptote=0.0)
 
 
 def test_flat_potential_has_no_bound_states():
@@ -82,6 +138,36 @@ def test_node_theorem(prime10_potential):
     assert spec.node_counts.tolist() == list(range(10))
 
 
+@pytest.mark.parametrize("count", [1, 2, 5, 8, None, "beyond"])
+@settings(max_examples=20, deadline=None)
+@given(potential=even_potentials())
+def test_parity_blocks_match_full_matrix(potential, count):
+    if count == "beyond":  # more levels than the well binds: box states above the edge
+        count = _full_matrix_bound_states(potential, KINETIC_HALF).eigenvalues.size + 3
+    ref = _full_matrix_bound_states(potential, KINETIC_HALF, count)
+    spec = bound_states(potential, KINETIC_HALF, count, keep_wavefunctions=True)
+    assert spec.eigenvalues.shape == ref.eigenvalues.shape
+    assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues), initial=0.0) <= 1e-9
+    assert spec.node_counts.tolist() == ref.node_counts.tolist()
+    if count is not None:
+        assert spec.node_counts.tolist() == list(range(count))
+    for k, (psi, ref_psi) in enumerate(zip(spec.wavefunctions, ref.wavefunctions)):
+        assert np.array_equal(psi, (-1.0) ** k * psi[::-1])
+        assert np.max(np.abs(psi - np.sign(psi @ ref_psi) * ref_psi)) <= 1e-8
+
+
+def test_uneven_potential_is_the_full_matrix():
+    grid = default_grid(8.0, 0.01)
+    tilted = PotentialGrid.from_callable(grid, lambda x: 0.05 * x - 10.0 / np.cosh(x - 0.5) ** 2, asymptote=0.0)
+    assert not tilted.even
+    for count in (4, None):
+        ref = _full_matrix_bound_states(tilted, KINETIC_HALF, count)
+        spec = bound_states(tilted, KINETIC_HALF, count, keep_wavefunctions=True)
+        assert np.array_equal(spec.eigenvalues, ref.eigenvalues)
+        assert np.array_equal(spec.node_counts, ref.node_counts)
+        assert np.array_equal(spec.wavefunctions, ref.wavefunctions)
+
+
 def test_count_nodes_dead_band():
     psi = np.array([0.0, 1e-12, 1.0, 2.0, -1e-12, -1.0])
     assert count_nodes(psi) == 1
@@ -92,6 +178,11 @@ def test_resolution_precondition():
     pot = PotentialGrid.from_callable(grid, lambda x: 50.0 * x**2 - 500.0, asymptote=4500.0)
     with pytest.raises(ValueError, match="spacing"):
         bound_states(pot, KINETIC_HALF)
+
+
+def test_count_must_be_positive(prime10_potential):
+    with pytest.raises(ValueError, match="count"):
+        bound_states(prime10_potential, KINETIC_HALF, count=0)
 
 
 def test_compare_spectrum_identity():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from primepot.cli import build_parser, main
+from primepot.grid import PotentialGrid, default_grid
 from primepot.pipeline import (
     PipelineConfig,
     PipelineStageError,
@@ -146,6 +147,8 @@ def test_cli_design_solve_cycle(tmp_path, capsys):
         )
         == 0
     )
+    # bitwise mirrored on read-back, so solve takes the parity-block path
+    assert PotentialGrid.read_csv(pot).even
     assert main(["solve", str(pot), "--targets", "primes:5", "--json", str(rep)]) == 0
     payload = json.loads(rep.read_text())
     assert payload["rounds_to_target"] == [True] * 5
@@ -154,8 +157,6 @@ def test_cli_design_solve_cycle(tmp_path, capsys):
 
 
 def test_cli_scatter_schema(tmp_path, capsys):
-    from primepot.grid import PotentialGrid, default_grid
-
     grid = default_grid(3.0, 0.005)
     values = np.where(np.abs(grid.x) < 1.0, 6.0, 0.0)
     pot = PotentialGrid(grid=grid, values=values, asymptote=0.0)
@@ -267,8 +268,6 @@ def test_cli_holo_synth_needs_two_outputs(tmp_path, capsys, out):
 def test_cli_semiclassical(tmp_path, capsys):
     out = tmp_path / "sc.csv"
     assert main(["semiclassical", "--vmax", "40", "--samples", "150", "--out", str(out)]) == 0
-    from primepot.grid import PotentialGrid
-
     pot = PotentialGrid.read_csv(out)
     assert pot.asymptote == pytest.approx(40.0)
     assert pot.even
