@@ -10,7 +10,6 @@ from ._kernels import backend_name
 from .grid import Grid, PotentialGrid, default_grid
 from .susy import (
     KINETIC_HALF,
-    KINETIC_UNIT,
     design_potential,
     gaps_from_spectrum,
     poschl_teller_reference,
@@ -26,7 +25,6 @@ __all__ = [
     "PotentialGrid",
     "default_grid",
     "KINETIC_HALF",
-    "KINETIC_UNIT",
     "design_potential",
     "gaps_from_spectrum",
     "poschl_teller_reference",

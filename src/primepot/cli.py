@@ -19,7 +19,6 @@ from .hologram import intensity_to_potential, read_intensity_csv
 from .pipeline import (
     PipelineConfig,
     PipelineStageError,
-    kinetic_from_name,
     parse_sequence_spec,
     run_pipeline,
     synthesize_hologram,
@@ -32,7 +31,7 @@ from .scattering import (
 )
 from .semiclassical import invert_to_potential, prime_density_of_states, profile_to_potential
 from .sequences import counting_estimates, first_lucky, first_primes, sieve_lucky, sieve_primes
-from .susy import ChainError, design_potential
+from .susy import KINETIC_HALF, ChainError, design_potential
 from .units import PhysicalContext, energy_scale
 
 EXIT_OK = 0
@@ -60,7 +59,7 @@ def _cmd_pi(args) -> int:
 def _cmd_design(args) -> int:
     levels = parse_sequence_spec(args.levels)
     grid = default_grid(args.half_width, args.spacing)
-    pot = design_potential(levels, grid, kinetic_from_name(args.kinetic))
+    pot = design_potential(levels, grid)
     pot.write_csv(args.out)
     print(f"wrote {args.out} ({pot.grid.points} nodes, asymptote {pot.asymptote})")
     return EXIT_OK
@@ -68,9 +67,8 @@ def _cmd_design(args) -> int:
 
 def _cmd_solve(args) -> int:
     pot = PotentialGrid.read_csv(args.potential)
-    kinetic = kinetic_from_name(args.kinetic)
     targets = parse_sequence_spec(args.targets) if args.targets else None
-    spectrum = bound_states(pot, kinetic, count=None if targets is None else targets.size)
+    spectrum = bound_states(pot, KINETIC_HALF, count=None if targets is None else targets.size)
     payload = {
         "eigenvalues": spectrum.eigenvalues.tolist(),
         "continuum_edge": spectrum.continuum_edge,
@@ -83,7 +81,7 @@ def _cmd_solve(args) -> int:
     if args.json:
         write_json(args.json, payload)
     _print_json(payload)
-    return EXIT_OK
+    return EXIT_OK if all(payload.get("rounds_to_target", ())) else EXIT_NUMERICAL
 
 
 def _cmd_semiclassical(args) -> int:
@@ -98,7 +96,7 @@ def _cmd_semiclassical(args) -> int:
 def _cmd_scatter(args) -> int:
     pot = PotentialGrid.read_csv(args.potential)
     energies = np.linspace(args.emin, args.emax, args.steps)
-    scan = transmission_scan(pot, energies, kinetic_from_name(args.kinetic))
+    scan = transmission_scan(pot, energies)
     payload = scan.as_dict()
     if args.json:
         write_json(args.json, payload)
@@ -201,13 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", required=True, help="primes:N | lucky:N | file:path")
     p.add_argument("--half-width", type=float, default=PipelineConfig.half_width, dest="half_width")
     p.add_argument("--spacing", type=float, default=PipelineConfig.spacing)
-    p.add_argument("--kinetic", choices=("half", "unit"), default=PipelineConfig.kinetic)
     p.add_argument("--out", default="pot.csv")
     p.set_defaults(func=_cmd_design)
 
     p = sub.add_parser("solve", help="bound states of a potential CSV")
     p.add_argument("potential")
-    p.add_argument("--kinetic", choices=("half", "unit"), default=PipelineConfig.kinetic)
     p.add_argument("--targets", help="primes:N | lucky:N | file:path")
     p.add_argument("--json")
     p.set_defaults(func=_cmd_solve)
@@ -225,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emin", type=float, required=True)
     p.add_argument("--emax", type=float, required=True)
     p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--kinetic", choices=("half", "unit"), default=PipelineConfig.kinetic)
     p.add_argument("--json")
     p.set_defaults(func=_cmd_scatter)
 
@@ -264,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequence")
     p.add_argument("--half-width", type=float, dest="half_width")
     p.add_argument("--spacing", type=float)
-    p.add_argument("--kinetic", choices=("half", "unit"))
     p.add_argument("--hologram", action="store_true", default=None)
     p.add_argument("--holo-m", type=int, dest="holo_m")
     p.add_argument("--holo-sr", type=int, dest="holo_sr")

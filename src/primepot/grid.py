@@ -49,6 +49,8 @@ class Grid:
 
 def default_grid(half_width: float = 12.0, spacing: float = 0.005) -> Grid:
     """Production grid: holds primes:40 within 6.1e-4 of every level."""
+    if not spacing > 0.0:  # a non-positive half_width is Grid's to reject
+        raise ValueError(f"spacing must be positive, got {spacing!r}")
     points = int(round(2.0 * half_width / spacing)) + 1
     if points % 2 == 0:
         points += 1
@@ -119,9 +121,6 @@ class PotentialGrid:
     def max(self) -> float:
         return float(self.values.max())
 
-    def depth(self) -> float:
-        return self.asymptote - self.min()
-
     @classmethod
     def from_even_half(cls, grid: Grid, right_values: np.ndarray, asymptote: float) -> "PotentialGrid":
         """Build an even potential from samples on x >= 0 (center first)."""
@@ -130,12 +129,6 @@ class PotentialGrid:
             raise ValueError("right_values must cover the center node through x=+half_width")
         full = np.concatenate([right[:0:-1], right])
         return cls(grid=grid, values=full, asymptote=float(asymptote))
-
-    @classmethod
-    def from_callable(cls, grid: Grid, func, asymptote: float | None = None) -> "PotentialGrid":
-        values = np.asarray(func(grid.x), dtype=np.float64)
-        asym = float(values[-1]) if asymptote is None else float(asymptote)
-        return cls(grid=grid, values=values, asymptote=asym)
 
     def write_csv(self, path) -> None:
         """Write `x,V` rows in decimal text under the asymptote."""

@@ -1,13 +1,14 @@
 """Phase-only Fourier holography simulation: synth a potential as an
 intensity profile, retrieve the modulator phase, and read the profile back.
 
-The modulator plane (m x m) sits in a zero-padded 2m x 2m plane and light
-propagates to the output plane by a centered unitary Fourier transform. The
-cost is the steepened squared deficit of the amplitude overlap accumulated
-over the signal region (SR), a single pixel row holding the 1D intensity
-profile; everywhere else the field is unconstrained. The overlap takes the
-modulus per pixel before summing, so a zero cost means the SR intensity
-profile matches exactly while the output phase stays free.
+The modulator plane (m x m) is lit by a uniform unit-power beam, 1/m per
+pixel, and sits in a zero-padded 2m x 2m plane; light propagates to the
+output plane by a centered unitary Fourier transform. The cost is the
+steepened squared deficit of the amplitude overlap accumulated over the
+signal region (SR), a single pixel row holding the 1D intensity profile;
+everywhere else the field is unconstrained. The overlap takes the modulus
+per pixel before summing, so a zero cost means the SR intensity profile
+matches exactly while the output phase stays free.
 
 The SR lies on the zero-vertical-frequency row of the output plane, which is
 the 1D centered transform of the modulated plane's column sums scaled by
@@ -37,8 +38,6 @@ __all__ = [
     "OptimizeResult",
     "potential_to_target",
     "make_state",
-    "uniform_illumination",
-    "gaussian_illumination",
     "propagate",
     "cost_and_gradient",
     "optimize_phase",
@@ -163,19 +162,6 @@ def make_state(
     )
 
 
-def uniform_illumination(m: int) -> np.ndarray:
-    """Unit-power uniform beam."""
-    return np.full((m, m), 1.0 / m)
-
-
-def gaussian_illumination(m: int, waist_fraction: float = 0.5) -> np.ndarray:
-    """Unit-power Gaussian beam, waist as a fraction of the plane half-size."""
-    half = (m - 1) / 2.0
-    r = np.hypot(*np.meshgrid(np.arange(m) - half, np.arange(m) - half))
-    beam = np.exp(-((r / (waist_fraction * half)) ** 2))
-    return beam / np.sqrt(np.sum(beam**2))
-
-
 def _output_row(modulated: np.ndarray) -> np.ndarray:
     """Zero-vertical-frequency row of the centered unitary 2m x 2m transform
     of the zero-padded plane: the centered FFT of its column sums over 2m."""
@@ -185,21 +171,15 @@ def _output_row(modulated: np.ndarray) -> np.ndarray:
     return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(sums))) / (2 * m)
 
 
-def propagate(state: HologramState, illumination: np.ndarray) -> np.ndarray:
+def propagate(state: HologramState) -> np.ndarray:
     """Complex output field on the SR row for the modulated beam."""
-    illumination = np.asarray(illumination, dtype=np.float64)
-    if illumination.shape != (state.m, state.m):
-        raise ValueError("illumination must be m x m")
-    if np.any(illumination < 0.0):
-        raise ValueError("illumination must be non-negative")
-    return _output_row(illumination * np.exp(1j * state.phase))[state.sr_columns]
+    return _output_row(np.exp(1j * state.phase) * (1.0 / state.m))[state.sr_columns]
 
 
-def cost_and_gradient(state: HologramState, illumination: np.ndarray):
+def cost_and_gradient(state: HologramState):
     """Steepened squared overlap deficit and its phase gradient via the adjoint
     transform."""
-    illumination = np.asarray(illumination, dtype=np.float64)
-    modulated = illumination * np.exp(1j * state.phase)
+    modulated = np.exp(1j * state.phase) * (1.0 / state.m)
     row = _output_row(modulated)
     sr = state.sr_columns
     f_sr = row[sr]
@@ -225,11 +205,7 @@ def cost_and_gradient(state: HologramState, illumination: np.ndarray):
     return cost, grad
 
 
-def optimize_phase(
-    state: HologramState,
-    illumination: np.ndarray | None = None,
-    max_iters: int = 500,
-) -> OptimizeResult:
+def optimize_phase(state: HologramState, max_iters: int = 500) -> OptimizeResult:
     """Polak-Ribiere conjugate gradient with Armijo backtracking.
 
     The history holds the cost of every accepted iterate (non-increasing by
@@ -237,12 +213,10 @@ def optimize_phase(
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if illumination is None:
-        illumination = uniform_illumination(state.m)
     state = replace(state, phase=state.phase.copy())
 
     phase = state.phase
-    cost, grad = cost_and_gradient(replace(state, phase=phase), illumination)
+    cost, grad = cost_and_gradient(replace(state, phase=phase))
     history = [cost]
     # an overlap deficit at roundoff level is a perfect match
     floor = 10.0 ** state.steepness_d * 1e-24
@@ -264,9 +238,7 @@ def optimize_phase(
         accepted = False
         for _ in range(50):
             trial_phase = phase + alpha * direction
-            trial_cost, trial_grad = cost_and_gradient(
-                replace(state, phase=trial_phase), illumination
-            )
+            trial_cost, trial_grad = cost_and_gradient(replace(state, phase=trial_phase))
             if trial_cost <= cost + armijo * alpha * slope:
                 accepted = True
                 break

@@ -24,11 +24,10 @@ from .hologram import (
     potential_to_target,
     propagate,
     sr_intensity_error,
-    uniform_illumination,
     write_intensity_csv,
 )
 from .sequences import first_lucky, first_primes
-from .susy import KINETIC_HALF, KINETIC_UNIT, ChainError, design_potential
+from .susy import KINETIC_HALF, ChainError, design_potential
 
 __all__ = [
     "HologramRun",
@@ -36,7 +35,6 @@ __all__ = [
     "PipelineReport",
     "PipelineStageError",
     "parse_sequence_spec",
-    "kinetic_from_name",
     "run_pipeline",
     "synthesize_hologram",
     "write_json",
@@ -47,13 +45,6 @@ class PipelineStageError(RuntimeError):
         super().__init__(f"stage {stage!r} failed: {original}")
         self.stage = stage
         self.original = original
-
-
-def kinetic_from_name(name: str) -> float:
-    table = {"half": KINETIC_HALF, "unit": KINETIC_UNIT}
-    if name not in table:
-        raise ValueError(f"kinetic convention must be one of {sorted(table)}, got {name!r}")
-    return table[name]
 
 
 def parse_sequence_spec(spec: str) -> np.ndarray:
@@ -81,7 +72,6 @@ class PipelineConfig:
     sequence: str = "primes:10"
     half_width: float = 12.0
     spacing: float = 0.005
-    kinetic: str = "half"
     hologram: bool = False
     holo_m: int = 64
     holo_sr: int = 100
@@ -176,12 +166,11 @@ def synthesize_hologram(
     potential: PotentialGrid, m: int, sr_length: int, steepness_d: int, max_iters: int, seed: int
 ) -> HologramRun:
     """Target row, seeded random-phase state, optimized phase and output field
-    under uniform illumination, plus the SR intensity error."""
+    under the uniform beam, plus the SR intensity error."""
     amp, tmap = potential_to_target(potential, sr_length)
     state = make_state(m, amp, seed=seed, steepness_d=steepness_d, target_map=tmap)
-    illumination = uniform_illumination(m)
-    result = optimize_phase(state, illumination, max_iters=max_iters)
-    field = propagate(result.state, illumination)
+    result = optimize_phase(state, max_iters=max_iters)
+    field = propagate(result.state)
     return HologramRun(result, field, tmap, sr_intensity_error(field, result.state))
 
 
@@ -189,7 +178,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     """design -> (optional hologram synth + extract) -> eigensolve -> compare."""
     try:
         targets = parse_sequence_spec(config.sequence)
-        kinetic = kinetic_from_name(config.kinetic)
     except (ValueError, OSError) as err:
         raise PipelineStageError("sequence", err) from err
 
@@ -199,7 +187,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
 
     try:
         grid = default_grid(config.half_width, config.spacing)
-        designed = design_potential(targets, grid, kinetic)
+        designed = design_potential(targets, grid)
     except (ValueError, ChainError) as err:
         raise PipelineStageError("design", err) from err
     pot_path = outdir / "potential.csv"
@@ -231,7 +219,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         holo_err = holo.sr_error
 
     try:
-        spectrum = bound_states(solve_input, kinetic, count=targets.size)
+        spectrum = bound_states(solve_input, KINETIC_HALF, count=targets.size)
     except ValueError as err:
         raise PipelineStageError("solve", err) from err
     eigenvalues = spectrum.eigenvalues
@@ -243,7 +231,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         {
             "eigenvalues": eigenvalues.tolist(),
             "continuum_edge": spectrum.continuum_edge,
-            "kinetic_scale": kinetic,
+            "kinetic_scale": KINETIC_HALF,
             "node_counts": spectrum.node_counts.tolist(),
         },
     )

@@ -6,10 +6,11 @@ cell by the fourth-order two-point Gauss Magnus step
 (``_kernels.transfer_scan``); a potential sampled on grid nodes enters as
 piecewise-constant cells (node midpoints), the kernel's exact special case.
 ``truncate_potential`` opens a well: it keeps the well in its original
-energy frame, caps the walls at the cutoff, and drops the potential to a
-baseline outside the wall region. Levels between baseline and rim become
-quasi-bound, so a transmission scan shows a sharp resonance at (almost)
-every original bound level. This is the geometry the composite filter
+energy frame and drops the potential outside the wall region to 0, the lead
+potential. A designed well is reflectionless, so it lies below its asymptote
+(Kay & Moses 1956) and its walls need no cap. Levels between 0 and the rim
+become quasi-bound, so a transmission scan shows a sharp resonance at
+(almost) every original bound level. This is the geometry the composite filter
 needs: a wave arriving at energy w can only cross the apparatus when both
 wells hold a level at w.
 
@@ -61,7 +62,6 @@ COARSE = 241  # energies of the first scan of a search window
 TOP_K = 3  # coarse local maxima refined
 RESOLUTION_FLOOR = 1e-6  # refinement stops once the step is below this
 FILTER_WINDOW = 0.5  # half-width around w absorbing the truncation shift
-CUTOFF_FACTOR = 1.2  # filter wells are capped at this multiple of their asymptote
 FLAT_FRACTION = 0.05  # opened walls end where they come this close to the rim, relative to the depth
 
 
@@ -89,34 +89,33 @@ class TransmissionScan:
         }
 
 
-def truncate_potential(potential: PotentialGrid, cutoff: float, baseline: float) -> PotentialGrid:
-    """Open an even well: cap it at `cutoff` and drop the outside to
-    `baseline`, keeping the original energy frame, so bound levels become
-    scattering resonances at their original energies."""
-    if cutoff <= potential.min():
-        raise ValueError("cutoff must exceed the potential minimum")
-    i_wall_end, i_keep = _opened_extent(potential, cutoff, baseline)
+def truncate_potential(potential: PotentialGrid) -> PotentialGrid:
+    """Open an even well: drop the outside of its walls to 0, keeping the
+    original energy frame, so bound levels become scattering resonances at
+    their original energies."""
+    i_wall_end, i_keep = _opened_extent(potential)
     grid = potential.grid
-    new_right = np.minimum(potential.values[grid.center_index :][: i_keep + 1], cutoff)
-    new_right[i_wall_end + 1 :] = baseline
+    new_right = potential.values[grid.center_index :][: i_keep + 1].copy()
+    new_right[i_wall_end + 1 :] = 0.0
     new_grid = Grid(half_width=i_keep * grid.spacing, points=2 * i_keep + 1)
-    return PotentialGrid.from_even_half(new_grid, new_right, asymptote=baseline)
+    return PotentialGrid.from_even_half(new_grid, new_right, asymptote=0.0)
 
 
-def _opened_extent(potential: PotentialGrid, cutoff: float, baseline: float) -> tuple[int, int]:
+def _opened_extent(potential: PotentialGrid) -> tuple[int, int]:
     """Where an opened well ends, in nodes from the center: ``(i_wall_end,
     i_keep)``.
 
-    The capped wall ends at the first node past the last one further than
-    ``FLAT_FRACTION`` of the depth below the rim; two baseline nodes follow,
-    so the opened well keeps ``i_keep`` nodes on each side of the center.
+    The wall ends at the first node past the last one further than
+    ``FLAT_FRACTION`` of the depth below the rim, the asymptote; two lead
+    nodes follow, so the opened well keeps ``i_keep`` nodes on each side of
+    the center.
     """
     if not potential.even:
         raise ValueError("opened truncation expects an even designed potential")
-    rim = min(cutoff, potential.asymptote)
-    if rim <= baseline:
-        raise ValueError("rim must sit above the baseline")
-    right = np.minimum(potential.values[potential.grid.center_index :], cutoff)
+    rim = potential.asymptote
+    if rim <= 0.0:
+        raise ValueError("asymptote must sit above the lead potential, 0")
+    right = potential.values[potential.grid.center_index :]
     flat_tol = FLAT_FRACTION * (rim - float(right.min()))
     below = np.nonzero(rim - right > flat_tol)[0]
     if below.size == 0:
@@ -125,22 +124,20 @@ def _opened_extent(potential: PotentialGrid, cutoff: float, baseline: float) -> 
     return i_wall_end, min(i_wall_end + 2, right.size - 1)
 
 
-def opened_cells(
-    potential: PotentialGrid, cutoff: float, baseline: float, fractions=GAUSS_POINTS
-) -> np.ndarray:
-    """The cells of ``truncate_potential(potential, cutoff, baseline)``,
-    sampled at `fractions` of each cell: shape (2 i_keep, len(fractions)).
+def opened_cells(potential: PotentialGrid, fractions=GAUSS_POINTS) -> np.ndarray:
+    """The cells of ``truncate_potential(potential)``, sampled at `fractions`
+    of each cell: shape (2 i_keep, len(fractions)).
 
-    The samples come from the designed potential (``cell_samples``), then
-    take the cap. The wall keeps the cell that starts at its end node; the
-    cells past it sit at the baseline. With the default two Gauss points
-    these are ``_kernels.transfer_scan``'s cells.
+    The samples come from the designed potential (``cell_samples``). The
+    wall keeps the cell that starts at its end node; the cells past it sit
+    at 0. With the default two Gauss points these are
+    ``_kernels.transfer_scan``'s cells.
     """
-    i_wall_end, i_keep = _opened_extent(potential, cutoff, baseline)
+    i_wall_end, i_keep = _opened_extent(potential)
     center = potential.grid.center_index
-    samples = np.minimum(cell_samples(potential.values, fractions)[center - i_keep : center + i_keep], cutoff)
+    samples = cell_samples(potential.values, fractions)[center - i_keep : center + i_keep]
     middles = np.abs(np.arange(-i_keep, i_keep) + 0.5)  # in cells from the center
-    samples[middles > i_wall_end + 1] = baseline
+    samples[middles > i_wall_end + 1] = 0.0
     return samples
 
 
@@ -357,9 +354,8 @@ def build_filter_apparatus(
     device, cells = {}, {}
     for name, levels in (("lucky", lucky_levels), ("prime", prime_levels)):
         designed = design_potential(levels, kinetic_scale=kinetic_scale)
-        cutoff = CUTOFF_FACTOR * designed.asymptote
-        device[name] = truncate_potential(designed, cutoff, 0.0)
-        cells[name] = opened_cells(designed, cutoff, 0.0)
+        device[name] = truncate_potential(designed)
+        cells[name] = opened_cells(designed)
     w_max = int(min(device["lucky"].max(), device["prime"].max()) - 1.0)
     return FilterApparatus(
         device_lucky=device["lucky"],

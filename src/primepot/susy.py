@@ -9,9 +9,11 @@ gap energy. Odd W (forced by u'(0) = 0) keeps every intermediate potential
 even.
 
 The kinetic term is ``-c^2 d^2/dx^2`` with a single scale ``c``. The value
-``c = 1/sqrt(2)`` is the calibrated default: it is the unique scale at which
-the chain run on the gap ladder ``{0, -1/2, -2, ..., -N^2/2}`` closes onto
-``-N(N+1)/(2 cosh^2 x)``, the one family that reproduces itself analytically.
+``c = 1/sqrt(2)`` (``KINETIC_HALF``, the one every command uses) is the
+calibrated default: it is the unique scale at which the chain run on the gap
+ladder ``{0, -1/2, -2, ..., -N^2/2}`` closes onto ``-N(N+1)/(2 cosh^2 x)``,
+the one family that reproduces itself analytically. Any other scale gives
+the same well stretched by ``c sqrt(2)``: ``V_c(x) = V_half(x / (c sqrt 2))``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .grid import Grid, PotentialGrid, default_grid
 
 __all__ = [
     "KINETIC_HALF",
-    "KINETIC_UNIT",
     "GapSequence",
     "ChainError",
     "gaps_from_spectrum",
@@ -38,7 +39,6 @@ __all__ = [
 ]
 
 KINETIC_HALF = math.sqrt(0.5)
-KINETIC_UNIT = 1.0
 
 # Minimum e-foldings of the shallowest gap state's decay inside the box.
 _MIN_EFOLDINGS = 5.0

@@ -1,7 +1,8 @@
 """Conversion between dimensionless spectra and physical energy scales.
 
 One dimensionless energy unit corresponds to (hbar^2/m) (l/L)^2 joules for a
-potential of dimensionless length l realized with physical length L. Reports
+potential of dimensionless length l realized with physical length L, under
+the kinetic term -(1/2) d^2/dx^2 (c = 1/sqrt(2)) every command uses. Reports
 carry all three customary forms: joules, h * Hz, and k_B * K.
 """
 

@@ -8,7 +8,9 @@ from scipy.linalg import eigh_tridiagonal
 
 from primepot.eigensolver import Spectrum, bound_states, compare_spectrum, count_nodes
 from primepot.grid import PotentialGrid, default_grid
-from primepot.susy import KINETIC_HALF, KINETIC_UNIT
+from primepot.susy import KINETIC_HALF
+
+UNIT_KINETIC = 1.0  # -d^2/dx^2, the convention of the textbook oracles
 
 FIG3C_V10 = [1.58, 3.31, 5.40, 7.33, 10.9, 13.2, 16.9, 19.4, 23.2, 29.3]
 FIG3C_V15 = [
@@ -19,7 +21,7 @@ PRIMES15 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
 def sech2_well(depth, grid):
-    return PotentialGrid.from_callable(grid, lambda x: -depth / np.cosh(x) ** 2, asymptote=0.0)
+    return PotentialGrid(grid, -depth / np.cosh(grid.x) ** 2, 0.0)
 
 
 def _full_matrix_bound_states(potential, kinetic_scale, count=None):
@@ -78,14 +80,14 @@ def even_potentials(draw):
 def test_flat_potential_has_no_bound_states():
     grid = default_grid(8.0, 0.01)
     flat = PotentialGrid(grid=grid, values=np.zeros(grid.points), asymptote=0.0)
-    spec = bound_states(flat, KINETIC_UNIT)
+    spec = bound_states(flat, UNIT_KINETIC)
     assert spec.eigenvalues.size == 0
 
 
 def test_sech_well_analytic_unit_convention():
     # -6/cosh^2 under a unit kinetic term has levels -(2-n)^2
     grid = default_grid(12.0, 0.005)
-    spec = bound_states(sech2_well(6.0, grid), KINETIC_UNIT)
+    spec = bound_states(sech2_well(6.0, grid), UNIT_KINETIC)
     assert np.max(np.abs(spec.eigenvalues - [-4.0, -1.0])) < 1e-3
     assert spec.node_counts.tolist() == [0, 1]
 
@@ -99,8 +101,8 @@ def test_sech_well_analytic_half_convention():
 
 def test_harmonic_oscillator_unit_convention():
     grid = default_grid(12.0, 0.005)
-    pot = PotentialGrid.from_callable(grid, lambda x: x**2)
-    spec = bound_states(pot, KINETIC_UNIT)
+    pot = PotentialGrid(grid, grid.x**2, grid.x[-1] ** 2)
+    spec = bound_states(pot, UNIT_KINETIC)
     assert np.max(np.abs(spec.eigenvalues[:5] - [1.0, 3.0, 5.0, 7.0, 9.0])) < 1e-3
 
 
@@ -110,7 +112,7 @@ def test_corrected_levels_beyond_second_order():
     exact = np.array([-4.0, -1.0])
     for spacing in (0.02, 0.01):
         grid = default_grid(12.0, spacing)
-        spec = bound_states(sech2_well(6.0, grid), KINETIC_UNIT)
+        spec = bound_states(sech2_well(6.0, grid), UNIT_KINETIC)
         assert np.max(np.abs(spec.eigenvalues - exact)) <= 1e-7
 
 
@@ -118,7 +120,7 @@ def test_box_size_stability():
     values = []
     for half_width in (12.0, 24.0):
         grid = default_grid(half_width, 0.005)
-        spec = bound_states(sech2_well(6.0, grid), KINETIC_UNIT)
+        spec = bound_states(sech2_well(6.0, grid), UNIT_KINETIC)
         values.append(spec.eigenvalues)
     assert np.max(np.abs(values[0] - values[1])) < 1e-6
 
@@ -158,7 +160,7 @@ def test_parity_blocks_match_full_matrix(potential, count):
 
 def test_uneven_potential_is_the_full_matrix():
     grid = default_grid(8.0, 0.01)
-    tilted = PotentialGrid.from_callable(grid, lambda x: 0.05 * x - 10.0 / np.cosh(x - 0.5) ** 2, asymptote=0.0)
+    tilted = PotentialGrid(grid, 0.05 * grid.x - 10.0 / np.cosh(grid.x - 0.5) ** 2, 0.0)
     assert not tilted.even
     for count in (4, None):
         ref = _full_matrix_bound_states(tilted, KINETIC_HALF, count)
@@ -175,7 +177,7 @@ def test_count_nodes_dead_band():
 
 def test_resolution_precondition():
     grid = default_grid(10.0, 0.1)
-    pot = PotentialGrid.from_callable(grid, lambda x: 50.0 * x**2 - 500.0, asymptote=4500.0)
+    pot = PotentialGrid(grid, 50.0 * grid.x**2 - 500.0, 4500.0)
     with pytest.raises(ValueError, match="spacing"):
         bound_states(pot, KINETIC_HALF)
 

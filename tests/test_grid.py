@@ -36,7 +36,7 @@ def test_from_even_half_mirrors():
 
 def test_csv_round_trip(tmp_path):
     grid = default_grid(2.0, 0.01)
-    pot = PotentialGrid.from_callable(grid, lambda x: -3.0 / np.cosh(x) ** 2, asymptote=0.0)
+    pot = PotentialGrid(grid, -3.0 / np.cosh(grid.x) ** 2, 0.0)
     path = tmp_path / "pot.csv"
     pot.write_csv(path)
     back = PotentialGrid.read_csv(path)

@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primepot import hologram
 from primepot.eigensolver import bound_states
 from primepot.hologram import (
     cost_and_gradient,
     extract_profile,
-    gaussian_illumination,
     make_state,
     optimize_phase,
     potential_to_target,
     propagate,
     sr_intensity_error,
-    uniform_illumination,
 )
 from primepot.sequences import first_primes
 from primepot.susy import KINETIC_HALF
@@ -34,20 +33,25 @@ def random_state(m=16, sr=20, seed=3, d=4):
     return make_state(m, amp, seed=seed, steepness_d=d)
 
 
-def reference_plane(state, ill):
+def uniform_beam(m):
+    """The unit-power uniform beam that lights the modulator, 1/m per pixel."""
+    return np.full((m, m), 1.0 / m)
+
+
+def reference_plane(state):
     """Output plane of the modulated beam zero-padded to 2m x 2m, by 2D FFT."""
     m = state.m
     padded = np.zeros((2 * m, 2 * m), dtype=np.complex128)
     lo = m // 2
-    padded[lo : lo + m, lo : lo + m] = ill * np.exp(1j * state.phase)
+    padded[lo : lo + m, lo : lo + m] = uniform_beam(m) * np.exp(1j * state.phase)
     return np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(padded), norm="ortho"))
 
 
-def reference_cost_and_gradient(state, ill):
+def reference_cost_and_gradient(state):
     """Cost and adjoint gradient on the full 2D plane, SR on row m."""
     m, w = state.m, state.target_row
     cols = slice(m - w.size // 2, m - w.size // 2 + w.size)
-    f_sr = reference_plane(state, ill)[m, cols]
+    f_sr = reference_plane(state)[m, cols]
     amp = np.abs(f_sr)
     power = np.sum(amp**2)
     overlap = np.sum(w * amp) / np.sqrt(power)
@@ -55,7 +59,7 @@ def reference_cost_and_gradient(state, ill):
     adj[m, cols] = f_sr * (w / (amp * np.sqrt(power)) - overlap / power)
     back = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(adj), norm="ortho"))
     lo = m // 2
-    d_overlap = np.imag(np.exp(-1j * state.phase) * ill * back[lo : lo + m, lo : lo + m])
+    d_overlap = np.imag(np.exp(-1j * state.phase) * uniform_beam(m) * back[lo : lo + m, lo : lo + m])
     steep = 10.0**state.steepness_d
     return steep * (1.0 - overlap) ** 2, -2.0 * steep * (1.0 - overlap) * d_overlap
 
@@ -65,22 +69,20 @@ def row_cases(draw):
     m = draw(st.integers(8, 256))
     sr = draw(st.integers(4, 2 * m - 1))
     seed = draw(st.integers(0, 2**32 - 1))
-    ill = draw(st.sampled_from([uniform_illumination, gaussian_illumination]))(m)
     rng = np.random.default_rng(seed)
     amp = rng.uniform(0.2, 1.0, sr)
-    return make_state(m, amp / np.sqrt(np.sum(amp**2)), seed=seed, steepness_d=4), ill
+    return make_state(m, amp / np.sqrt(np.sum(amp**2)), seed=seed, steepness_d=4)
 
 
 @settings(max_examples=60, deadline=None)
 @given(row_cases())
-def test_row_path_matches_2d_reference(case):
-    state, ill = case
+def test_row_path_matches_2d_reference(state):
     m, sr = state.m, state.target_row.size
-    row = propagate(state, ill)
-    ref_row = reference_plane(state, ill)[m, m - sr // 2 : m - sr // 2 + sr]
+    row = propagate(state)
+    ref_row = reference_plane(state)[m, m - sr // 2 : m - sr // 2 + sr]
     assert np.max(np.abs(row - ref_row)) <= 1e-12 * np.max(np.abs(ref_row))
-    cost, grad = cost_and_gradient(state, ill)
-    ref_cost, ref_grad = reference_cost_and_gradient(state, ill)
+    cost, grad = cost_and_gradient(state)
+    ref_cost, ref_grad = reference_cost_and_gradient(state)
     assert cost == pytest.approx(ref_cost, rel=1e-12)
     assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
 
@@ -111,16 +113,15 @@ def test_ceiling_below_max_rejected(prime10_potential):
 def test_parseval_power_conservation():
     # the reference plane carries the beam power; the SR row holds part of it
     state = random_state()
-    ill = uniform_illumination(state.m)
-    beam_power = np.sum(ill**2)
-    assert np.sum(np.abs(reference_plane(state, ill)) ** 2) == pytest.approx(beam_power, rel=1e-10)
-    assert np.sum(np.abs(propagate(state, ill)) ** 2) < beam_power
+    beam_power = np.sum(uniform_beam(state.m) ** 2)
+    assert np.sum(np.abs(reference_plane(state)) ** 2) == pytest.approx(beam_power, rel=1e-10)
+    assert np.sum(np.abs(propagate(state)) ** 2) < beam_power
 
 
 def test_zero_phase_uniform_beam_is_aperture_transform():
     state = random_state()
     state = replace(state, phase=np.zeros_like(state.phase))
-    field = propagate(state, uniform_illumination(state.m))
+    field = propagate(state)
     # central pixel dominates the sinc-like pattern of the square aperture,
     # with the closed-form peak value m^2 * (1/m) / (2m) = 1/2
     center = state.target_row.size // 2
@@ -128,35 +129,28 @@ def test_zero_phase_uniform_beam_is_aperture_transform():
     assert np.abs(field[center]) == pytest.approx(0.5)
 
 
-def test_zero_signal_power_rejected():
+def test_zero_signal_power_rejected(monkeypatch):
     state = random_state()
+    monkeypatch.setattr(hologram, "_output_row", lambda modulated: np.zeros(2 * state.m, dtype=np.complex128))
     with pytest.raises(ValueError, match="signal region"):
-        cost_and_gradient(state, np.zeros((state.m, state.m)))
-
-
-def test_propagate_rejects_wrong_illumination_shape():
-    state = random_state()
-    with pytest.raises(ValueError, match="m x m"):
-        propagate(state, np.ones((state.m, state.m + 2)))
+        cost_and_gradient(state)
 
 
 def test_linear_ramp_translates_output():
     state = random_state()
     m = state.m
     flat = replace(state, phase=np.zeros((m, m)))
-    ill = uniform_illumination(m)
-    base = np.abs(propagate(flat, ill)) ** 2
+    base = np.abs(propagate(flat)) ** 2
     jj = np.arange(m)
     shift = 3
     ramp = replace(state, phase=np.tile(2.0 * np.pi * shift * jj / (2 * m), (m, 1)))
-    moved = np.abs(propagate(ramp, ill)) ** 2
+    moved = np.abs(propagate(ramp)) ** 2
     assert np.allclose(base[:-shift], moved[shift:], atol=1e-12)
 
 
 def test_gradient_against_finite_differences():
     state = random_state(m=16, sr=20, d=4)
-    ill = uniform_illumination(16)
-    _, grad = cost_and_gradient(state, ill)
+    _, grad = cost_and_gradient(state)
     eps = 1e-6
     worst = 0.0
     for i in range(0, 16, 5):
@@ -165,8 +159,8 @@ def test_gradient_against_finite_differences():
             up[i, j] += eps
             down = state.phase.copy()
             down[i, j] -= eps
-            c_up, _ = cost_and_gradient(replace(state, phase=up), ill)
-            c_dn, _ = cost_and_gradient(replace(state, phase=down), ill)
+            c_up, _ = cost_and_gradient(replace(state, phase=up))
+            c_dn, _ = cost_and_gradient(replace(state, phase=down))
             fd = (c_up - c_dn) / (2 * eps)
             worst = max(worst, abs(fd - grad[i, j]) / max(abs(fd), 1e-300))
     assert worst < 1e-5
@@ -175,20 +169,18 @@ def test_gradient_against_finite_differences():
 def test_perfect_match_costs_nothing():
     # target := the normalized SR amplitude of the current phase configuration
     state = random_state(m=16, sr=20)
-    ill = uniform_illumination(16)
-    sr_amp = np.abs(propagate(state, ill))
+    sr_amp = np.abs(propagate(state))
     matched = replace(state, target_row=sr_amp / np.sqrt(np.sum(sr_amp**2)))
-    cost, _ = cost_and_gradient(matched, ill)
+    cost, _ = cost_and_gradient(matched)
     assert cost < 1e-9 * 10.0**matched.steepness_d
-    result = optimize_phase(matched, ill, max_iters=5)
+    result = optimize_phase(matched, max_iters=5)
     assert result.history.size <= 2
 
 
 def test_steepness_scales_cost():
     state = random_state(d=4)
-    ill = uniform_illumination(state.m)
-    c4, _ = cost_and_gradient(state, ill)
-    c9, _ = cost_and_gradient(replace(state, steepness_d=9), ill)
+    c4, _ = cost_and_gradient(state)
+    c9, _ = cost_and_gradient(replace(state, steepness_d=9))
     assert c9 / c4 == pytest.approx(1e5, rel=1e-9)
 
 
@@ -213,18 +205,16 @@ def test_cost_history_monotone(v10_target):
 def test_v10_synthesis_meets_error_budget(v10_target):
     amp, tmap = v10_target
     state = make_state(64, amp, seed=1, steepness_d=9, target_map=tmap)
-    ill = uniform_illumination(64)
-    result = optimize_phase(state, ill, max_iters=500)
-    field = propagate(result.state, ill)
+    result = optimize_phase(state, max_iters=500)
+    field = propagate(result.state)
     assert sr_intensity_error(field, result.state) <= 0.05
 
 
 def test_full_holographic_round_trip(prime10_potential, v10_target):
     amp, tmap = v10_target
     state = make_state(64, amp, seed=1, steepness_d=9, target_map=tmap)
-    ill = uniform_illumination(64)
-    result = optimize_phase(state, ill, max_iters=500)
-    reconstructed = extract_profile(propagate(result.state, ill), result.state)
+    result = optimize_phase(state, max_iters=500)
+    reconstructed = extract_profile(propagate(result.state), result.state)
     spec = bound_states(reconstructed, KINETIC_HALF, count=10)
     targets = first_primes(10)
     assert spec.eigenvalues.size == 10
@@ -234,7 +224,7 @@ def test_full_holographic_round_trip(prime10_potential, v10_target):
 def test_unoptimized_field_fails_extraction(v10_target):
     amp, tmap = v10_target
     state = make_state(64, amp, seed=99, steepness_d=9, target_map=tmap)
-    field = propagate(state, uniform_illumination(64))
+    field = propagate(state)
     assert sr_intensity_error(field, state) > 0.2
 
 
@@ -246,7 +236,7 @@ def test_uniform_target_extracts_flat_profile():
     amp, tmap = potential_to_target(flat, 40, ceiling=3.0)
     state = make_state(32, amp, seed=5, target_map=tmap)
     result = optimize_phase(state, max_iters=300)
-    rec = extract_profile(propagate(result.state, uniform_illumination(32)), result.state)
+    rec = extract_profile(propagate(result.state), result.state)
     inside = np.abs(rec.x) <= 3.0
     assert np.max(np.abs(rec.values[inside] - 2.0)) < 0.05
 
@@ -263,15 +253,9 @@ def test_sr_utilization_declines_with_length(v10_target):
             rung = np.interp(np.linspace(0, 99, sr_len), np.arange(100), amp)
             rung /= np.sqrt(np.sum(rung**2))
             state = make_state(64, rung, seed=seed, steepness_d=9)
-            ill = uniform_illumination(64)
-            result = optimize_phase(state, ill, max_iters=80)
-            # total power is the beam power (Parseval)
-            frac = float(np.sum(np.abs(propagate(result.state, ill)) ** 2) / np.sum(ill**2))
+            result = optimize_phase(state, max_iters=80)
+            # total power is the unit beam power (Parseval)
+            frac = float(np.sum(np.abs(propagate(result.state)) ** 2))
             vals.append(frac / sr_len)
         per_pixel.append(np.mean(vals))
     assert per_pixel[0] > per_pixel[-1]
-
-
-def test_gaussian_illumination_unit_power():
-    beam = gaussian_illumination(32)
-    assert np.sum(beam**2) == pytest.approx(1.0)

@@ -33,7 +33,9 @@ def test_config_round_trips(tmp_path):
     assert PipelineConfig.read(path) == config
 
 
-@pytest.mark.parametrize("line, named", [("spaceing=0.01", "spaceing"), ("hologram=yes", "yes")])
+@pytest.mark.parametrize(
+    "line, named", [("spaceing=0.01", "spaceing"), ("hologram=yes", "yes"), ("kinetic='half'", "kinetic")]
+)
 def test_config_rejects_bad_input(tmp_path, capsys, line, named):
     path = tmp_path / "bad.cfg"
     path.write_text(f"sequence='primes:4'\n{line}\noutdir='{tmp_path / 'out'}'\n")
@@ -156,6 +158,30 @@ def test_cli_design_solve_cycle(tmp_path, capsys):
     assert {"eigenvalues", "continuum_edge", "targets", "per_level_frac", "rms_frac", "rounds_to_target"} <= set(payload)
 
 
+def test_cli_solve_exits_numerical_on_missed_targets(tmp_path, capsys):
+    # a primes:10 well holds no 11th and 12th prime: the payload is still
+    # written, and the exit code says the levels missed
+    pot = tmp_path / "pot.csv"
+    rep = tmp_path / "report.json"
+    assert main(["design", "--levels", "primes:10", "--out", str(pot)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(pot), "--targets", "primes:12", "--json", str(rep)]) == 2
+    payload = json.loads(rep.read_text())
+    assert payload["rounds_to_target"][-2:] == [False, False]
+    assert json.loads(capsys.readouterr().out) == payload
+
+
+@pytest.mark.parametrize("spacing", ["0", "-0.005"])
+@pytest.mark.parametrize(
+    "argv",
+    [["design", "--levels", "primes:3", "--out"], ["pipeline", "--sequence", "primes:3", "--outdir"]],
+    ids=["design", "pipeline"],
+)
+def test_cli_rejects_nonpositive_spacing(tmp_path, capsys, argv, spacing):
+    assert main([*argv, str(tmp_path / "out"), f"--spacing={spacing}"]) == 1
+    assert "spacing" in capsys.readouterr().err
+
+
 def test_cli_scatter_schema(tmp_path, capsys):
     grid = default_grid(3.0, 0.005)
     values = np.where(np.abs(grid.x) < 1.0, 6.0, 0.0)
@@ -193,9 +219,7 @@ def test_cli_defaults_match_pipeline_config():
     config = PipelineConfig()
     parser = build_parser()
     design = parser.parse_args(["design", "--levels", "primes:3"])
-    assert (design.half_width, design.spacing, design.kinetic) == (config.half_width, config.spacing, config.kinetic)
-    assert parser.parse_args(["solve", "pot.csv"]).kinetic == config.kinetic
-    assert parser.parse_args(["scatter", "pot.csv", "--emin", "30", "--emax", "60"]).kinetic == config.kinetic
+    assert (design.half_width, design.spacing) == (config.half_width, config.spacing)
     synth = parser.parse_args(["holo", "synth", "pot.csv"])
     assert (synth.m, synth.sr, synth.d, synth.iters, synth.seed) == (
         config.holo_m,

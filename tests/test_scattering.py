@@ -10,7 +10,6 @@ from primepot import _kernels, scattering
 from primepot._kernels import GAUSS_POINTS, cell_samples
 from primepot.grid import Grid, PotentialGrid, default_grid
 from primepot.scattering import (
-    CUTOFF_FACTOR,
     _local_maxima,
     build_filter_apparatus,
     compose_apparatus,
@@ -23,7 +22,9 @@ from primepot.scattering import (
     windowed_max_transmission,
 )
 from primepot.sequences import first_lucky
-from primepot.susy import KINETIC_HALF, KINETIC_UNIT
+from primepot.susy import KINETIC_HALF
+
+UNIT_KINETIC = 1.0  # -d^2/dx^2, the convention of the textbook oracles
 
 
 def barrier_transmission_exact(energies, height, width, c):
@@ -45,7 +46,7 @@ def test_rectangular_barrier_matches_analytic():
     height, width, h = 8.0, 1.5, 0.002
     cells = np.full(int(round(width / h)), height)
     energies = np.linspace(0.5, 16.0, 100)
-    for c in (KINETIC_UNIT, KINETIC_HALF):
+    for c in (UNIT_KINETIC, KINETIC_HALF):
         t, r = transmission_from_cells(cells, h, energies, c, 0.0)
         exact = barrier_transmission_exact(energies, height, width, c)
         assert np.max(np.abs(t - exact)) < 1e-6
@@ -67,9 +68,13 @@ def test_scan_rejects_nonpositive_energy():
         transmission_scan(flat, np.array([-1.0, 2.0]))
 
 
-def test_truncate_rejects_cutoff_below_minimum(prime10_potential):
-    with pytest.raises(ValueError):
-        truncate_potential(prime10_potential, prime10_potential.min() - 1.0, 0.0)
+def test_truncate_rejects_asymptote_at_or_below_lead(prime10_potential):
+    # the leads sit at 0, so a well whose rim is not above 0 cannot be opened
+    pot = prime10_potential
+    for shift in (pot.asymptote, pot.asymptote + 1.0):
+        lowered = PotentialGrid(pot.grid, pot.values - shift, pot.asymptote - shift)
+        with pytest.raises(ValueError, match="asymptote"):
+            truncate_potential(lowered)
 
 
 def test_truncate_rejects_uneven_potential(prime10_potential):
@@ -77,15 +82,14 @@ def test_truncate_rejects_uneven_potential(prime10_potential):
     values[0] += 1e-9
     uneven = PotentialGrid(grid=prime10_potential.grid, values=values, asymptote=prime10_potential.asymptote)
     with pytest.raises(ValueError, match="even"):
-        truncate_potential(uneven, CUTOFF_FACTOR * uneven.asymptote, 0.0)
+        truncate_potential(uneven)
 
 
 def test_opened_well_resonates_at_bound_levels(lucky10_potential):
     # every level well below the rim shows a resonance within 0.3, on the
     # design grid's cells
-    cutoff = 1.2 * lucky10_potential.asymptote
-    opened = truncate_potential(lucky10_potential, cutoff, 0.0)
-    cells = opened_cells(lucky10_potential, cutoff, 0.0)
+    opened = truncate_potential(lucky10_potential)
+    cells = opened_cells(lucky10_potential)
     assert opened.asymptote == 0.0
     assert len(cells) == opened.grid.points - 1
     rim = opened.max()
@@ -112,15 +116,14 @@ def test_cell_samples_exact_on_cubics():
 def test_opened_cells_follow_truncated_well(prime10_potential):
     # at the cell ends the samples are the opened node values, except that
     # the wall keeps the cell starting at its end node
-    cutoff = CUTOFF_FACTOR * prime10_potential.asymptote
-    opened = truncate_potential(prime10_potential, cutoff, 0.0)
-    ends = opened_cells(prime10_potential, cutoff, 0.0, fractions=[0.0, 1.0])
+    opened = truncate_potential(prime10_potential)
+    ends = opened_cells(prime10_potential, fractions=[0.0, 1.0])
     inner = ends[2:-2]
     assert np.array_equal(inner[:, 0], opened.values[2:-3])
     assert np.array_equal(inner[:, 1], opened.values[3:-2])
     assert np.all(ends[[0, -1]] == 0.0)
     assert ends[-2, 0] == opened.values[-3] and ends[-2, 1] > 0.9 * opened.max()
-    gauss = opened_cells(prime10_potential, cutoff, 0.0)
+    gauss = opened_cells(prime10_potential)
     assert gauss.shape == (opened.grid.points - 1, 2)
     assert np.max(np.abs(gauss - gauss[::-1, ::-1])) < 1e-12  # the mirror swaps the Gauss points
 
@@ -341,7 +344,7 @@ def test_filter_peaks_converge_in_the_cell_width(filter_apparatus, lucky10_poten
     # from the same cubic: the Magnus step leaves no grid offset to speak of
     halves = np.concatenate([GAUSS_POINTS, 1.0 + GAUSS_POINTS]) / 2.0
     split = {
-        name: opened_cells(pot, CUTOFF_FACTOR * pot.asymptote, 0.0, fractions=halves).reshape(-1, 2)
+        name: opened_cells(pot, fractions=halves).reshape(-1, 2)
         for name, pot in (("lucky", lucky10_potential), ("prime", prime10_potential))
     }
     fine = replace(

@@ -213,6 +213,8 @@ def admissible_levels(draw):
 @given(levels=admissible_levels(), half_width=st.integers(8, 20))
 def test_round_trip_random_admissible(levels, half_width):
     pot = design_potential(levels, default_grid(float(half_width), 0.005))
+    # reflectionless, so below its asymptote: opening it for scattering needs no cap
+    assert pot.max() <= pot.asymptote * (1 + 1e-9)
     spec = bound_states(pot, KINETIC_HALF, count=levels.size)
     assert np.array_equal(np.rint(spec.eigenvalues), levels)
     assert np.max(np.abs(spec.eigenvalues - levels)) <= 0.05

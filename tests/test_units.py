@@ -36,8 +36,8 @@ def test_depth_in_picokelvin_for_designed_wells(prime10_potential, prime15_poten
     # 47 pK and 69 pK trap depths
     kb = CONSTANTS["k_B_J_per_K"]
     h = CONSTANTS["h_J_s"]
-    depth10_pk = prime10_potential.depth() * 0.029 * h / kb * 1e12
-    depth15_pk = prime15_potential.depth() * 0.026 * h / kb * 1e12
+    depth10_pk = (prime10_potential.asymptote - prime10_potential.min()) * 0.029 * h / kb * 1e12
+    depth15_pk = (prime15_potential.asymptote - prime15_potential.min()) * 0.026 * h / kb * 1e12
     assert depth10_pk == pytest.approx(47.0, abs=1.0)
     assert depth15_pk == pytest.approx(69.0, abs=1.0)
 
