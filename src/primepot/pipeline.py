@@ -181,15 +181,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     except (ValueError, OSError) as err:
         raise PipelineStageError("sequence", err) from err
 
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    files: dict[str, str] = {}
-
     try:
         grid = default_grid(config.half_width, config.spacing)
         designed = design_potential(targets, grid)
     except (ValueError, ChainError) as err:
         raise PipelineStageError("design", err) from err
+    outdir = Path(config.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    files: dict[str, str] = {}
     pot_path = outdir / "potential.csv"
     designed.write_csv(pot_path)
     files["potential"] = str(pot_path)

@@ -24,7 +24,6 @@ __all__ = [
     "riemann_r",
     "CountingEstimates",
     "counting_estimates",
-    "prime_gaps",
     "check_growth_bound",
     "validate_sequence",
 ]
@@ -189,14 +188,6 @@ def counting_estimates(x: float, terms: int = 25) -> CountingEstimates:
         li=li,
         riemann_r=riemann_r(x, terms),
     )
-
-
-def prime_gaps(seq) -> np.ndarray:
-    """Composite-count gaps g with seq[i+1] = seq[i] + g[i] + 1."""
-    values = validate_sequence(seq)
-    if values.size < 2:
-        raise ValueError("need at least two elements to form gaps")
-    return np.diff(values) - 1
 
 
 def check_growth_bound(seq, bound: float) -> bool:

@@ -200,6 +200,10 @@ def test_cost_history_monotone(v10_target):
     state = make_state(64, amp, seed=1, steepness_d=9, target_map=tmap)
     result = optimize_phase(state, max_iters=120)
     assert np.all(np.diff(result.history) <= 0.0)
+    assert result.history[0] == cost_and_gradient(state)[0]
+    assert cost_and_gradient(result.state)[0] == pytest.approx(result.history[-1], rel=1e-9)
+    assert np.all((result.state.phase >= 0.0) & (result.state.phase < 2.0 * np.pi))
+    assert result.history.size - 1 <= 120
 
 
 def test_v10_synthesis_meets_error_budget(v10_target):

@@ -180,6 +180,7 @@ def test_cli_solve_exits_numerical_on_missed_targets(tmp_path, capsys):
 def test_cli_rejects_nonpositive_spacing(tmp_path, capsys, argv, spacing):
     assert main([*argv, str(tmp_path / "out"), f"--spacing={spacing}"]) == 1
     assert "spacing" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_scatter_schema(tmp_path, capsys):

@@ -12,7 +12,6 @@ from primepot.sequences import (
     first_primes,
     log_integral,
     moebius,
-    prime_gaps,
     riemann_r,
     sieve_lucky,
     sieve_primes,
@@ -131,24 +130,6 @@ def test_riemann_r_series_oracle():
         if mu:
             total += mpmath.mpf(mu) / n * mpmath.quad(lambda t: 1 / mpmath.log(t), [2, root])
     assert riemann_r(x, 25) == pytest.approx(float(total), abs=1e-8)
-
-
-def test_prime_gaps_examples():
-    assert prime_gaps([7, 11]).tolist() == [3]
-    assert prime_gaps([17, 19]).tolist() == [1]
-    assert prime_gaps([23, 29]).tolist() == [5]
-
-
-def test_prime_gaps_reconstruct():
-    primes = first_primes(100)
-    gaps = prime_gaps(primes)
-    rebuilt = primes[:-1] + gaps + 1
-    assert np.array_equal(rebuilt, primes[1:])
-
-
-def test_prime_gaps_need_two():
-    with pytest.raises(ValueError):
-        prime_gaps([5])
 
 
 def test_growth_bound():
