@@ -8,12 +8,7 @@ transmission-resonance filter for numbers that are both lucky and prime.
 
 from ._kernels import backend_name
 from .grid import Grid, PotentialGrid, default_grid
-from .susy import (
-    KINETIC_HALF,
-    design_potential,
-    gaps_from_spectrum,
-    poschl_teller_reference,
-)
+from .susy import KINETIC_HALF, design_potential, gaps_from_spectrum
 from .eigensolver import bound_states, compare_spectrum
 from .sequences import first_lucky, first_primes, sieve_lucky, sieve_primes
 
@@ -27,7 +22,6 @@ __all__ = [
     "KINETIC_HALF",
     "design_potential",
     "gaps_from_spectrum",
-    "poschl_teller_reference",
     "bound_states",
     "compare_spectrum",
     "first_primes",

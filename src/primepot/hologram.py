@@ -11,16 +11,29 @@ per pixel before summing, so a zero cost means the SR intensity profile
 matches exactly while the output phase stays free.
 
 The SR lies on the zero-vertical-frequency row of the output plane, which is
-the 1D centered transform of the modulated plane's column sums scaled by
-1/(2m). The cost therefore depends on the phase only through those m column
-sums, and only that row is ever computed: one length-2m FFT forward, one
-length-2m inverse FFT broadcast over the rows for the adjoint. The full 2D
-plane exists only as a reference implementation in the tests.
+the 1D centered transform of the modulated plane's column sums
+s_j = (1/m) sum_i exp(i phi_ij), scaled by 1/(2m). The cost therefore depends
+on the phase only through those m complex sums, and only that row is ever
+computed: one length-2m FFT forward, one length-2m inverse FFT for the
+adjoint. The full 2D plane exists only as a reference implementation in the
+tests.
+
+The optimizer's unknowns are the 2m real and imaginary parts of the column
+sums, not the m^2 phases. The cost is invariant to s -> lambda s for any
+complex lambda != 0 (the overlap is normalized by the SR power), so the sums
+need no constraint. The phase plane is built once, at the end, by
+double-phase encoding (Hsueh & Sawchuk, Appl. Opt. 17, 3874 (1978); Arrizon
+et al., JOSA A 24, 3500 (2007)): with t_j = |s_j| / max|s| and a_j = arg s_j,
+the rows of column j alternate a_j + b_j and a_j - b_j, where cos b_j = t_j
+for even m; for odd m the last row is a_j and cos b_j = (m t_j - 1)/(m - 1).
+Each column then sums to exactly s_j / max|s|, so the plane has the optimized
+cost.
 
 Minimization is scipy's Polak-Ribiere conjugate gradient with a Wolfe line
 search; the steepness prefactor makes fixed step sizes diverge, so the line
 search is not optional. It stops at the iteration cap or once the largest
-phase gradient component is at most scipy's default gtol = 1e-5.
+component of the 2m-real column-sum gradient is at most scipy's default
+gtol = 1e-5.
 """
 
 from __future__ import annotations
@@ -164,25 +177,38 @@ def make_state(
     )
 
 
-def _output_row(modulated: np.ndarray) -> np.ndarray:
+def _column_sums(state: HologramState) -> np.ndarray:
+    """Column sums s_j = (1/m) sum_i exp(i phi_ij) of the modulated beam."""
+    return (np.exp(1j * state.phase) * (1.0 / state.m)).sum(axis=0)
+
+
+def _output_row(sums: np.ndarray) -> np.ndarray:
     """Zero-vertical-frequency row of the centered unitary 2m x 2m transform
-    of the zero-padded plane: the centered FFT of its column sums over 2m."""
-    m = modulated.shape[0]
-    sums = np.zeros(2 * m, dtype=np.complex128)
-    sums[m // 2 : m // 2 + m] = modulated.sum(axis=0)
-    return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(sums))) / (2 * m)
+    of the zero-padded plane with these column sums: their centered FFT over
+    2m."""
+    m = sums.size
+    padded = np.zeros(2 * m, dtype=np.complex128)
+    padded[m // 2 : m // 2 + m] = sums
+    return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(padded))) / (2 * m)
 
 
 def propagate(state: HologramState) -> np.ndarray:
     """Complex output field on the SR row for the modulated beam."""
-    return _output_row(np.exp(1j * state.phase) * (1.0 / state.m))[state.sr_columns]
+    return _output_row(_column_sums(state))[state.sr_columns]
 
 
-def cost_and_gradient(state: HologramState):
-    """Steepened squared overlap deficit and its phase gradient via the adjoint
-    transform."""
-    modulated = np.exp(1j * state.phase) * (1.0 / state.m)
-    row = _output_row(modulated)
+def cost_and_gradient(state: HologramState, sums: np.ndarray | None = None):
+    """Steepened squared overlap deficit and its gradient via the adjoint
+    transform.
+
+    With `sums`, the cost of any plane with those m column sums and the
+    gradient d/dRe s + i d/dIm s. Without, the sums of `state.phase` and the
+    phase gradient by the chain rule, Im(conj(exp(i phi)/m) * gradient).
+    """
+    chain = sums is None
+    if chain:
+        sums = _column_sums(state)
+    row = _output_row(sums)
     sr = state.sr_columns
     f_sr = row[sr]
     power_sr = float(np.sum(np.abs(f_sr) ** 2))
@@ -199,19 +225,36 @@ def cost_and_gradient(state: HologramState):
     bracket = w_sr / (amp_safe * sqrt_p) - overlap / power_sr
     adj = np.zeros_like(row)
     adj[sr] = f_sr * bracket
-    # adjoint of _output_row: one row over the modulator columns, the same on every row
+    # adjoint of _output_row
     back = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(adj)))
     lo = state.m // 2
-    d_overlap = np.imag(np.conj(modulated) * back[lo : lo + state.m])
-    grad = -2.0 * steep * (1.0 - overlap) * d_overlap
+    grad = -2.0 * steep * (1.0 - overlap) * back[lo : lo + state.m]
+    if chain:
+        grad = np.imag(np.exp(-1j * state.phase) * (1.0 / state.m) * grad)
     return cost, grad
 
 
-def optimize_phase(state: HologramState, max_iters: int = 500) -> OptimizeResult:
-    """Polak-Ribiere conjugate gradient (scipy's CG) with a Wolfe line search.
+def _double_phase(sums: np.ndarray) -> np.ndarray:
+    """Phase plane in [0, 2 pi) whose column sums are sums / max|sums|."""
+    m = sums.size
+    t = np.abs(sums) / np.max(np.abs(sums))
+    sign = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+    if m % 2:
+        sign[-1] = 0.0
+        spread = np.arccos((m * t - 1.0) / max(m - 1, 1))
+    else:
+        spread = np.arccos(t)
+    return np.mod(np.angle(sums) + sign[:, None] * spread, 2.0 * np.pi)
 
-    Stops after `max_iters` iterations, or earlier once the largest phase
-    gradient component is at most scipy's default gtol = 1e-5. The history
+
+def optimize_phase(state: HologramState, max_iters: int = 500) -> OptimizeResult:
+    """Polak-Ribiere conjugate gradient (scipy's CG) with a Wolfe line search
+    over the real and imaginary parts of the m column sums.
+
+    Starts from the column sums of `state.phase` and realizes the result as
+    a phase plane by double-phase encoding (module docstring). Stops after
+    `max_iters` iterations, or earlier once the largest component of the
+    2m-real gradient is at most scipy's default gtol = 1e-5. The history
     holds the start cost, then the cost of every accepted iterate; the Wolfe
     sufficient-decrease test keeps it non-increasing. A failed line search
     stops early and flags the result.
@@ -221,22 +264,23 @@ def optimize_phase(state: HologramState, max_iters: int = 500) -> OptimizeResult
     m = state.m
     history = []
 
-    def cost(flat):
-        value, grad = cost_and_gradient(replace(state, phase=flat.reshape(m, m)))
+    def cost(x):
+        value, grad = cost_and_gradient(state, x[:m] + 1j * x[m:])
         if not history:
             history.append(value)
-        return value, grad.ravel()
+        return value, np.concatenate((grad.real, grad.imag))
 
+    start = _column_sums(state)
     result = minimize(
         cost,
-        state.phase.ravel(),
+        np.concatenate((start.real, start.imag)),
         jac=True,
         method="CG",
         callback=lambda intermediate_result: history.append(intermediate_result.fun),
         options={"maxiter": max_iters},
     )
     return OptimizeResult(
-        state=replace(state, phase=np.mod(result.x.reshape(m, m), 2.0 * np.pi)),
+        state=replace(state, phase=_double_phase(result.x[:m] + 1j * result.x[m:])),
         history=np.asarray(history),
         line_search_failed=result.status == 2,
     )

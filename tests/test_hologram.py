@@ -166,6 +166,48 @@ def test_gradient_against_finite_differences():
     assert worst < 1e-5
 
 
+def test_column_sum_gradient_against_finite_differences():
+    state = random_state(m=16, sr=20, d=4)
+    sums = hologram._column_sums(state)
+    cost, grad = cost_and_gradient(state, sums)
+    assert cost == cost_and_gradient(state)[0]
+    eps = 1e-6
+    worst = 0.0
+    for j in range(state.m):
+        for step, part in ((eps, grad[j].real), (1j * eps, grad[j].imag)):
+            up = sums.copy()
+            up[j] += step
+            down = sums.copy()
+            down[j] -= step
+            fd = (cost_and_gradient(state, up)[0] - cost_and_gradient(state, down)[0]) / (2 * eps)
+            worst = max(worst, abs(fd - part) / max(abs(fd), 1e-300))
+    assert worst < 1e-5
+
+
+@pytest.mark.parametrize("m", [63, 64])
+def test_double_phase_realizes_column_sums(m):
+    rng = np.random.default_rng(m)
+    sums = rng.normal(size=m) + 1j * rng.normal(size=m)
+    phase = hologram._double_phase(sums)
+    realized = (np.exp(1j * phase) / m).sum(axis=0)
+    assert np.max(np.abs(realized - sums / np.max(np.abs(sums)))) <= 1e-12
+    assert np.all((phase >= 0.0) & (phase < 2.0 * np.pi))
+
+
+def test_odd_m_synthesis_round_trip(v10_target):
+    amp, tmap = v10_target
+    state = make_state(63, amp, seed=1, steepness_d=9, target_map=tmap)
+    result = optimize_phase(state, max_iters=500)
+    assert np.all(np.diff(result.history) <= 0.0)
+    # 1 - overlap cancels to about 1e-16 absolute, so near cost 1e-5 at d = 9
+    # the realized plane's cost agrees only to about 1e-9 relative
+    assert reference_cost_and_gradient(result.state)[0] == pytest.approx(result.history[-1], rel=1e-6)
+    field = propagate(result.state)
+    assert sr_intensity_error(field, result.state) <= 0.05
+    spec = bound_states(extract_profile(field, result.state), KINETIC_HALF, count=10)
+    assert np.array_equal(np.rint(spec.eigenvalues).astype(int), first_primes(10))
+
+
 def test_perfect_match_costs_nothing():
     # target := the normalized SR amplitude of the current phase configuration
     state = random_state(m=16, sr=20)
