@@ -30,7 +30,7 @@ from .scattering import (
     transmission_scan,
 )
 from .semiclassical import invert_to_potential, prime_density_of_states, profile_to_potential
-from .sequences import counting_estimates, first_lucky, first_primes, sieve_lucky, sieve_primes
+from .sequences import DEFAULT_TERMS, counting_estimates, first_lucky, first_primes, sieve_lucky, sieve_primes
 from .susy import KINETIC_HALF, ChainError, design_potential
 from .units import PhysicalContext, energy_scale
 
@@ -108,7 +108,7 @@ def _cmd_scatter(args) -> int:
 
 def _cmd_filter(args) -> int:
     apparatus = build_filter_apparatus(lucky_count=args.lucky_count, prime_count=args.prime_count)
-    result = filter_lucky_prime(args.w, apparatus, threshold=args.threshold)
+    result = filter_lucky_prime(args.w, apparatus)
     _print_json(result.as_dict())
     return EXIT_OK
 
@@ -119,7 +119,7 @@ def _cmd_holo_synth(args) -> int:
         raise ValueError(f"--out needs two comma-separated paths, phase,intensity; got {args.out!r}")
     phase_out, intensity_out = paths
     pot = PotentialGrid.read_csv(args.potential)
-    holo = synthesize_hologram(pot, args.m, args.sr, args.d, args.iters, args.seed)
+    holo = synthesize_hologram(pot, args.m, args.sr, args.iters, args.seed)
     holo.write(phase_out, intensity_out)
     history = holo.result.history
     if args.cost_out:
@@ -152,12 +152,9 @@ def _cmd_units(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    if args.config:
-        config = PipelineConfig.read(args.config)
-    else:
-        config = PipelineConfig()
+    config = PipelineConfig.read(args.config) if args.config else PipelineConfig()
     for f in fields(PipelineConfig):
-        value = getattr(args, f.name, None)
+        value = getattr(args, f.name)
         if value is not None:
             setattr(config, f.name, value)
     report = run_pipeline(config)
@@ -192,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pi", help="prime counting estimates at x")
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--terms", type=int, default=25)
+    p.add_argument("--terms", type=int, default=DEFAULT_TERMS)
     p.set_defaults(func=_cmd_pi)
 
     p = sub.add_parser("design", help="build a potential for a level sequence")
@@ -212,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e0", type=float, default=2.0)
     p.add_argument("--vmax", type=float, default=100.0)
     p.add_argument("--samples", type=int, default=400)
-    p.add_argument("--terms", type=int, default=25)
+    p.add_argument("--terms", type=int, default=DEFAULT_TERMS)
     p.add_argument("--out", default="sc.csv")
     p.set_defaults(func=_cmd_semiclassical)
 
@@ -228,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--lucky-count", type=int, default=10, dest="lucky_count")
     p.add_argument("--prime-count", type=int, default=10, dest="prime_count")
-    p.add_argument("--threshold", type=float, default=0.5)
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("holo", help="holographic synthesis and extraction")
@@ -237,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("potential")
     ps.add_argument("--m", type=int, default=PipelineConfig.holo_m)
     ps.add_argument("--sr", type=int, default=PipelineConfig.holo_sr)
-    ps.add_argument("--d", type=int, default=PipelineConfig.holo_d)
     ps.add_argument("--iters", type=int, default=PipelineConfig.holo_iters)
     ps.add_argument("--seed", type=int, default=PipelineConfig.seed)
     ps.add_argument("--out", default="phase.csv,intensity.csv")
@@ -256,16 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="design -> (hologram) -> solve -> compare")
     p.add_argument("--config")
-    p.add_argument("--sequence")
-    p.add_argument("--half-width", type=float, dest="half_width")
-    p.add_argument("--spacing", type=float)
-    p.add_argument("--hologram", action="store_true", default=None)
-    p.add_argument("--holo-m", type=int, dest="holo_m")
-    p.add_argument("--holo-sr", type=int, dest="holo_sr")
-    p.add_argument("--holo-d", type=int, dest="holo_d")
-    p.add_argument("--holo-iters", type=int, dest="holo_iters")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--outdir")
+    # one flag per config field; None leaves the file's or default value
+    for f in fields(PipelineConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if isinstance(f.default, bool):
+            p.add_argument(flag, action="store_true", default=None)
+        else:
+            p.add_argument(flag, type=type(f.default))
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

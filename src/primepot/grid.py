@@ -7,6 +7,8 @@ spacing but need not be.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +24,10 @@ class Grid:
     points: int
 
     def __post_init__(self):
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        # Python scalars, so metadata written by repr reads back
+        object.__setattr__(self, "half_width", float(self.half_width))
+        object.__setattr__(self, "points", operator.index(self.points))
+        _check_positive_finite("half_width", self.half_width)
         if self.points < 3 or self.points % 2 == 0:
             raise ValueError("points must be an odd integer >= 3")
 
@@ -49,12 +53,17 @@ class Grid:
 
 def default_grid(half_width: float = 12.0, spacing: float = 0.005) -> Grid:
     """Production grid: holds primes:40 within 6.1e-4 of every level."""
-    if not spacing > 0.0:  # a non-positive half_width is Grid's to reject
-        raise ValueError(f"spacing must be positive, got {spacing!r}")
+    _check_positive_finite("half_width", half_width)
+    _check_positive_finite("spacing", spacing)
     points = int(round(2.0 * half_width / spacing)) + 1
     if points % 2 == 0:
         points += 1
     return Grid(half_width=half_width, points=points)
+
+
+def _check_positive_finite(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name}={value!r} must be positive and finite")
 
 
 def write_table(path, metadata: dict, header: str, x, y) -> None:
@@ -101,6 +110,7 @@ class PotentialGrid:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
+        self.asymptote = float(self.asymptote)
         if self.values.shape != (self.grid.points,):
             raise ValueError(
                 f"values has shape {self.values.shape}, grid expects ({self.grid.points},)"
@@ -128,7 +138,7 @@ class PotentialGrid:
         if right.shape != (grid.center_index + 1,):
             raise ValueError("right_values must cover the center node through x=+half_width")
         full = np.concatenate([right[:0:-1], right])
-        return cls(grid=grid, values=full, asymptote=float(asymptote))
+        return cls(grid=grid, values=full, asymptote=asymptote)
 
     def write_csv(self, path) -> None:
         """Write `x,V` rows in decimal text under the asymptote."""

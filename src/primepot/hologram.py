@@ -34,10 +34,17 @@ search; the steepness prefactor makes fixed step sizes diverge, so the line
 search is not optional. It stops at the iteration cap or once the largest
 component of the 2m-real column-sum gradient is at most scipy's default
 gtol = 1e-5.
+
+The steepness prefactor 10^d (Bowman et al., Opt. Express 25, 11692 (2017))
+is fixed at d = 9, ``STEEPNESS``: CG with a Wolfe line search is close to
+invariant under scaling the cost (d = 12 repeats the d = 9 run at m = 256, 40
+iterations), while a lower d only pushes the gradient under scipy's absolute
+gtol early (m = 64, d = 2: 14-17 iterations, SR intensity error near 0.03).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
@@ -48,6 +55,7 @@ from scipy.optimize import minimize
 from .grid import Grid, PotentialGrid, read_table, write_table
 
 __all__ = [
+    "STEEPNESS",
     "TargetMap",
     "HologramState",
     "OptimizeResult",
@@ -63,7 +71,7 @@ __all__ = [
     "sr_intensity_error",
 ]
 
-DEFAULT_STEEPNESS = 9
+STEEPNESS = 10.0**9  # cost prefactor 10^d at d = 9 (module docstring)
 
 
 @dataclass(frozen=True)
@@ -91,7 +99,6 @@ class HologramState:
     phase: np.ndarray
     m: int
     target_row: np.ndarray
-    steepness_d: int = DEFAULT_STEEPNESS
     target_map: TargetMap | None = None
 
     def __post_init__(self):
@@ -126,6 +133,7 @@ def potential_to_target(potential: PotentialGrid, sr_length: int, ceiling: float
     normalized to unit power over the row. The row spans 1.15 times the
     extent where V departs from its asymptote, within the grid.
     """
+    sr_length = operator.index(sr_length)  # a Python int, so the map's metadata reads back
     if sr_length < 4:
         raise ValueError("sr_length must be at least 4")
     v = potential.values
@@ -158,23 +166,11 @@ def potential_to_target(potential: PotentialGrid, sr_length: int, ceiling: float
     return amplitude, target_map
 
 
-def make_state(
-    m: int,
-    amplitude_row: np.ndarray,
-    seed: int = 1,
-    steepness_d: int = DEFAULT_STEEPNESS,
-    target_map: TargetMap | None = None,
-) -> HologramState:
+def make_state(m: int, amplitude_row: np.ndarray, seed: int = 1, target_map: TargetMap | None = None) -> HologramState:
     """Seeded random-phase state with the 1D target centred on the output row."""
     rng = np.random.default_rng(seed)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=(m, m))
-    return HologramState(
-        phase=phase,
-        m=m,
-        target_row=amplitude_row,
-        steepness_d=steepness_d,
-        target_map=target_map,
-    )
+    return HologramState(phase=phase, m=m, target_row=amplitude_row, target_map=target_map)
 
 
 def _column_sums(state: HologramState) -> np.ndarray:
@@ -218,8 +214,7 @@ def cost_and_gradient(state: HologramState, sums: np.ndarray | None = None):
     amp = np.abs(f_sr)
     sqrt_p = np.sqrt(power_sr)
     overlap = float(np.sum(w_sr * amp) / sqrt_p)
-    steep = 10.0 ** state.steepness_d
-    cost = steep * (1.0 - overlap) ** 2
+    cost = STEEPNESS * (1.0 - overlap) ** 2
 
     amp_safe = np.where(amp > 0.0, amp, 1.0)
     bracket = w_sr / (amp_safe * sqrt_p) - overlap / power_sr
@@ -228,7 +223,7 @@ def cost_and_gradient(state: HologramState, sums: np.ndarray | None = None):
     # adjoint of _output_row
     back = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(adj)))
     lo = state.m // 2
-    grad = -2.0 * steep * (1.0 - overlap) * back[lo : lo + state.m]
+    grad = -2.0 * STEEPNESS * (1.0 - overlap) * back[lo : lo + state.m]
     if chain:
         grad = np.imag(np.exp(-1j * state.phase) * (1.0 / state.m) * grad)
     return cost, grad

@@ -1,8 +1,10 @@
 """End-to-end reproduction pipeline: design, optional holography, verify.
 
-A PipelineConfig round-trips losslessly through a flat key=value file; CLI
-flags override file values. Runs are deterministic for a fixed config and
-seed, including the bytes of every artifact written.
+A PipelineConfig round-trips losslessly through a flat key=value file; the
+`pipeline` command has one flag per field, overriding the file. Settings no
+run turns are module constants, such as ``susy.KINETIC_HALF`` and
+``hologram.STEEPNESS``. Runs are deterministic for a fixed config and seed,
+including the bytes of every artifact written.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ class PipelineConfig:
     hologram: bool = False
     holo_m: int = 64
     holo_sr: int = 100
-    holo_d: int = 9
     holo_iters: int = 500
     seed: int = 1
     outdir: str = "pipeline_out"
@@ -162,13 +163,11 @@ class HologramRun:
         write_intensity_csv(intensity_path, np.abs(self.field) ** 2, self.target_map)
 
 
-def synthesize_hologram(
-    potential: PotentialGrid, m: int, sr_length: int, steepness_d: int, max_iters: int, seed: int
-) -> HologramRun:
+def synthesize_hologram(potential: PotentialGrid, m: int, sr_length: int, max_iters: int, seed: int) -> HologramRun:
     """Target row, seeded random-phase state, optimized phase and output field
     under the uniform beam, plus the SR intensity error."""
     amp, tmap = potential_to_target(potential, sr_length)
-    state = make_state(m, amp, seed=seed, steepness_d=steepness_d, target_map=tmap)
+    state = make_state(m, amp, seed=seed, target_map=tmap)
     result = optimize_phase(state, max_iters=max_iters)
     field = propagate(result.state)
     return HologramRun(result, field, tmap, sr_intensity_error(field, result.state))
@@ -197,9 +196,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     holo_err = None
     if config.hologram:
         try:
-            holo = synthesize_hologram(
-                designed, config.holo_m, config.holo_sr, config.holo_d, config.holo_iters, config.seed
-            )
+            holo = synthesize_hologram(designed, config.holo_m, config.holo_sr, config.holo_iters, config.seed)
             reconstructed = extract_profile(holo.field, holo.result.state)
         except ValueError as err:
             raise PipelineStageError("hologram", err) from err

@@ -57,7 +57,7 @@ __all__ = [
     "filter_lucky_prime",
 ]
 
-RESONANCE_HEIGHT = 0.5
+RESONANCE_HEIGHT = 0.5  # T a scan peak and an accepted filter verdict must reach
 COARSE = 241  # energies of the first scan of a search window
 TOP_K = 3  # coarse local maxima refined
 RESOLUTION_FLOOR = 1e-6  # refinement stops once the step is below this
@@ -370,16 +370,14 @@ def build_filter_apparatus(
     )
 
 
-def filter_lucky_prime(w: int, apparatus: FilterApparatus, threshold: float = 0.5) -> FilterResult:
+def filter_lucky_prime(w: int, apparatus: FilterApparatus) -> FilterResult:
     """w is lucky and prime when the gap-averaged transmission of the two
-    wells peaks at or above `threshold` within ``FILTER_WINDOW`` of w."""
+    wells peaks at or above ``RESONANCE_HEIGHT`` within ``FILTER_WINDOW`` of w."""
     if w < 1:
         raise ValueError("w must be a positive integer")
     if w > apparatus.w_max:
         raise ValueError(f"w={w} is outside the filter window (w_max={apparatus.w_max})")
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold={threshold} must lie strictly between 0 and 1")
     peak_t, peak_e = windowed_max_transmission(
         apparatus.averaged_transmission, max(w - FILTER_WINDOW, 1e-6), w + FILTER_WINDOW
     )
-    return FilterResult(w, peak_t >= threshold, peak_e, peak_t)
+    return FilterResult(w, peak_t >= RESONANCE_HEIGHT, peak_e, peak_t)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, PotentialGrid
-from .sequences import moebius
+from .sequences import DEFAULT_TERMS, moebius
 from .susy import KINETIC_HALF
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "wkb_level_count",
 ]
 
-DEFAULT_TERMS = 25
 PROFILE_SPACING = 0.005  # grid spacing of profile_to_potential's output
 WKB_POINTS = 4001  # trapezoid nodes of wkb_level_count's phase integral
 
@@ -96,6 +95,8 @@ def invert_to_potential(
     `dos` is called once, on the array of all quadrature energies; a scalar
     it returns stands for a constant density.
     """
+    if not (math.isfinite(e0) and math.isfinite(v_max)):
+        raise ValueError(f"e0 and v_max must be finite, got e0={e0!r}, v_max={v_max!r}")
     if v_max <= e0:
         raise ValueError("v_max must exceed e0")
     if samples < 2:

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import expi
 
 __all__ = [
+    "DEFAULT_TERMS",
     "sieve_primes",
     "first_primes",
     "sieve_lucky",
@@ -27,6 +28,8 @@ __all__ = [
     "check_growth_bound",
     "validate_sequence",
 ]
+
+DEFAULT_TERMS = 25  # Moebius terms of the Riemann R and prime density series
 
 
 def validate_sequence(values) -> np.ndarray:
@@ -131,14 +134,14 @@ def log_integral(x: float) -> float:
     return float(expi(math.log(x)) - expi(math.log(2.0)))
 
 
-def riemann_r(x: float, terms: int = 25) -> float:
+def riemann_r(x: float, terms: int = DEFAULT_TERMS) -> float:
     """Moebius-weighted series of logarithmic integrals truncated at `terms`.
 
     Terms with x**(1/n) < 2 contribute nothing (li vanishes there) and stop
     the summation early.
     """
-    if x <= 2.0:
-        raise ValueError("x must exceed 2")
+    if not (math.isfinite(x) and x > 2.0):
+        raise ValueError(f"x={x!r} must be finite and exceed 2")
     if terms < 1:
         raise ValueError("terms must be >= 1")
     total = 0.0
@@ -172,21 +175,15 @@ class CountingEstimates:
         }
 
 
-def counting_estimates(x: float, terms: int = 25) -> CountingEstimates:
+def counting_estimates(x: float, terms: int = DEFAULT_TERMS) -> CountingEstimates:
     """Exact sieve count of primes <= x plus the three smooth estimates."""
-    if x <= 2.0:
-        raise ValueError("x must exceed 2")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    exact = int(sieve_primes(int(math.floor(x))).size)
-    gauss = x / math.log(x)
-    li = log_integral(x)
+    refined = riemann_r(x, terms)  # first: it rejects a bad x or terms
     return CountingEstimates(
         x=float(x),
-        exact=exact,
-        gauss=gauss,
-        li=li,
-        riemann_r=riemann_r(x, terms),
+        exact=int(sieve_primes(int(math.floor(x))).size),
+        gauss=x / math.log(x),
+        li=log_integral(x),
+        riemann_r=refined,
     )
 
 

@@ -8,6 +8,7 @@ carry all three customary forms: joules, h * Hz, and k_B * K.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from scipy.constants import hbar, h, k as k_B, physical_constants
@@ -44,8 +45,10 @@ class PhysicalContext:
     L: float
 
     def __post_init__(self):
-        if self.mass <= 0 or self.l <= 0 or self.L <= 0:
-            raise ValueError("mass and lengths must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.mass, self.l, self.L)):
+            raise ValueError(
+                f"mass and lengths must be positive and finite: mass={self.mass!r}, l={self.l!r}, L={self.L!r}"
+            )
 
     @classmethod
     def for_atom(cls, atom: str, l: float, L: float) -> "PhysicalContext":

@@ -20,6 +20,7 @@ from primepot.hologram import (
     sr_intensity_error,
 )
 from primepot.scattering import (
+    RESONANCE_HEIGHT,
     filter_lucky_prime,
     transmission,
     transmission_from_cells,
@@ -168,16 +169,15 @@ def test_criterion_7_scattering(filter_apparatus):
 
     lucky = set(filter_apparatus.lucky_levels.tolist())
     prime = set(filter_apparatus.prime_levels.tolist())
-    threshold = 0.5
     mismatches = []
     accepted, rejected = [1.0], [0.0]  # peak T on each side of the threshold
     for w in range(1, min(filter_apparatus.w_max, 30) + 1):
-        result = filter_lucky_prime(w, filter_apparatus, threshold=threshold)
+        result = filter_lucky_prime(w, filter_apparatus)
         if result.is_lucky_prime != (w in lucky and w in prime):
             mismatches.append(w)
         (accepted if result.is_lucky_prime else rejected).append(result.peak_transmission)
-    margin_in = min(accepted) - threshold
-    margin_out = threshold - max(rejected)
+    margin_in = min(accepted) - RESONANCE_HEIGHT
+    margin_out = RESONANCE_HEIGHT - max(rejected)
     ok = (
         barrier_err <= 1e-6
         and unit_err <= 1e-8
@@ -200,7 +200,7 @@ def test_criterion_8_hologram(prime10_potential):
     rng = np.random.default_rng(0)
     amp16 = rng.uniform(0.2, 1.0, 20)
     amp16 /= np.sqrt(np.sum(amp16**2))
-    state16 = make_state(16, amp16, seed=3, steepness_d=4)
+    state16 = make_state(16, amp16, seed=3)
     _, grad = cost_and_gradient(state16)
     eps = 1e-6
     worst = 0.0
@@ -217,7 +217,7 @@ def test_criterion_8_hologram(prime10_potential):
 
     t0 = time.perf_counter()
     amp, tmap = potential_to_target(prime10_potential, 100)
-    state = make_state(64, amp, seed=1, steepness_d=9, target_map=tmap)
+    state = make_state(64, amp, seed=1, target_map=tmap)
     result = optimize_phase(state, max_iters=500)
     field = propagate(result.state)
     sr_err = sr_intensity_error(field, result.state)

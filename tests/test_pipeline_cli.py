@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from primepot.pipeline import (
     parse_sequence_spec,
     run_pipeline,
 )
+from primepot.sequences import DEFAULT_TERMS
 
 
 def test_parse_sequence_specs(tmp_path):
@@ -34,7 +36,8 @@ def test_config_round_trips(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line, named", [("spaceing=0.01", "spaceing"), ("hologram=yes", "yes"), ("kinetic='half'", "kinetic")]
+    "line, named",
+    [("spaceing=0.01", "spaceing"), ("hologram=yes", "yes"), ("kinetic='half'", "kinetic"), ("holo_d=9", "holo_d")],
 )
 def test_config_rejects_bad_input(tmp_path, capsys, line, named):
     path = tmp_path / "bad.cfg"
@@ -183,6 +186,23 @@ def test_cli_rejects_nonpositive_spacing(tmp_path, capsys, argv, spacing):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["units", "--mass", "rb87", "--l", "nan", "--L", "1"], "l=nan"),
+        (["design", "--levels", "primes:3", "--half-width", "inf"], "half_width=inf"),
+        (["pi", "--x", "inf"], "x=inf"),
+        (["semiclassical", "--vmax", "inf"], "v_max=inf"),
+    ],
+    ids=["units", "design", "pi", "semiclassical"],
+)
+def test_cli_rejects_non_finite(tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)  # design and semiclassical write to the working directory
+    assert main(argv) == 1
+    assert named in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_scatter_schema(tmp_path, capsys):
     grid = default_grid(3.0, 0.005)
     values = np.where(np.abs(grid.x) < 1.0, 6.0, 0.0)
@@ -222,13 +242,17 @@ def test_cli_defaults_match_pipeline_config():
     design = parser.parse_args(["design", "--levels", "primes:3"])
     assert (design.half_width, design.spacing) == (config.half_width, config.spacing)
     synth = parser.parse_args(["holo", "synth", "pot.csv"])
-    assert (synth.m, synth.sr, synth.d, synth.iters, synth.seed) == (
+    assert (synth.m, synth.sr, synth.iters, synth.seed) == (
         config.holo_m,
         config.holo_sr,
-        config.holo_d,
         config.holo_iters,
         config.seed,
     )
+    pipeline = parser.parse_args(["pipeline"])
+    assert set(vars(pipeline)) == {f.name for f in fields(PipelineConfig)} | {"config", "command", "func"}
+    assert all(getattr(pipeline, f.name) is None for f in fields(PipelineConfig))
+    for command in ("pi --x 10", "semiclassical"):
+        assert parser.parse_args(command.split()).terms == DEFAULT_TERMS
 
 
 def test_cli_validation_exit_code(capsys):
@@ -305,9 +329,6 @@ def test_cli_filter_verdicts(capsys):
     assert json.loads(capsys.readouterr().out)["lucky_prime"] is False
     assert main(["filter", "--w", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["w"] == 3
-    # a threshold of 0 would accept every w
-    assert main(["filter", "--w", "3", "--threshold", "0"]) == 1
-    assert "threshold" in capsys.readouterr().err
 
 
 def test_cli_pipeline_exit_zero(tmp_path):
@@ -335,7 +356,6 @@ def test_cli_holo_matches_pipeline_bytes(tmp_path):
         hologram=True,
         holo_m=48,
         holo_sr=80,
-        holo_d=9,
         holo_iters=250,
         seed=1,
         outdir=str(outdir),
@@ -344,7 +364,7 @@ def test_cli_holo_matches_pipeline_bytes(tmp_path):
     phase, intensity, rec, cost = (
         tmp_path / name for name in ("phase.csv", "intensity.csv", "rec.csv", "cost.json")
     )
-    synth = ["holo", "synth", str(outdir / "potential.csv"), "--m", "48", "--sr", "80", "--d", "9"]
+    synth = ["holo", "synth", str(outdir / "potential.csv"), "--m", "48", "--sr", "80"]
     synth += ["--iters", "250", "--seed", "1", "--out", f"{phase},{intensity}"]
     synth += ["--cost-out", str(cost)]
     assert main(synth) == 0

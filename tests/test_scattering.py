@@ -310,12 +310,6 @@ def test_averaged_transmission_stays_in_unit_interval(filter_apparatus):
     assert np.all((t >= 0.0) & (t <= 1.0))
 
 
-def test_filter_threshold_must_be_a_probability(filter_apparatus):
-    for threshold in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(ValueError, match="threshold"):
-            filter_lucky_prime(7, filter_apparatus, threshold=threshold)
-
-
 def test_filter_scan_budget(filter_apparatus, monkeypatch):
     passes = []
     scan = _kernels.transfer_scan
