@@ -14,7 +14,15 @@ import math
 
 import numpy as np
 
-__all__ = ["backend_name", "cell_samples", "magnus_step", "riccati_sweep", "transfer_scan", "transmission_reflection"]
+__all__ = [
+    "backend_name",
+    "cell_samples",
+    "magnus_step",
+    "mirror_closure",
+    "riccati_sweep",
+    "transfer_scan",
+    "transmission_reflection",
+]
 
 BLOCK = 32  # cells whose step matrices one vectorized step computes
 SQRT3_12 = math.sqrt(3.0) / 12.0  # commutator weight of the two-point Gauss Magnus step
@@ -161,6 +169,22 @@ def transfer_scan(v_cells: np.ndarray, h: float, energies: np.ndarray, c: float,
     m[0, 1] *= k
     m[1, 0] /= k
     return np.moveaxis(m, 2, 3).reshape((2, 2) + out_shape), log_scale.T.reshape(out_shape)
+
+
+def mirror_closure(m: np.ndarray, log_scale: np.ndarray):
+    """``transfer_scan``'s ``(m, log_scale)`` for a profile followed by its
+    mirror image, from that of the profile alone.
+
+    Mirroring a profile reverses its cells and swaps each cell's two Gauss
+    samples, and each step becomes ``exp(sigma (-Omega) sigma)``, so the
+    mirrored half carries ``sigma M^-1 sigma`` with ``sigma = diag(1, -1)``,
+    which commutes with the ``(psi, psi'/k)`` scaling. With
+    ``m = [[a, b], [c, d]]`` the whole profile is
+    ``[[ad + bc, 2bd], [2ac, ad + bc]]`` at twice the log scale.
+    """
+    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+    diagonal = a * d + b * c
+    return np.array([[diagonal, 2.0 * b * d], [2.0 * a * c, diagonal]]), 2.0 * log_scale
 
 
 def transmission_reflection(m: np.ndarray, log_scale: np.ndarray):

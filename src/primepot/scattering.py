@@ -22,12 +22,14 @@ of the composed grid also shows inter-well cavity modes, which transmit at
 energies unrelated to any level and move with the gap length; the average
 over the gap phase has none, so it is near 1 only where both wells hold a
 level and the verdict does not depend on the separation. One kernel pass
-gives both wells' transfer matrices (the wells run in lockstep as two cell
-profiles). Each well is scanned on the cells of its design grid, with the
-potential at each cell's two Gauss points taken from a cubic through the
-designed nodes, so its quasi-levels carry only the fourth-order error of the
-Magnus step. Resonance widths shrink exponentially with level depth, so the
-windowed search refines adaptively around local maxima.
+gives both wells' transfer matrices: every designed well is even, so the
+pass scans only the left half of each well, the two halves in lockstep as
+two cell profiles, and ``_kernels.mirror_closure`` closes each half with its
+mirror image exactly. Each well is scanned on the cells of its design grid,
+with the potential at each cell's two Gauss points taken from a cubic
+through the designed nodes, so its quasi-levels carry only the fourth-order
+error of the Magnus step. Resonance widths shrink exponentially with level
+depth, so the windowed search refines adaptively around local maxima.
 """
 
 from __future__ import annotations
@@ -287,30 +289,44 @@ class FilterApparatus:
         for device in (a, b):
             if device.values[0] != a.asymptote or device.values[-1] != a.asymptote:
                 raise ValueError("both devices must start and end at one lead potential")
-        for cells in (self.cells_lucky, self.cells_prime):
+        for name, cells in (("cells_lucky", self.cells_lucky), ("cells_prime", self.cells_prime)):
             if np.any(cells[[0, -1]] != a.asymptote):
                 raise ValueError("both cell profiles must start and end at the lead potential")
+            # device_matrices scans the left half only
+            if len(cells) % 2 or np.max(np.abs(cells - cells[::-1, ::-1])) > 1e-12 * np.max(np.abs(cells)):
+                raise ValueError(f"{name} must be a mirror-symmetric profile of an even number of cells")
 
     def composed(self, separation: float = 2.0) -> PotentialGrid:
         """Both wells on one grid, `separation` apart (for coherent checks)."""
         return compose_apparatus(self.device_lucky, self.device_prime, separation)
 
     def device_matrices(self, energies):
-        """Both wells' transfer matrices at `energies`, from one kernel pass.
+        """Both wells' transfer matrices at `energies`, from one kernel pass
+        over their left halves.
 
-        The wells run in lockstep as two cell profiles; the shorter one is
-        padded with lead cells on its outer side (before the lucky well,
-        after the prime well), a phase on the lead amplitudes that neither
-        T nor R sees. Returns ``transfer_scan``'s ``(m, log_scale)``, the
-        last axis being (lucky, prime).
+        The halves run in lockstep as two cell profiles; the shorter one is
+        padded with lead cells on its outer (left) side. ``mirror_closure``
+        then closes each half with its mirror image, which puts the padding
+        on both sides of the well: the closed matrix is ``G M G`` for the
+        lead rotation ``G`` by ``theta = k pad h``, and ``M`` is recovered as
+        ``G^-1 (G M G) G^-1``. Returns ``transfer_scan``'s ``(m, log_scale)``
+        of each whole, unpadded well, the last axis being (lucky, prime).
         """
         lead = self.device_lucky.asymptote
-        a, b = self.cells_lucky, self.cells_prime
-        n = max(len(a), len(b))
+        halves = [cells[: len(cells) // 2] for cells in (self.cells_lucky, self.cells_prime)]
+        n = max(len(half) for half in halves)
+        pads = [n - len(half) for half in halves]
         cells = np.full((n, 2, 2), lead)
-        cells[n - len(a) :, :, 0] = a
-        cells[: len(b), :, 1] = b
-        return _kernels.transfer_scan(cells, self.spacing, energies, self.kinetic_scale, lead)
+        for j, (half, pad) in enumerate(zip(halves, pads)):
+            cells[pad:, :, j] = half
+        m, log_scale = _kernels.mirror_closure(
+            *_kernels.transfer_scan(cells, self.spacing, energies, self.kinetic_scale, lead)
+        )
+        k = np.sqrt(np.asarray(energies, dtype=np.float64) - lead) / self.kinetic_scale
+        theta = k[..., None] * (self.spacing * np.array(pads))
+        cos, sin = np.cos(theta), np.sin(theta)
+        g_inv = np.array([[cos, -sin], [sin, cos]])
+        return np.einsum("ij...,jk...,kl...->il...", g_inv, m, g_inv), log_scale
 
     def averaged_transmission(self, energies):
         """T of the lucky well, a flat gap and the prime well, averaged over

@@ -220,6 +220,29 @@ def test_profiles_scan_independently():
     assert np.max(np.abs(t - t_lead)) <= 1e-12
 
 
+def test_mirror_closure_matches_full_profile_scan():
+    # a random half followed by its mirror image (cells reversed, Gauss
+    # samples swapped): closing the half's scan reproduces the full scan
+    rng = np.random.default_rng(13)
+    b, h = _kernels.BLOCK, 0.02
+    energies = np.array([0.3, 1.0, 4.0, 9.5, 17.0, 40.0])  # T down to 6e-18 at 0.3
+    for n_half, n_profiles in ((1, 1), (b - 1, 1), (b + 3, 2), (3 * b + 5, 2)):
+        half = rng.uniform(0.0, 25.0, (n_half, 2, n_profiles))
+        # the second profile's half is shorter: lead cells pad its outer side
+        half[: n_half // 3, :, 1:] = 0.0
+        if n_profiles == 1:
+            half = half[..., 0]
+        full = np.concatenate([half, half[::-1, ::-1]])
+        closed = _kernels.mirror_closure(*_kernels.transfer_scan(half, h, energies, KINETIC_HALF, 0.0))
+        assert closed[0].shape == (2, 2) + closed[1].shape
+        t, r = _kernels.transmission_reflection(*closed)
+        t_full, _ = _scan_tr(full, h, energies, KINETIC_HALF, 0.0)
+        assert np.max(np.abs(t - t_full)) <= 1e-12, n_half
+        assert np.max(np.abs(t - t_full) / t_full) <= 1e-9, n_half
+        assert np.max(np.abs(t + r - 1.0)) <= 1e-12, n_half
+    assert t_full.min() < 1e-15
+
+
 def _rk4_sweep(q, h, c):
     """Scalar RK4 sweep of u'' = q u from u(0)=1, u'(0)=0, q at step midpoints
     from a 4-point cubic stencil; reference for the prefix-product sweep. It

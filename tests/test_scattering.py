@@ -311,11 +311,12 @@ def test_averaged_transmission_stays_in_unit_interval(filter_apparatus):
 
 
 def test_filter_scan_budget(filter_apparatus, monkeypatch):
-    passes = []
+    passes, cells = [], []
     scan = _kernels.transfer_scan
 
     def counted(*args, **kwargs):
         passes.append(args[2].size)
+        cells.append(len(args[0]))
         return scan(*args, **kwargs)
 
     def forbidden(*args, **kwargs):
@@ -323,14 +324,36 @@ def test_filter_scan_budget(filter_apparatus, monkeypatch):
 
     monkeypatch.setattr(_kernels, "transfer_scan", counted)
     monkeypatch.setattr(scattering, "compose_apparatus", forbidden)
+    # every pass scans the left halves only
+    half = -(-max(len(filter_apparatus.cells_lucky), len(filter_apparatus.cells_prime)) // 2)
+    assert half == 452
     # accepted; rejected with neither well holding a level in the window
     # (peak 2e-4); rejected with only the prime well holding one
     for w, expected in ((3, 6), (8, 5), (2, 5)):
         passes.clear()
+        cells.clear()
         result = filter_lucky_prime(w, filter_apparatus)
         assert result.is_lucky_prime == (w == 3)
         assert (result.peak_transmission >= 0.5) == (w == 3)
         assert len(passes) == expected, w
+        assert cells == [half] * expected, w
+
+
+def test_filter_apparatus_rejects_asymmetric_profiles(filter_apparatus):
+    cells = filter_apparatus.cells_prime
+    scale = np.max(np.abs(cells))
+
+    def nudged(size):
+        out = cells.copy()
+        out[len(cells) // 3] += size * scale
+        return out
+
+    for bad in (nudged(1e-9), np.concatenate([cells[:1], cells])):  # not mirror-symmetric; an odd cell count
+        with pytest.raises(ValueError, match="cells_prime"):
+            replace(filter_apparatus, cells_prime=bad)
+        with pytest.raises(ValueError, match="cells_lucky"):
+            replace(filter_apparatus, cells_lucky=bad)
+    replace(filter_apparatus, cells_prime=nudged(1e-14))  # roundoff-level asymmetry passes
 
 
 def test_filter_peaks_converge_in_the_cell_width(filter_apparatus, lucky10_potential, prime10_potential):
