@@ -4,7 +4,7 @@ Both solve ``psi'' = q psi`` with one propagator, the two-point Gauss Magnus
 step (``magnus_step``) on samples from one cubic cell stencil
 (``cell_samples``). The Riccati sweep of the construction chain needs the
 solution at every node, the prefix products of the steps; each transmission
-scan needs only their total product, batched over energies and profiles.
+scan needs only their total product, batched over energies.
 Timings of both are reported by ``python3 perfbench/run.py --trace 1``.
 """
 
@@ -123,37 +123,32 @@ def transfer_scan(v_cells: np.ndarray, h: float, energies: np.ndarray, c: float,
     potentials are propagated exactly.
 
     `v_cells` holds constant cells, shape (n_cells,), or the potential at the
-    two Gauss points of each cell, shape (n_cells, 2[, n_profiles]); several
-    profiles are scanned in lockstep, each broadcast against the energies.
-    For each block of cells the step matrices come from one vectorized step
-    and are multiplied pairwise, log2(BLOCK) vectorized levels; the block's
-    product then updates the running product, which is rescaled once per
-    block.
+    two Gauss points of each cell, shape (n_cells, 2). For each block of
+    cells the step matrices come from one vectorized step and are multiplied
+    pairwise, log2(BLOCK) vectorized levels; the block's product then
+    updates the running product, which is rescaled once per block.
 
     Returns ``(m, log_scale)``: ``exp(log_scale) * m`` maps ``(psi, psi'/k)``
     at the left end to the right end, ``k = sqrt(E - v_lead)/c`` the leads'
     wavenumber (energies must lie above `v_lead`); m has shape
-    (2, 2, n_energies[, n_profiles]) and log_scale the shape of m[0, 0].
+    (2, 2, n_energies) and log_scale shape (n_energies,).
     ``transmission_reflection`` turns them into (T, R).
     """
     v = np.asarray(v_cells, dtype=np.float64)
     if v.ndim == 1:
         v = np.stack([v, v], axis=1)
-    if v.shape[1] != 2:
+    if v.ndim != 2 or v.shape[1] != 2:
         raise ValueError("cells need one value or a pair of Gauss samples each")
     energies = np.ascontiguousarray(energies, dtype=np.float64)
     h, c2 = float(h), float(c) ** 2
-    out_shape = energies.shape + v.shape[2:]
-    v = v.reshape(v.shape[0], 2, -1)
-    # rows (m11, m12) and (m21, m22); axes (profile, energy): energies innermost,
-    # so every elementwise step runs along contiguous rows
-    m = np.zeros((2, 2, v.shape[2], energies.size))
+    # rows (m11, m12) and (m21, m22), energies on the last axis
+    m = np.zeros((2, 2, energies.size))
     m[0, 0] = m[1, 1] = 1.0
-    log_scale = np.zeros(m.shape[2:])
+    log_scale = np.zeros(energies.size)
     for start in range(0, v.shape[0], BLOCK):
         block = v[start : start + BLOCK]
-        alpha = ((SQRT3_12 * h * h / c2) * (block[:, 0] - block[:, 1]))[:, :, None]
-        h_qbar = (h / c2) * (0.5 * (block[:, 0] + block[:, 1])[:, :, None] - energies)
+        alpha = ((SQRT3_12 * h * h / c2) * (block[:, 0] - block[:, 1]))[:, None]
+        h_qbar = (h / c2) * (0.5 * (block[:, 0] + block[:, 1])[:, None] - energies)
         step = magnus_step(alpha, h_qbar, h)
         # the block's product pairwise, later cells on the left: log2(BLOCK) levels
         while step.shape[2] > 1:
@@ -168,7 +163,7 @@ def transfer_scan(v_cells: np.ndarray, h: float, energies: np.ndarray, c: float,
     k = np.sqrt(energies - float(v_lead)) / float(c)
     m[0, 1] *= k
     m[1, 0] /= k
-    return np.moveaxis(m, 2, 3).reshape((2, 2) + out_shape), log_scale.T.reshape(out_shape)
+    return m, log_scale
 
 
 def mirror_closure(m: np.ndarray, log_scale: np.ndarray):

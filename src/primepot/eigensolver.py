@@ -173,8 +173,10 @@ def bound_states(
 def compare_spectrum(spectrum, targets) -> DiscrepancyReport:
     """Absolute/fractional per-level errors, their rms, and rounding flags.
 
-    The fractional error of a level whose target is 0 is its absolute error,
-    so the report stays finite.
+    A level rounds to its target when it lies less than 0.5 from it, which
+    for an integer target is rounding to that integer; a half-integer target
+    gets the same band. The fractional error of a level whose target is 0 is
+    its absolute error, so the report stays finite.
     """
     if isinstance(spectrum, Spectrum):
         values = spectrum.eigenvalues
@@ -186,10 +188,9 @@ def compare_spectrum(spectrum, targets) -> DiscrepancyReport:
     abs_err = np.abs(values - goal)
     frac_err = abs_err / np.where(goal == 0.0, 1.0, np.abs(goal))
     rms = float(np.sqrt(np.mean(frac_err**2))) if frac_err.size else 0.0
-    rounds = np.rint(values).astype(np.int64) == np.rint(goal).astype(np.int64)
     return DiscrepancyReport(
         per_level_abs=abs_err,
         per_level_frac=frac_err,
         rms_frac=rms,
-        rounds_to_target=rounds,
+        rounds_to_target=abs_err < 0.5,
     )

@@ -21,15 +21,14 @@ over the phase the flat gap between them adds,
 of the composed grid also shows inter-well cavity modes, which transmit at
 energies unrelated to any level and move with the gap length; the average
 over the gap phase has none, so it is near 1 only where both wells hold a
-level and the verdict does not depend on the separation. One kernel pass
-gives both wells' transfer matrices: every designed well is even, so the
-pass scans only the left half of each well, the two halves in lockstep as
-two cell profiles, and ``_kernels.mirror_closure`` closes each half with its
-mirror image exactly. Each well is scanned on the cells of its design grid,
-with the potential at each cell's two Gauss points taken from a cubic
-through the designed nodes, so its quasi-levels carry only the fourth-order
-error of the Magnus step. Resonance widths shrink exponentially with level
-depth, so the windowed search refines adaptively around local maxima.
+level and the verdict does not depend on the separation. Every designed
+well is even, so one kernel pass per well scans only its left half, and
+``_kernels.mirror_closure`` closes the half with its mirror image exactly.
+Each well is scanned on the cells of its design grid, with the potential at
+each cell's two Gauss points taken from a cubic through the designed nodes,
+so its quasi-levels carry only the fourth-order error of the Magnus step.
+Resonance widths shrink exponentially with level depth, so the windowed
+search refines adaptively around local maxima.
 """
 
 from __future__ import annotations
@@ -201,8 +200,6 @@ def transmission(potential: PotentialGrid, energies, kinetic_scale: float = KINE
 def transmission_scan(potential: PotentialGrid, energies, kinetic_scale: float = KINETIC_HALF) -> TransmissionScan:
     """T over the energy list plus local maxima with T above ``RESONANCE_HEIGHT``."""
     energies = np.asarray(energies, dtype=np.float64)
-    if np.any(energies <= 0.0):
-        raise ValueError("energies must be positive")
     from scipy.signal import find_peaks
 
     t_values, _ = transmission(potential, energies, kinetic_scale)
@@ -301,32 +298,19 @@ class FilterApparatus:
         return compose_apparatus(self.device_lucky, self.device_prime, separation)
 
     def device_matrices(self, energies):
-        """Both wells' transfer matrices at `energies`, from one kernel pass
-        over their left halves.
-
-        The halves run in lockstep as two cell profiles; the shorter one is
-        padded with lead cells on its outer (left) side. ``mirror_closure``
-        then closes each half with its mirror image, which puts the padding
-        on both sides of the well: the closed matrix is ``G M G`` for the
-        lead rotation ``G`` by ``theta = k pad h``, and ``M`` is recovered as
-        ``G^-1 (G M G) G^-1``. Returns ``transfer_scan``'s ``(m, log_scale)``
-        of each whole, unpadded well, the last axis being (lucky, prime).
+        """Both wells' transfer matrices at `energies`: one kernel pass over
+        each well's left half, closed with its mirror image by
+        ``mirror_closure``. Returns ``transfer_scan``'s ``(m, log_scale)`` of
+        each whole well, the last axis being (lucky, prime).
         """
         lead = self.device_lucky.asymptote
-        halves = [cells[: len(cells) // 2] for cells in (self.cells_lucky, self.cells_prime)]
-        n = max(len(half) for half in halves)
-        pads = [n - len(half) for half in halves]
-        cells = np.full((n, 2, 2), lead)
-        for j, (half, pad) in enumerate(zip(halves, pads)):
-            cells[pad:, :, j] = half
-        m, log_scale = _kernels.mirror_closure(
-            *_kernels.transfer_scan(cells, self.spacing, energies, self.kinetic_scale, lead)
-        )
-        k = np.sqrt(np.asarray(energies, dtype=np.float64) - lead) / self.kinetic_scale
-        theta = k[..., None] * (self.spacing * np.array(pads))
-        cos, sin = np.cos(theta), np.sin(theta)
-        g_inv = np.array([[cos, -sin], [sin, cos]])
-        return np.einsum("ij...,jk...,kl...->il...", g_inv, m, g_inv), log_scale
+        wells = [
+            _kernels.mirror_closure(
+                *_kernels.transfer_scan(cells[: len(cells) // 2], self.spacing, energies, self.kinetic_scale, lead)
+            )
+            for cells in (self.cells_lucky, self.cells_prime)
+        ]
+        return tuple(np.stack(parts, axis=-1) for parts in zip(*wells))
 
     def averaged_transmission(self, energies):
         """T of the lucky well, a flat gap and the prime well, averaged over

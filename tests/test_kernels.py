@@ -203,35 +203,14 @@ def test_gauss_cells_converge_at_fourth_order():
     assert 3.0 < errors["midpoint", 0.1] / errors["midpoint", 0.05] < 5.0
 
 
-def test_profiles_scan_independently():
-    rng = np.random.default_rng(9)
-    cells = rng.uniform(0.0, 15.0, (3 * _kernels.BLOCK + 5, 2, 2))
-    energies = np.linspace(0.5, 20.0, 23)
-    m, log_scale = _kernels.transfer_scan(cells, 0.01, energies, KINETIC_HALF, 0.0)
-    assert m.shape == (2, 2, 23, 2) and log_scale.shape == (23, 2)
-    for j in range(2):
-        m_j, log_j = _kernels.transfer_scan(cells[..., j], 0.01, energies, KINETIC_HALF, 0.0)
-        assert np.array_equal(m[..., j], m_j)
-        assert np.array_equal(log_scale[:, j], log_j)
-    # constant-cell profiles in lockstep against the lead-basis product
-    constant = np.repeat(cells[:, :1], 2, axis=1)
-    t, _ = _scan_tr(constant, 0.01, energies, KINETIC_HALF, 0.0)
-    t_lead, _ = _lead_basis_scan(constant[:, 0], 0.01, energies, KINETIC_HALF, 0.0)
-    assert np.max(np.abs(t - t_lead)) <= 1e-12
-
-
 def test_mirror_closure_matches_full_profile_scan():
     # a random half followed by its mirror image (cells reversed, Gauss
     # samples swapped): closing the half's scan reproduces the full scan
     rng = np.random.default_rng(13)
     b, h = _kernels.BLOCK, 0.02
-    energies = np.array([0.3, 1.0, 4.0, 9.5, 17.0, 40.0])  # T down to 6e-18 at 0.3
-    for n_half, n_profiles in ((1, 1), (b - 1, 1), (b + 3, 2), (3 * b + 5, 2)):
-        half = rng.uniform(0.0, 25.0, (n_half, 2, n_profiles))
-        # the second profile's half is shorter: lead cells pad its outer side
-        half[: n_half // 3, :, 1:] = 0.0
-        if n_profiles == 1:
-            half = half[..., 0]
+    energies = np.array([0.3, 1.0, 4.0, 9.5, 17.0, 40.0])  # T down to 3e-18 at 0.3
+    for n_half in (1, b - 1, b + 3, 3 * b + 5):
+        half = rng.uniform(0.0, 25.0, (n_half, 2))
         full = np.concatenate([half, half[::-1, ::-1]])
         closed = _kernels.mirror_closure(*_kernels.transfer_scan(half, h, energies, KINETIC_HALF, 0.0))
         assert closed[0].shape == (2, 2) + closed[1].shape

@@ -174,6 +174,21 @@ def test_cli_solve_exits_numerical_on_missed_targets(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == payload
 
 
+def test_cli_half_integer_targets_exit_ok(tmp_path, capsys):
+    # the designed 1.5 lands 1e-10 below its target, on the other side of
+    # 1.5's rounding boundary: a correct design must still exit 0
+    levels = tmp_path / "levels.txt"
+    levels.write_text("1.5\n2.5\n4\n")
+    pot = tmp_path / "pot.csv"
+    assert main(["design", "--levels", f"file:{levels}", "--out", str(pot)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(pot), "--targets", f"file:{levels}"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rounds_to_target"] == [True] * 3
+    assert max(payload["per_level_abs"]) < 1e-6
+    assert main(["pipeline", "--sequence", f"file:{levels}", "--outdir", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("spacing", ["0", "-0.005"])
 @pytest.mark.parametrize(
     "argv",

@@ -22,7 +22,7 @@ from primepot.scattering import (
     windowed_max_transmission,
 )
 from primepot.sequences import first_lucky
-from primepot.susy import KINETIC_HALF
+from primepot.susy import KINETIC_HALF, design_potential
 
 UNIT_KINETIC = 1.0  # -d^2/dx^2, the convention of the textbook oracles
 
@@ -61,11 +61,16 @@ def test_zero_potential_transmits_everything():
     assert scan.resonances == []
 
 
-def test_scan_rejects_nonpositive_energy():
+def test_scan_energies_must_exceed_lead():
     grid = default_grid(4.0, 0.01)
     flat = PotentialGrid(grid=grid, values=np.zeros(grid.points), asymptote=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceed the lead"):
         transmission_scan(flat, np.array([-1.0, 2.0]))
+    # levels -3, -1 put the rim, and so the leads, at -1: energies in (-1, 0]
+    # are above it, and the reflectionless well transmits them
+    well = design_potential(np.array([-3.0, -1.0]))
+    scan = transmission_scan(well, np.linspace(-0.5, 0.0, 11))
+    assert np.max(np.abs(scan.t_values - 1.0)) < 1e-6
 
 
 def test_truncate_rejects_asymptote_at_or_below_lead(prime10_potential):
@@ -324,19 +329,19 @@ def test_filter_scan_budget(filter_apparatus, monkeypatch):
 
     monkeypatch.setattr(_kernels, "transfer_scan", counted)
     monkeypatch.setattr(scattering, "compose_apparatus", forbidden)
-    # every pass scans the left halves only
-    half = -(-max(len(filter_apparatus.cells_lucky), len(filter_apparatus.cells_prime)) // 2)
-    assert half == 452
+    # each well's left half in its own pass, lucky then prime
+    halves = [len(filter_apparatus.cells_lucky) // 2, len(filter_apparatus.cells_prime) // 2]
+    assert halves == [406, 452]
     # accepted; rejected with neither well holding a level in the window
     # (peak 2e-4); rejected with only the prime well holding one
-    for w, expected in ((3, 6), (8, 5), (2, 5)):
+    for w, expected in ((3, 12), (8, 10), (2, 10)):
         passes.clear()
         cells.clear()
         result = filter_lucky_prime(w, filter_apparatus)
         assert result.is_lucky_prime == (w == 3)
         assert (result.peak_transmission >= 0.5) == (w == 3)
         assert len(passes) == expected, w
-        assert cells == [half] * expected, w
+        assert cells == halves * (expected // 2), w
 
 
 def test_filter_apparatus_rejects_asymmetric_profiles(filter_apparatus):
