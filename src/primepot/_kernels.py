@@ -56,10 +56,11 @@ def cell_samples(values, fractions) -> np.ndarray:
     return sum(w * v[first + j][:, None] for j, w in enumerate(lagrange))
 
 
-def magnus_step(alpha, h_qbar, h: float) -> np.ndarray:
+def magnus_step(alpha, h_qbar, h: float, out: np.ndarray) -> np.ndarray:
     """The two-point Gauss Magnus step of ``psi'' = q psi`` across cells of
     width `h`: the map of ``(psi, psi')`` from a cell's left end to its right
-    end, shape (2, 2) + the broadcast shape of `alpha` and `h_qbar`.
+    end, written into `out`, of shape (2, 2) + the broadcast shape of `alpha`
+    and `h_qbar`, which is returned.
 
     Fourth order (Iserles & Norsett 1999): with ``q1``, ``q2`` at the Gauss
     points ``x_mid -+ h/(2 sqrt 3)``, ``alpha = sqrt(3) h^2 (q1 - q2)/12`` and
@@ -79,7 +80,11 @@ def magnus_step(alpha, h_qbar, h: float) -> np.ndarray:
     sinh_d = np.where(grows, np.sinh(d), 2.0 * tan_half / (1.0 + tan2))
     sinh_d = np.divide(sinh_d, d, out=np.ones_like(d), where=d > 0.0)
     s_alpha = sinh_d * alpha
-    return np.array([[cosh_d + s_alpha, sinh_d * h], [sinh_d * h_qbar, cosh_d - s_alpha]])
+    np.add(cosh_d, s_alpha, out=out[0, 0])
+    np.multiply(sinh_d, h, out=out[0, 1])
+    np.multiply(sinh_d, h_qbar, out=out[1, 0])
+    np.subtract(cosh_d, s_alpha, out=out[1, 1])
+    return out
 
 
 def _product(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
@@ -101,7 +106,7 @@ def riccati_sweep(q: np.ndarray, h: float, c: float):
     """
     gauss = cell_samples(q, GAUSS_POINTS)
     alpha = SQRT3_12 * h * h * (gauss[:, 0] - gauss[:, 1])
-    p = magnus_step(alpha, 0.5 * h * (gauss[:, 0] + gauss[:, 1]), h)
+    p = magnus_step(alpha, 0.5 * h * (gauss[:, 0] + gauss[:, 1]), h, np.empty((2, 2, alpha.size)))
     shift = 1
     while shift < p.shape[2]:
         p = np.concatenate([p[:, :, :shift], _product(p[:, :, shift:], p[:, :, :-shift])], axis=2)
@@ -145,11 +150,14 @@ def transfer_scan(v_cells: np.ndarray, h: float, energies: np.ndarray, c: float,
     m = np.zeros((2, 2, energies.size))
     m[0, 0] = m[1, 1] = 1.0
     log_scale = np.zeros(energies.size)
+    # one step buffer per scan: at a few hundred energies a fresh one per block
+    # is large enough for glibc malloc to map and fault in anew every time
+    steps = np.empty((2, 2, BLOCK, energies.size))
     for start in range(0, v.shape[0], BLOCK):
         block = v[start : start + BLOCK]
         alpha = ((SQRT3_12 * h * h / c2) * (block[:, 0] - block[:, 1]))[:, None]
         h_qbar = (h / c2) * (0.5 * (block[:, 0] + block[:, 1])[:, None] - energies)
-        step = magnus_step(alpha, h_qbar, h)
+        step = magnus_step(alpha, h_qbar, h, steps[:, :, : block.shape[0]])
         # the block's product pairwise, later cells on the left: log2(BLOCK) levels
         while step.shape[2] > 1:
             pairs = step.shape[2] // 2

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .grid import PotentialGrid
 
@@ -142,6 +141,9 @@ def bound_states(
     # a flat potential's psi = const sits at the edge up to roundoff: not bound
     if count is None and depth <= 0.0:
         blocks = []
+
+    # imported on first solve, so commands that never solve start without scipy.linalg
+    from scipy.linalg import eigh_tridiagonal
 
     levels, nodes, psis = [np.empty(0)], [np.empty(0, dtype=np.int64)], [np.empty((0, v.size))]
     for start, block_off, share, weight, index, sign in blocks:

@@ -49,8 +49,6 @@ from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize
 
 from .grid import Grid, PotentialGrid, read_table, write_table
 
@@ -256,6 +254,9 @@ def optimize_phase(state: HologramState, max_iters: int = 500) -> OptimizeResult
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+    # imported on first use, so commands without a hologram start without scipy.optimize
+    from scipy.optimize import minimize
+
     m = state.m
     history = []
 
@@ -292,6 +293,8 @@ def intensity_to_potential(intensity: np.ndarray, tmap: TargetMap) -> PotentialG
         raise ValueError("no power in the signal region")
     v_sr = tmap.ceiling - intensity / total * tmap.norm
     grid = Grid(half_width=tmap.grid_half_width, points=tmap.grid_points)
+    from scipy.interpolate import CubicSpline  # on first use, like minimize above
+
     spline = CubicSpline(tmap.x_sr, v_sr, bc_type="natural")
     values = np.where(np.abs(grid.x) <= tmap.span, spline(grid.x), tmap.asymptote)
     return PotentialGrid(grid=grid, values=values, asymptote=tmap.asymptote)

@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expi
 
 __all__ = [
     "DEFAULT_TERMS",
+    "EXACT_COUNT_LIMIT",
     "sieve_primes",
     "first_primes",
     "sieve_lucky",
@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 DEFAULT_TERMS = 25  # Moebius terms of the Riemann R and prime density series
+EXACT_COUNT_LIMIT = 10**9  # largest x counted exactly: the sieve takes one byte per integer
 
 
 def validate_sequence(values) -> np.ndarray:
@@ -131,6 +132,8 @@ def log_integral(x: float) -> float:
     """li(x) = integral of dt/ln t from 2 to x, in closed form Ei(ln x) - Ei(ln 2)."""
     if x <= 2.0:
         return 0.0
+    from scipy.special import expi  # on first use: only the counting estimates need scipy.special
+
     return float(expi(math.log(x)) - expi(math.log(2.0)))
 
 
@@ -176,8 +179,10 @@ class CountingEstimates:
 
 
 def counting_estimates(x: float, terms: int = DEFAULT_TERMS) -> CountingEstimates:
-    """Exact sieve count of primes <= x plus the three smooth estimates."""
+    """Exact sieve count of primes <= x (x <= EXACT_COUNT_LIMIT) plus the three smooth estimates."""
     refined = riemann_r(x, terms)  # first: it rejects a bad x or terms
+    if x > EXACT_COUNT_LIMIT:
+        raise ValueError(f"x={x!r} exceeds {EXACT_COUNT_LIMIT:.0e}, the largest x whose primes are counted exactly")
     return CountingEstimates(
         x=float(x),
         exact=int(sieve_primes(int(math.floor(x))).size),

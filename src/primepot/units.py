@@ -11,11 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.constants import hbar, h, k as k_B, physical_constants
-
 __all__ = ["CONSTANTS", "ATOM_MASS_KG", "PhysicalContext", "EnergyScale", "energy_scale"]
 
-_ATOMIC_MASS_KG = physical_constants["atomic mass constant"][0]
+# literals, not scipy.constants, which adds about 0.14 s to every start-up;
+# tests/test_units.py pins them to scipy's values
+h = 6.62607015e-34  # J s, exact in the 2019 SI
+hbar = h / (2.0 * math.pi)
+k_B = 1.380649e-23  # J/K, exact in the 2019 SI
+_ATOMIC_MASS_KG = 1.66053906892e-27  # CODATA 2022
 
 CONSTANTS = {
     "hbar_J_s": hbar,

@@ -306,14 +306,34 @@ def test_riccati_sweep_matches_rk4_on_prime_chain():
     assert worst[0.01] / worst[0.005] >= 12.0
 
 
-def test_cli_import_graph_is_numpy_only():
-    code = (
-        "import sys, primepot.cli, primepot; "
-        "print(sorted(m for m in ('numba', 'scipy.signal') if m in sys.modules)); "
-        "print(primepot.backend_name())"
-    )
+# each is imported inside the one function that runs it, so neither the CLI
+# import nor a filter verdict loads them
+LAZY_SCIPY = ("scipy.linalg", "scipy.optimize", "scipy.interpolate", "scipy.special", "scipy.constants")
+
+
+def _fresh_process(code):
+    """stdout lines of `code` run in a new interpreter that imports this checkout."""
     src = str(Path(primepot.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.split("\n")[:2] == ["[]", "numpy"]
+    return out.stdout.split("\n")
+
+
+def test_cli_import_graph_is_numpy_only():
+    code = (
+        "import sys, primepot.cli, primepot; "
+        f"print(sorted(m for m in ('numba', 'scipy.signal') + {LAZY_SCIPY!r} if m in sys.modules)); "
+        "print(primepot.backend_name())"
+    )
+    assert _fresh_process(code)[:2] == ["[]", "numpy"]
+
+
+def test_filter_verdict_loads_no_scipy_submodule():
+    code = (
+        "import sys; "
+        "from primepot.scattering import build_filter_apparatus, filter_lucky_prime; "
+        "print(filter_lucky_prime(7, build_filter_apparatus()).is_lucky_prime); "
+        f"print(sorted(m for m in {LAZY_SCIPY!r} if m in sys.modules))"
+    )
+    assert _fresh_process(code)[:2] == ["True", "[]"]

@@ -13,7 +13,8 @@ from primepot.pipeline import (
     parse_sequence_spec,
     run_pipeline,
 )
-from primepot.sequences import DEFAULT_TERMS
+from primepot import sequences
+from primepot.sequences import DEFAULT_TERMS, EXACT_COUNT_LIMIT
 
 
 def test_parse_sequence_specs(tmp_path):
@@ -133,6 +134,15 @@ def test_cli_pi_record(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["exact"] == 25
     assert set(payload) == {"x", "exact", "gauss", "li", "riemann_r"}
+
+
+def test_cli_pi_rejects_x_over_sieve_limit(monkeypatch, capsys):
+    def no_sieve(limit):
+        raise AssertionError(f"sieved up to {limit}")
+
+    monkeypatch.setattr(sequences, "sieve_primes", no_sieve)
+    assert main(["pi", "--x", str(EXACT_COUNT_LIMIT + 1)]) == 1
+    assert f"exceeds {EXACT_COUNT_LIMIT:.0e}" in capsys.readouterr().err
 
 
 def test_cli_design_solve_cycle(tmp_path, capsys):

@@ -1,8 +1,17 @@
 import pytest
+import scipy.constants
 
 from primepot.units import ATOM_MASS_KG, CONSTANTS, PhysicalContext, energy_scale
 
 HBAR = CONSTANTS["hbar_J_s"]
+
+
+def test_constants_match_scipy():
+    # exact, not approx: a scipy on a newer CODATA edition should fail here
+    assert CONSTANTS["h_J_s"] == scipy.constants.h
+    assert CONSTANTS["hbar_J_s"] == scipy.constants.hbar
+    assert CONSTANTS["k_B_J_per_K"] == scipy.constants.k
+    assert CONSTANTS["atomic_mass_kg"] == scipy.constants.physical_constants["atomic mass constant"][0]
 
 
 def test_identity_configuration():
