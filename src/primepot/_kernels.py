@@ -18,7 +18,7 @@ __all__ = [
     "backend_name",
     "cell_samples",
     "magnus_step",
-    "mirror_closure",
+    "mirror_resonance",
     "riccati_sweep",
     "transfer_scan",
     "transmission_reflection",
@@ -174,20 +174,23 @@ def transfer_scan(v_cells: np.ndarray, h: float, energies: np.ndarray, c: float,
     return m, log_scale
 
 
-def mirror_closure(m: np.ndarray, log_scale: np.ndarray):
-    """``transfer_scan``'s ``(m, log_scale)`` for a profile followed by its
-    mirror image, from that of the profile alone.
+def mirror_resonance(m: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
+    """The resonance function G of a profile followed by its mirror image,
+    from ``transfer_scan``'s ``(m, log_scale)`` of the profile alone: the
+    whole profile transmits ``T = 1/(1 + G^2)``.
 
     Mirroring a profile reverses its cells and swaps each cell's two Gauss
     samples, and each step becomes ``exp(sigma (-Omega) sigma)``, so the
     mirrored half carries ``sigma M^-1 sigma`` with ``sigma = diag(1, -1)``,
     which commutes with the ``(psi, psi'/k)`` scaling. With
-    ``m = [[a, b], [c, d]]`` the whole profile is
-    ``[[ad + bc, 2bd], [2ac, ad + bc]]`` at twice the log scale.
+    ``m = [[a, b], [c, d]]`` the whole profile is ``[[A, B], [C, A]]`` =
+    ``exp(2 log_scale) [[ad + bc, 2bd], [2ac, ad + bc]]``, and
+    ``A^2 - BC = 1`` turns ``transmission_reflection``'s T into
+    ``4/(4 + (B + C)^2)``, so ``G = (ac + bd) exp(2 log_scale)``. G is smooth
+    in the energy and has a simple root at each resonance.
     """
     a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    diagonal = a * d + b * c
-    return np.array([[diagonal, 2.0 * b * d], [2.0 * a * c, diagonal]]), 2.0 * log_scale
+    return (a * c + b * d) * np.exp(2.0 * log_scale)
 
 
 def transmission_reflection(m: np.ndarray, log_scale: np.ndarray):

@@ -23,12 +23,14 @@ energies unrelated to any level and move with the gap length; the average
 over the gap phase has none, so it is near 1 only where both wells hold a
 level and the verdict does not depend on the separation. Every designed
 well is even, so one kernel pass per well scans only its left half, and
-``_kernels.mirror_closure`` closes the half with its mirror image exactly.
-Each well is scanned on the cells of its design grid, with the potential at
-each cell's two Gauss points taken from a cubic through the designed nodes,
-so its quasi-levels carry only the fourth-order error of the Magnus step.
-Resonance widths shrink exponentially with level depth, so the windowed
-search refines adaptively around local maxima.
+``_kernels.mirror_resonance`` turns the half's transfer matrix into the
+whole well's resonance function G, with ``T = 1/(1 + G^2)``; then
+``<T> = 1/(1 + G_a^2 + G_b^2)``. Each well is scanned on the cells of its
+design grid, with the potential at each cell's two Gauss points taken from a
+cubic through the designed nodes, so its quasi-levels carry only the
+fourth-order error of the Magnus step. G is smooth with a simple root at
+each resonance, however narrow, so a window's peak is the minimum of
+``G_a^2 + G_b^2``, which a few Gauss-Newton steps find from a coarse start.
 """
 
 from __future__ import annotations
@@ -59,9 +61,8 @@ __all__ = [
 ]
 
 RESONANCE_HEIGHT = 0.5  # T a scan peak and an accepted filter verdict must reach
-COARSE = 241  # energies of the first scan of a search window
-TOP_K = 3  # coarse local maxima refined
-RESOLUTION_FLOOR = 1e-6  # refinement stops once the step is below this
+COARSE = 17  # energies a window search starts from
+NEWTON_STEPS = 8  # Gauss-Newton steps a window search takes at most
 FILTER_WINDOW = 0.5  # half-width around w absorbing the truncation shift
 FLAT_FRACTION = 0.05  # opened walls end where they come this close to the rim, relative to the depth
 
@@ -209,53 +210,37 @@ def transmission_scan(potential: PotentialGrid, energies, kinetic_scale: float =
     return TransmissionScan(energies=energies, t_values=t_values, resonances=resonances)
 
 
-def _local_maxima(values: np.ndarray) -> np.ndarray:
-    """Indices of strict interior local maxima; a flat top counts once, at its
-    middle sample (the peaks ``scipy.signal.find_peaks`` reports)."""
-    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
-    ends = np.r_[starts[1:], values.size] - 1
-    top = values[starts]
-    inner = (top[1:-1] > top[:-2]) & (top[1:-1] > top[2:])
-    return (starts[1:-1][inner] + ends[1:-1][inner]) // 2
+def windowed_max_transmission(resonance, lo: float, hi: float) -> tuple[float, float]:
+    """(max T, argmax E) over [lo, hi] with ``T = 1/(1 + sum G^2)``.
 
-
-def windowed_max_transmission(scan, lo: float, hi: float) -> tuple[float, float]:
-    """(max T, argmax E) over [lo, hi] by zooming on local maxima.
-
-    `scan` maps an energy array to T. A coarse scan of ``COARSE`` energies
-    seeds the ``TOP_K`` highest local maxima; each is refined by 33-point
-    scans of shrinking width until the step drops below
-    ``RESOLUTION_FLOOR``, far below the width of any level resonance the
-    filter resolves.
+    `resonance` maps energies, shape (n,), to resonance functions G, shape
+    (n, k), one column per well in series. Each G is smooth with a simple
+    root at each of its well's resonances, near which
+    ``G ~ (E - E_r)/gamma`` (Breit & Wigner 1936), so the peak is the
+    minimum of a sum of squares of smooth residuals. Gauss-Newton runs from
+    ``COARSE`` energies across the window at once; each step is one
+    `resonance` call on the iterates and, for a forward-difference slope,
+    the iterates shifted by 1e-9 E. The lowest sum seen is kept, and the
+    search stops once a step lowers it by no more than 1e-10 relative, or
+    after ``NEWTON_STEPS`` steps.
     """
     if lo <= 0.0 or hi <= lo:
         raise ValueError("need 0 < lo < hi")
     energies = np.linspace(lo, hi, COARSE)
-    t = scan(energies)
-    best_t = float(t.max())
-    best_e = float(energies[int(t.argmax())])
-    peaks = _local_maxima(t)
-    if peaks.size:
-        order = np.argsort(t[peaks])[::-1][:TOP_K]
-        seeds = [int(peaks[i]) for i in order]
-    else:
-        seeds = [int(t.argmax())]
-    step0 = (hi - lo) / (COARSE - 1)
-    for seed in seeds:
-        e_center = float(energies[seed])
-        step = step0
-        while step > RESOLUTION_FLOOR:
-            e_lo = max(lo, e_center - step)
-            e_hi = min(hi, e_center + step)
-            local = np.linspace(e_lo, e_hi, 33)
-            t_loc = scan(local)
-            idx = int(t_loc.argmax())
-            if t_loc[idx] > best_t:
-                best_t = float(t_loc[idx])
-                best_e = float(local[idx])
-            e_center = float(local[idx])
-            step = (e_hi - e_lo) / 16.0
-    return best_t, best_e
+    best_s, best_e = np.inf, lo
+    for _ in range(NEWTON_STEPS + 1):
+        shift = 1e-9 * energies
+        g = resonance(np.concatenate([energies, energies + shift]))
+        g, slope = g[:COARSE], (g[COARSE:] - g[:COARSE]) / shift[:, None]
+        s = np.sum(g * g, axis=1)
+        i = int(s.argmin())
+        if not s[i] < best_s * (1.0 - 1e-10):
+            break
+        best_s, best_e = float(s[i]), float(energies[i])
+        curvature = np.sum(slope * slope, axis=1)
+        step = np.divide(np.sum(g * slope, axis=1), curvature, out=np.zeros(COARSE), where=curvature > 0.0)
+        energies = np.clip(energies - step, lo, hi)
+    return 1.0 / (1.0 + best_s), best_e
 
 
 @dataclass
@@ -263,10 +248,13 @@ class FilterApparatus:
     """Opened lucky and prime wells, the two halves of the filter.
 
     ``cells_lucky`` and ``cells_prime`` are the wells the transfer scans
-    see: Gauss-point pairs (``opened_cells``) on cells of width ``spacing``.
-    ``device_lucky`` and ``device_prime`` are the same wells on their node
-    grids, for ``composed()``. ``w_max`` is the largest integer safely below
-    both rims; the filter is only meaningful inside that window.
+    see: Gauss-point pairs (``opened_cells``) on cells of width ``spacing``,
+    mirror-symmetric, so ``resonance_functions`` scans each left half once.
+    The wells in series transmit ``<T> = 1/(1 + G_a^2 + G_b^2)`` averaged
+    over the gap phase. ``device_lucky`` and ``device_prime`` are the same
+    wells on their node grids, for ``composed()``. ``w_max`` is the largest
+    integer safely below both rims; the filter is only meaningful inside that
+    window.
     """
 
     device_lucky: PotentialGrid
@@ -289,7 +277,7 @@ class FilterApparatus:
         for name, cells in (("cells_lucky", self.cells_lucky), ("cells_prime", self.cells_prime)):
             if np.any(cells[[0, -1]] != a.asymptote):
                 raise ValueError("both cell profiles must start and end at the lead potential")
-            # device_matrices scans the left half only
+            # resonance_functions scans the left half only
             if len(cells) % 2 or np.max(np.abs(cells - cells[::-1, ::-1])) > 1e-12 * np.max(np.abs(cells)):
                 raise ValueError(f"{name} must be a mirror-symmetric profile of an even number of cells")
 
@@ -297,33 +285,27 @@ class FilterApparatus:
         """Both wells on one grid, `separation` apart (for coherent checks)."""
         return compose_apparatus(self.device_lucky, self.device_prime, separation)
 
-    def device_matrices(self, energies):
-        """Both wells' transfer matrices at `energies`: one kernel pass over
-        each well's left half, closed with its mirror image by
-        ``mirror_closure``. Returns ``transfer_scan``'s ``(m, log_scale)`` of
-        each whole well, the last axis being (lucky, prime).
+    def resonance_functions(self, energies):
+        """Both wells' resonance functions G at `energies`, shape (n, 2), the
+        columns (lucky, prime): one kernel pass over each well's left half,
+        closed with its mirror image by ``_kernels.mirror_resonance``. A well
+        transmits ``1/(1 + G^2)``.
         """
         lead = self.device_lucky.asymptote
-        wells = [
-            _kernels.mirror_closure(
-                *_kernels.transfer_scan(cells[: len(cells) // 2], self.spacing, energies, self.kinetic_scale, lead)
-            )
+        scans = [
+            _kernels.transfer_scan(cells[: len(cells) // 2], self.spacing, energies, self.kinetic_scale, lead)
             for cells in (self.cells_lucky, self.cells_prime)
         ]
-        return tuple(np.stack(parts, axis=-1) for parts in zip(*wells))
+        return np.stack([_kernels.mirror_resonance(*scan) for scan in scans], axis=-1)
 
     def averaged_transmission(self, energies):
         """T of the lucky well, a flat gap and the prime well, averaged over
-        the gap phase: ``T_a T_b / (1 - R_a R_b)``.
-
-        The denominator is written ``T_a + T_b - T_a T_b`` (equal given
-        T + R = 1): deep in both wells' tunnelling regime ``1 - R_a R_b``
-        cancels to roundoff, and can go negative, while this form stays
-        positive.
+        the gap phase: ``T_a T_b / (1 - R_a R_b)``, which is
+        ``1/(1 + G_a^2 + G_b^2)``. A sum of squares, it neither cancels nor
+        leaves [0, 1] deep in both wells' tunnelling regime.
         """
-        t, _ = _kernels.transmission_reflection(*self.device_matrices(energies))
-        t_a, t_b = t[..., 0], t[..., 1]
-        return t_a * t_b / (t_a + t_b - t_a * t_b)
+        g = self.resonance_functions(energies)
+        return 1.0 / (1.0 + np.sum(g * g, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -378,6 +360,6 @@ def filter_lucky_prime(w: int, apparatus: FilterApparatus) -> FilterResult:
     if w > apparatus.w_max:
         raise ValueError(f"w={w} is outside the filter window (w_max={apparatus.w_max})")
     peak_t, peak_e = windowed_max_transmission(
-        apparatus.averaged_transmission, max(w - FILTER_WINDOW, 1e-6), w + FILTER_WINDOW
+        apparatus.resonance_functions, max(w - FILTER_WINDOW, 1e-6), w + FILTER_WINDOW
     )
     return FilterResult(w, peak_t >= RESONANCE_HEIGHT, peak_e, peak_t)

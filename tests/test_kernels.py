@@ -203,22 +203,22 @@ def test_gauss_cells_converge_at_fourth_order():
     assert 3.0 < errors["midpoint", 0.1] / errors["midpoint", 0.05] < 5.0
 
 
-def test_mirror_closure_matches_full_profile_scan():
+def test_mirror_resonance_matches_full_profile_scan():
     # a random half followed by its mirror image (cells reversed, Gauss
-    # samples swapped): closing the half's scan reproduces the full scan
+    # samples swapped): 1/(1 + G^2) from the half's scan is the full scan's T
     rng = np.random.default_rng(13)
     b, h = _kernels.BLOCK, 0.02
     energies = np.array([0.3, 1.0, 4.0, 9.5, 17.0, 40.0])  # T down to 3e-18 at 0.3
     for n_half in (1, b - 1, b + 3, 3 * b + 5):
         half = rng.uniform(0.0, 25.0, (n_half, 2))
         full = np.concatenate([half, half[::-1, ::-1]])
-        closed = _kernels.mirror_closure(*_kernels.transfer_scan(half, h, energies, KINETIC_HALF, 0.0))
-        assert closed[0].shape == (2, 2) + closed[1].shape
-        t, r = _kernels.transmission_reflection(*closed)
-        t_full, _ = _scan_tr(full, h, energies, KINETIC_HALF, 0.0)
+        g = _kernels.mirror_resonance(*_kernels.transfer_scan(half, h, energies, KINETIC_HALF, 0.0))
+        assert g.shape == energies.shape
+        t = 1.0 / (1.0 + g * g)
+        t_full, r_full = _scan_tr(full, h, energies, KINETIC_HALF, 0.0)
         assert np.max(np.abs(t - t_full)) <= 1e-12, n_half
         assert np.max(np.abs(t - t_full) / t_full) <= 1e-9, n_half
-        assert np.max(np.abs(t + r - 1.0)) <= 1e-12, n_half
+        assert np.max(np.abs(g * g * t - r_full)) <= 1e-12, n_half  # R = G^2/(1 + G^2)
     assert t_full.min() < 1e-15
 
 

@@ -14,7 +14,7 @@ from primepot.pipeline import (
     run_pipeline,
 )
 from primepot import sequences
-from primepot.sequences import DEFAULT_TERMS, EXACT_COUNT_LIMIT
+from primepot.sequences import DEFAULT_TERMS, EXACT_COUNT_LIMIT, LUCKY_LIMIT
 
 
 def test_parse_sequence_specs(tmp_path):
@@ -143,6 +143,22 @@ def test_cli_pi_rejects_x_over_sieve_limit(monkeypatch, capsys):
     monkeypatch.setattr(sequences, "sieve_primes", no_sieve)
     assert main(["pi", "--x", str(EXACT_COUNT_LIMIT + 1)]) == 1
     assert f"exceeds {EXACT_COUNT_LIMIT:.0e}" in capsys.readouterr().err
+
+
+def test_cli_sieves_reject_limits_past_their_bounds(monkeypatch, capsys):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated a sieve")
+
+    monkeypatch.setattr(sequences.np, "ones", no_allocation)
+    monkeypatch.setattr(sequences.np, "arange", no_allocation)
+    for argv, bound in (
+        (["primes", "--limit", str(EXACT_COUNT_LIMIT + 1)], EXACT_COUNT_LIMIT),
+        (["primes", "--count", str(EXACT_COUNT_LIMIT // 10)], EXACT_COUNT_LIMIT),  # sieves about 21 n first
+        (["lucky", "--limit", str(LUCKY_LIMIT + 1)], LUCKY_LIMIT),
+        (["lucky", "--count", str(LUCKY_LIMIT // 4 + 1)], LUCKY_LIMIT),  # sieves 4 n first
+    ):
+        assert main(argv) == 1, argv
+        assert f"exceeds {bound:.0e}" in capsys.readouterr().err, argv
 
 
 def test_cli_design_solve_cycle(tmp_path, capsys):
