@@ -75,7 +75,7 @@ def _cmd_solve(args) -> int:
         "targets": [],
     }
     if targets is not None:
-        report = compare_spectrum(spectrum, targets)
+        report = compare_spectrum(spectrum.eigenvalues, targets)
         payload["targets"] = targets.tolist()
         payload.update(report.as_dict())
     if args.json:

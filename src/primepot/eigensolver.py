@@ -10,8 +10,10 @@ matrix, which splits into two half-size blocks on the right half-grid
 rows centre..end, stores psi_c / sqrt(2) so that its first off-diagonal,
 scaled by sqrt(2), stays symmetric; the odd block, rows centre+1..end, has
 psi_c = 0. In both a full-grid sum is twice the block sum, so normalization
-and correction run on the half vectors, and a vector is mirrored to full
-length only to count its nodes or to be returned. The levels of a
+and correction run on the half vectors, and so does node counting: the
+mirror image doubles a half vector's nodes, and an odd vector adds its node
+at x = 0, so an even level has twice its block count (counted with psi_c
+restored) and an odd level twice plus one. The levels of a
 reflection-symmetric Jacobi matrix alternate even, odd, even, ... from the
 ground state up, so the lowest k levels are the lowest ceil(k/2) of the even
 block and floor(k/2) of the odd one. Any other potential, such as a
@@ -23,7 +25,7 @@ of each parity, so its two levels come from different blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +41,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     continuum_edge: float
     node_counts: np.ndarray
-    wavefunctions: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
@@ -86,7 +87,6 @@ def bound_states(
     potential: PotentialGrid,
     kinetic_scale: float,
     count: int | None = None,
-    keep_wavefunctions: bool = False,
 ) -> Spectrum:
     """The lowest ``count`` eigenvalues, or all strictly bound ones, ascending.
 
@@ -117,25 +117,17 @@ def bound_states(
     diag = v + 2.0 * inv_h2
     diag[[0, -1]] -= inv_h2
     off = np.full(v.size - 1, -inv_h2)
-    # a block is (first full-grid row, off-diagonal, levels under count, weight,
-    # index, sign): weight times a block sum is the full-grid sum, and a block
-    # vector u is the full-grid vector sign * u[index]
+    # a block is (first full-grid row, off-diagonal, levels under count, parity):
+    # parity 0 or 1 for the even or odd block of an even potential, None for
+    # the whole grid
     if potential.even:
         mid = v.size // 2
-        to_mid = np.arange(v.size) - mid
-        dist = np.abs(to_mid)
         even_off = off[mid:].copy()
         even_off[0] *= np.sqrt(2.0)
-        even_sign = np.ones(v.size)
-        even_sign[mid] = np.sqrt(2.0)
-        odd_sign = np.sign(to_mid).astype(np.float64)
         shares = (None, None) if count is None else ((count + 1) // 2, count // 2)
-        blocks = [
-            (mid, even_off, shares[0], 2.0, dist, even_sign),
-            (mid + 1, off[mid + 1 :], shares[1], 2.0, np.maximum(dist - 1, 0), odd_sign),
-        ]
+        blocks = [(mid, even_off, shares[0], 0), (mid + 1, off[mid + 1 :], shares[1], 1)]
     else:
-        blocks = [(0, off, count, 1.0, np.arange(v.size), np.ones(v.size))]
+        blocks = [(0, off, count, None)]
     depth = edge - float(v.min())
     window = (float(v.min()) - 1.0, edge - 1e-3 * depth)
     # a flat potential's psi = const sits at the edge up to roundoff: not bound
@@ -145,34 +137,33 @@ def bound_states(
     # imported on first solve, so commands that never solve start without scipy.linalg
     from scipy.linalg import eigh_tridiagonal
 
-    levels, nodes, psis = [np.empty(0)], [np.empty(0, dtype=np.int64)], [np.empty((0, v.size))]
-    for start, block_off, share, weight, index, sign in blocks:
+    levels, nodes = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+    for start, block_off, share, parity in blocks:
         if share == 0:  # the odd block at count = 1
             continue
         if share is None:
             vals, vecs = eigh_tridiagonal(diag[start:], block_off, select="v", select_range=window)
         else:
             vals, vecs = eigh_tridiagonal(diag[start:], block_off, select="i", select_range=(0, share - 1))
+        # a full-grid sum is twice a parity block's sum
+        weight = 1.0 if parity is None else 2.0
         # normalize to h * sum(psi^2) = 1: each sample stands for one cell of width h
         vecs = vecs / np.sqrt(np.sum(vecs**2, axis=0) * (weight * h))
         # the three-point rule undershoots each level by h^2/(12 c^2) <((V - E) psi)^2>
         vals = vals + weight * h**3 / (12.0 * c * c) * np.sum(((v[start:, None] - vals) * vecs) ** 2, axis=0)
         levels.append(vals)
-        nodes.append(np.array([count_nodes(sign * vecs[index, i]) for i in range(vals.size)], dtype=np.int64))
-        if keep_wavefunctions:
-            psis.append((sign[:, None] * vecs[index]).T)
+        if parity == 0:
+            vecs[0] *= np.sqrt(2.0)  # psi_c itself, so the dead band is the full grid's
+        block_nodes = np.array([count_nodes(vecs[:, i]) for i in range(vals.size)], dtype=np.int64)
+        # the mirror image doubles a block's nodes; an odd vector adds x = 0
+        nodes.append(block_nodes if parity is None else 2 * block_nodes + parity)
     # even and odd levels interleave; a stable sort merges them
     eigvals = np.concatenate(levels)
     order = np.argsort(eigvals, kind="stable")
-    return Spectrum(
-        eigenvalues=eigvals[order],
-        continuum_edge=edge,
-        node_counts=np.concatenate(nodes)[order],
-        wavefunctions=np.concatenate(psis)[order] if keep_wavefunctions else None,
-    )
+    return Spectrum(eigenvalues=eigvals[order], continuum_edge=edge, node_counts=np.concatenate(nodes)[order])
 
 
-def compare_spectrum(spectrum, targets) -> DiscrepancyReport:
+def compare_spectrum(levels, targets) -> DiscrepancyReport:
     """Absolute/fractional per-level errors, their rms, and rounding flags.
 
     A level rounds to its target when it lies less than 0.5 from it, which
@@ -180,10 +171,7 @@ def compare_spectrum(spectrum, targets) -> DiscrepancyReport:
     gets the same band. The fractional error of a level whose target is 0 is
     its absolute error, so the report stays finite.
     """
-    if isinstance(spectrum, Spectrum):
-        values = spectrum.eigenvalues
-    else:
-        values = np.asarray(spectrum, dtype=np.float64)
+    values = np.asarray(levels, dtype=np.float64)
     goal = np.asarray(targets, dtype=np.float64)
     if values.shape != goal.shape:
         raise ValueError(f"level count mismatch: {values.shape} vs {goal.shape}")

@@ -123,23 +123,21 @@ class OptimizeResult:
     line_search_failed: bool = False
 
 
-def potential_to_target(potential: PotentialGrid, sr_length: int, ceiling: float | None = None):
+def potential_to_target(potential: PotentialGrid, sr_length: int):
     """Resample ceiling - V to `sr_length` pixels; return (amplitude row, map).
 
     Higher intensity encodes lower potential (red-detuned trapping), so the
     amplitude is the square root of the affinely inverted potential,
-    normalized to unit power over the row. The row spans 1.15 times the
-    extent where V departs from its asymptote, within the grid.
+    normalized to unit power over the row. The ceiling lies 2% of the well
+    depth (at least 0.02) above the potential maximum. The row spans 1.15
+    times the extent where V departs from its asymptote, within the grid.
     """
     sr_length = operator.index(sr_length)  # a Python int, so the map's metadata reads back
     if sr_length < 4:
         raise ValueError("sr_length must be at least 4")
     v = potential.values
-    if ceiling is None:
-        depth = max(potential.max() - potential.min(), 1.0)
-        ceiling = potential.max() + 0.02 * depth
-    if ceiling < potential.max():
-        raise ValueError("ceiling must not be below the potential maximum")
+    depth = max(potential.max() - potential.min(), 1.0)
+    ceiling = potential.max() + 0.02 * depth
     tol = 0.005 * max(potential.asymptote - potential.min(), 1e-12)
     away = np.nonzero(np.abs(v - potential.asymptote) > tol)[0]
     if away.size == 0:

@@ -19,7 +19,6 @@ from .eigensolver import DiscrepancyReport, bound_states, compare_spectrum
 from .grid import PotentialGrid, default_grid
 from .hologram import (
     OptimizeResult,
-    TargetMap,
     extract_profile,
     make_state,
     optimize_phase,
@@ -154,13 +153,12 @@ class HologramRun:
 
     result: OptimizeResult
     field: np.ndarray  # complex SR row
-    target_map: TargetMap
     sr_error: float
 
     def write(self, phase_path, intensity_path) -> None:
         """Phase plane as bare CSV; SR intensity with its target map."""
         np.savetxt(phase_path, self.result.state.phase, delimiter=",")
-        write_intensity_csv(intensity_path, np.abs(self.field) ** 2, self.target_map)
+        write_intensity_csv(intensity_path, np.abs(self.field) ** 2, self.result.state.target_map)
 
 
 def synthesize_hologram(potential: PotentialGrid, m: int, sr_length: int, max_iters: int, seed: int) -> HologramRun:
@@ -170,7 +168,7 @@ def synthesize_hologram(potential: PotentialGrid, m: int, sr_length: int, max_it
     state = make_state(m, amp, seed=seed, target_map=tmap)
     result = optimize_phase(state, max_iters=max_iters)
     field = propagate(result.state)
-    return HologramRun(result, field, tmap, sr_intensity_error(field, result.state))
+    return HologramRun(result, field, sr_intensity_error(field, result.state))
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineReport:

@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 PROFILE_SPACING = 0.005  # grid spacing of profile_to_potential's output
+PROFILE_POINT_LIMIT = 10**7  # largest output grid, 80 MB per array; v_max = 100 needs 1345 points
+SAMPLE_LIMIT = 10**4  # most x(V) samples: the quadrature lattice has (samples - 1) * panels * nodes energies
 WKB_POINTS = 4001  # trapezoid nodes of wkb_level_count's phase integral
 
 
@@ -99,8 +101,8 @@ def invert_to_potential(
         raise ValueError(f"e0 and v_max must be finite, got e0={e0!r}, v_max={v_max!r}")
     if v_max <= e0:
         raise ValueError("v_max must exceed e0")
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
+    if not 2 <= samples <= SAMPLE_LIMIT:
+        raise ValueError(f"samples={samples} must be at least 2 and not exceed {SAMPLE_LIMIT:.0e}")
     c = float(kinetic_scale)
     nodes, weights = np.polynomial.legendre.leggauss(nodes_per_panel)
     v_values = np.linspace(e0, v_max, samples)
@@ -124,6 +126,8 @@ def profile_to_potential(profile: SemiclassicalProfile) -> PotentialGrid:
     points = int(round(2.0 * 1.05 * x_max / PROFILE_SPACING)) + 1
     if points % 2 == 0:
         points += 1
+    if points > PROFILE_POINT_LIMIT:
+        raise ValueError(f"{points} grid points for x_max={x_max:.6g} exceeds {PROFILE_POINT_LIMIT:.0e}; lower v_max")
     grid = Grid(half_width=(points - 1) * PROFILE_SPACING / 2.0, points=points)
     values = np.interp(
         np.abs(grid.x), profile.x_values, profile.v_values, right=profile.v_max

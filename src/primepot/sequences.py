@@ -32,6 +32,8 @@ __all__ = [
 
 DEFAULT_TERMS = 25  # Moebius terms of the Riemann R and prime density series
 EXACT_COUNT_LIMIT = 10**9  # largest x counted exactly: the sieve takes one byte per integer
+EULER_GAMMA = 0.5772156649015329  # the Euler-Mascheroni constant
+LI_2 = 1.045163780117493  # li(2), the principal value from 0
 LUCKY_LIMIT = 4 * 10**6  # largest lucky sieve: its cost is superlinear, 8.5 s at this limit on 2 vCPUs
 
 
@@ -63,19 +65,21 @@ def sieve_primes(limit: int) -> np.ndarray:
     return np.nonzero(is_prime)[0].astype(np.int64)
 
 
-def first_primes(n: int) -> np.ndarray:
-    """The first n primes."""
+def _first(n: int, sieve, limit: int) -> np.ndarray:
+    """The first n values of `sieve`, doubling `limit` until it holds n of them."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    # p_n < n(ln n + ln ln n) for n >= 6; pad and retry on the rare miss
-    limit = 15 if n < 6 else int(n * (math.log(n) + math.log(math.log(n))) + 10)
-    primes = sieve_primes(limit)
-    while primes.size < n:
+    values = sieve(limit)
+    while values.size < n:
         limit *= 2
-        primes = sieve_primes(limit)
-    return primes[:n]
+        values = sieve(limit)
+    return values[:n]
+
+
+def first_primes(n: int) -> np.ndarray:
+    """The first n primes."""
+    # p_n < n(ln n + ln ln n) for n >= 6; pad and retry on the rare miss
+    return _first(n, sieve_primes, 15 if n < 6 else int(n * (math.log(n) + math.log(math.log(n))) + 10))
 
 
 def sieve_lucky(limit: int) -> np.ndarray:
@@ -102,16 +106,7 @@ def sieve_lucky(limit: int) -> np.ndarray:
 
 def first_lucky(n: int) -> np.ndarray:
     """The first n lucky numbers."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    limit = max(10, 4 * n)
-    lucky = sieve_lucky(limit)
-    while lucky.size < n:
-        limit *= 2
-        lucky = sieve_lucky(limit)
-    return lucky[:n]
+    return _first(n, sieve_lucky, max(10, 4 * n))
 
 
 def moebius(n: int) -> int:
@@ -135,12 +130,25 @@ def moebius(n: int) -> int:
 
 
 def log_integral(x: float) -> float:
-    """li(x) = integral of dt/ln t from 2 to x, in closed form Ei(ln x) - Ei(ln 2)."""
+    """li(x) - li(2), the integral of dt/ln t from 2 to x; 0 for x <= 2.
+
+    Ramanujan's series, li(x) = gamma + ln ln x + sqrt(x) sum_{n >= 1}
+    (-1)^(n-1) (ln x)^n / (n! 2^(n-1)) sum_{k <= (n-1)/2} 1/(2k+1): its terms
+    peak near n = ln x / 2, then fall factorially until one no longer
+    changes the sum.
+    """
+    if not math.isfinite(x):
+        raise ValueError(f"x={x!r} must be finite")
     if x <= 2.0:
         return 0.0
-    from scipy.special import expi  # on first use: only the counting estimates need scipy.special
-
-    return float(expi(math.log(x)) - expi(math.log(2.0)))
+    lx = math.log(x)
+    total, inner, term, n = 0.0, 1.0, lx, 1  # term = (-1)^(n-1) (ln x)^n / (n! 2^(n-1))
+    while total + term * inner != total or n <= lx:
+        total += term * inner
+        n += 1
+        term *= -lx / (2.0 * n)
+        inner += n % 2 / n
+    return EULER_GAMMA + math.log(lx) + math.sqrt(x) * total - LI_2
 
 
 def riemann_r(x: float, terms: int = DEFAULT_TERMS) -> float:

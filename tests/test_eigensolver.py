@@ -47,7 +47,7 @@ def _full_matrix_bound_states(potential, kinetic_scale, count=None):
     eigvecs = eigvecs / np.sqrt(np.sum(eigvecs**2, axis=0) * h)
     eigvals = eigvals + h**3 / (12.0 * c * c) * np.sum(((v[:, None] - eigvals) * eigvecs) ** 2, axis=0)
     nodes = np.array([count_nodes(eigvecs[:, i]) for i in range(eigvals.size)], dtype=np.int64)
-    return Spectrum(eigenvalues=eigvals, continuum_edge=edge, node_counts=nodes, wavefunctions=eigvecs.T)
+    return Spectrum(eigenvalues=eigvals, continuum_edge=edge, node_counts=nodes)
 
 
 WELL_SHAPES = {
@@ -125,16 +125,6 @@ def test_box_size_stability():
     assert np.max(np.abs(values[0] - values[1])) < 1e-6
 
 
-def test_orthonormality_under_trapezoid_weights():
-    grid = default_grid(12.0, 0.01)
-    spec = bound_states(sech2_well(20.0, grid), KINETIC_HALF, keep_wavefunctions=True)
-    psi = spec.wavefunctions
-    overlaps = psi @ psi.T * grid.spacing
-    off = overlaps - np.diag(np.diag(overlaps))
-    assert np.max(np.abs(off)) < 1e-8
-    assert np.max(np.abs(np.diag(overlaps) - 1.0)) < 1e-8
-
-
 def test_node_theorem(prime10_potential):
     spec = bound_states(prime10_potential, KINETIC_HALF, count=10)
     assert spec.node_counts.tolist() == list(range(10))
@@ -147,15 +137,12 @@ def test_parity_blocks_match_full_matrix(potential, count):
     if count == "beyond":  # more levels than the well binds: box states above the edge
         count = _full_matrix_bound_states(potential, KINETIC_HALF).eigenvalues.size + 3
     ref = _full_matrix_bound_states(potential, KINETIC_HALF, count)
-    spec = bound_states(potential, KINETIC_HALF, count, keep_wavefunctions=True)
+    spec = bound_states(potential, KINETIC_HALF, count)
     assert spec.eigenvalues.shape == ref.eigenvalues.shape
     assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues), initial=0.0) <= 1e-9
     assert spec.node_counts.tolist() == ref.node_counts.tolist()
     if count is not None:
         assert spec.node_counts.tolist() == list(range(count))
-    for k, (psi, ref_psi) in enumerate(zip(spec.wavefunctions, ref.wavefunctions)):
-        assert np.array_equal(psi, (-1.0) ** k * psi[::-1])
-        assert np.max(np.abs(psi - np.sign(psi @ ref_psi) * ref_psi)) <= 1e-8
 
 
 def test_uneven_potential_is_the_full_matrix():
@@ -164,10 +151,9 @@ def test_uneven_potential_is_the_full_matrix():
     assert not tilted.even
     for count in (4, None):
         ref = _full_matrix_bound_states(tilted, KINETIC_HALF, count)
-        spec = bound_states(tilted, KINETIC_HALF, count, keep_wavefunctions=True)
+        spec = bound_states(tilted, KINETIC_HALF, count)
         assert np.array_equal(spec.eigenvalues, ref.eigenvalues)
         assert np.array_equal(spec.node_counts, ref.node_counts)
-        assert np.array_equal(spec.wavefunctions, ref.wavefunctions)
 
 
 def test_count_nodes_dead_band():

@@ -104,7 +104,7 @@ def test_constant_potential_uniform_target():
 
     grid = default_grid(4.0, 0.01)
     flat = PotentialGrid(grid=grid, values=np.full(grid.points, 2.0), asymptote=2.0)
-    amp, _ = potential_to_target(flat, 50, ceiling=3.0)
+    amp, _ = potential_to_target(flat, 50)
     assert np.max(np.abs(amp - amp[0])) < 1e-12
 
 
@@ -123,11 +123,6 @@ def test_files_from_numpy_scalars_read_back(tmp_path):
     intensity, tmap_back = read_intensity_csv(tmp_path / "intensity.csv")
     assert tmap_back == tmap
     assert np.array_equal(intensity, amp**2)
-
-
-def test_ceiling_below_max_rejected(prime10_potential):
-    with pytest.raises(ValueError):
-        potential_to_target(prime10_potential, 100, ceiling=10.0)
 
 
 def test_parseval_power_conservation():
@@ -292,7 +287,7 @@ def test_uniform_target_extracts_flat_profile():
 
     grid = default_grid(4.0, 0.01)
     flat = PotentialGrid(grid=grid, values=np.full(grid.points, 2.0), asymptote=2.0)
-    amp, tmap = potential_to_target(flat, 40, ceiling=3.0)
+    amp, tmap = potential_to_target(flat, 40)
     state = make_state(32, amp, seed=5, target_map=tmap)
     result = optimize_phase(state, max_iters=300)
     rec = extract_profile(propagate(result.state), result.state)

@@ -306,8 +306,8 @@ def test_riccati_sweep_matches_rk4_on_prime_chain():
     assert worst[0.01] / worst[0.005] >= 12.0
 
 
-# each is imported inside the one function that runs it, so neither the CLI
-# import nor a filter verdict loads them
+# each is imported inside the one function that runs it, so the CLI import,
+# a filter verdict and `pi` load none of them
 LAZY_SCIPY = ("scipy.linalg", "scipy.optimize", "scipy.interpolate", "scipy.special", "scipy.constants")
 
 
@@ -333,7 +333,12 @@ def test_filter_verdict_loads_no_scipy_submodule():
     code = (
         "import sys; "
         "from primepot.scattering import build_filter_apparatus, filter_lucky_prime; "
+        "from primepot.cli import main; "
         "print(filter_lucky_prime(7, build_filter_apparatus()).is_lucky_prime); "
+        "main(['pi', '--x', '1000']); "
         f"print(sorted(m for m in {LAZY_SCIPY!r} if m in sys.modules))"
     )
-    assert _fresh_process(code)[:2] == ["True", "[]"]
+    lines = _fresh_process(code)
+    assert lines[0] == "True"
+    assert '  "exact": 168,' in lines  # pi ran
+    assert lines[-2] == "[]"

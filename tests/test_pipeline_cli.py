@@ -13,7 +13,8 @@ from primepot.pipeline import (
     parse_sequence_spec,
     run_pipeline,
 )
-from primepot import sequences
+from primepot import semiclassical, sequences
+from primepot.semiclassical import PROFILE_POINT_LIMIT, SAMPLE_LIMIT
 from primepot.sequences import DEFAULT_TERMS, EXACT_COUNT_LIMIT, LUCKY_LIMIT
 
 
@@ -159,6 +160,21 @@ def test_cli_sieves_reject_limits_past_their_bounds(monkeypatch, capsys):
     ):
         assert main(argv) == 1, argv
         assert f"exceeds {bound:.0e}" in capsys.readouterr().err, argv
+
+
+def test_cli_semiclassical_rejects_sizes_past_their_bounds(monkeypatch, capsys, tmp_path):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated an oversized array")
+
+    out = str(tmp_path / "sc.csv")
+    # x_max grows like sqrt(v_max): 1e15 would need about 5.5e8 output nodes
+    monkeypatch.setattr(semiclassical, "Grid", no_allocation)
+    assert main(["semiclassical", "--vmax", "1e15", "--out", out]) == 1
+    assert f"exceeds {PROFILE_POINT_LIMIT:.0e}" in capsys.readouterr().err
+    # the quadrature lattice holds (samples - 1) x 256 energies
+    monkeypatch.setattr(semiclassical.np, "linspace", no_allocation)
+    assert main(["semiclassical", "--samples", str(SAMPLE_LIMIT + 1), "--out", out]) == 1
+    assert f"not exceed {SAMPLE_LIMIT:.0e}" in capsys.readouterr().err
 
 
 def test_cli_design_solve_cycle(tmp_path, capsys):

@@ -94,6 +94,17 @@ def test_log_integral_against_mpmath():
         assert log_integral(x) == pytest.approx(oracle, abs=1e-9)
 
 
+def test_log_integral_series_across_its_range():
+    # Ramanujan's series against mpmath's li up to the largest x counted exactly
+    mpmath.mp.dps = 30
+    for x in np.geomspace(2.5, 1e9, 40):
+        oracle = float(mpmath.li(x) - mpmath.li(2))
+        assert log_integral(float(x)) == pytest.approx(oracle, rel=1e-13)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            log_integral(bad)
+
+
 def test_counting_estimates_exact_matches_sieve():
     for x in (10.0, 100.0, 1000.0, 2500.0):
         est = counting_estimates(x)
