@@ -25,6 +25,7 @@ from .pipeline import (
     write_json,
 )
 from .scattering import (
+    SCAN_STEP_LIMIT,
     build_filter_apparatus,
     filter_lucky_prime,
     transmission_scan,
@@ -94,6 +95,8 @@ def _cmd_semiclassical(args) -> int:
 
 
 def _cmd_scatter(args) -> int:
+    if args.steps > SCAN_STEP_LIMIT:
+        raise ValueError(f"--steps {args.steps} exceeds {SCAN_STEP_LIMIT:.0e}")
     pot = PotentialGrid.read_csv(args.potential)
     energies = np.linspace(args.emin, args.emax, args.steps)
     scan = transmission_scan(pot, energies)

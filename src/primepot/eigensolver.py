@@ -31,7 +31,7 @@ import numpy as np
 
 from .grid import PotentialGrid
 
-__all__ = ["Spectrum", "DiscrepancyReport", "bound_states", "compare_spectrum", "count_nodes"]
+__all__ = ["Spectrum", "DiscrepancyReport", "bound_states", "check_resolution", "compare_spectrum", "count_nodes"]
 
 
 @dataclass
@@ -83,6 +83,21 @@ def count_nodes(psi: np.ndarray) -> int:
     return int(np.count_nonzero(np.diff(signs) != 0))
 
 
+def check_resolution(potential: PotentialGrid, kinetic_scale: float) -> None:
+    """Reject a potential whose depth the grid cannot resolve:
+    ``h^2 (max V - min V) > 0.1 c^2``, with the spacing that would."""
+    v = potential.values
+    h = potential.grid.spacing
+    c = float(kinetic_scale)
+    v_span = float(v.max() - v.min())
+    if h * h * v_span > 0.1 * c * c and v_span > 0.0:
+        suggested = (0.1 * c * c / v_span) ** 0.5
+        raise ValueError(
+            f"grid spacing {h:.3g} cannot resolve this potential; "
+            f"use spacing <= {suggested:.3g}"
+        )
+
+
 def bound_states(
     potential: PotentialGrid,
     kinetic_scale: float,
@@ -102,15 +117,9 @@ def bound_states(
         raise ValueError("kinetic_scale must be positive")
     if count is not None and count < 1:
         raise ValueError("count must be positive")
+    check_resolution(potential, c)
     v = potential.values
     h = potential.grid.spacing
-    v_span = float(v.max() - v.min())
-    if h * h * v_span > 0.1 * c * c and v_span > 0.0:
-        suggested = (0.1 * c * c / v_span) ** 0.5
-        raise ValueError(
-            f"grid spacing {h:.3g} cannot resolve this potential; "
-            f"use spacing <= {suggested:.3g}"
-        )
     edge = 0.5 * (float(v[0]) + float(v[-1]))
 
     inv_h2 = c * c / (h * h)

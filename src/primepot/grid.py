@@ -46,10 +46,6 @@ class Grid:
     def center_index(self) -> int:
         return self.points // 2
 
-    def right_half(self) -> np.ndarray:
-        """Nodes x >= 0, center included."""
-        return self.x[self.center_index :]
-
 
 def default_grid(half_width: float = 12.0, spacing: float = 0.005) -> Grid:
     """Production grid: holds primes:40 within 6.1e-4 of every level."""

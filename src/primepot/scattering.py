@@ -65,6 +65,7 @@ COARSE = 17  # energies a window search starts from
 NEWTON_STEPS = 8  # Gauss-Newton steps a window search takes at most
 FILTER_WINDOW = 0.5  # half-width around w absorbing the truncation shift
 FLAT_FRACTION = 0.05  # opened walls end where they come this close to the rim, relative to the depth
+SCAN_STEP_LIMIT = 20_000  # most energies `scatter --steps` takes: about 3.5 KB of scan buffers each
 
 
 @dataclass

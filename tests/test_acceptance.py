@@ -32,7 +32,6 @@ from primepot.semiclassical import (
 )
 from primepot.sequences import counting_estimates, first_lucky, first_primes, sieve_primes
 from primepot.susy import (
-    GapSequence,
     KINETIC_HALF,
     chain_from_gaps,
     design_potential,
@@ -94,8 +93,7 @@ def test_criterion_2_lucky_round_trip(grid12):
 
 def test_criterion_3_poschl_teller_closure():
     grid = default_grid(12.0, 0.005)
-    gaps = GapSequence(gaps=np.array([0.0, -0.5, -2.0, -4.5]), top_level=0.0)
-    pot = chain_from_gaps(gaps, grid, KINETIC_HALF)
+    pot = chain_from_gaps(np.array([-0.5, -2.0, -4.5]), grid, KINETIC_HALF)
     ref = poschl_teller_reference(3, grid)
     err = float(np.max(np.abs(pot.values - ref.values)))
     _report("3 Poschl-Teller closure N=3", err <= 1e-3, f"sup-norm={err:.2e}")

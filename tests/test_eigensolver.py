@@ -69,7 +69,7 @@ wells = st.tuples(
 @st.composite
 def even_potentials(draw):
     grid = default_grid(draw(st.floats(4.0, 8.0)), draw(st.floats(0.01, 0.03)))
-    x = grid.right_half()
+    x = grid.x[grid.center_index :]
     right = np.zeros_like(x)
     for shape, depth, width, offset in draw(st.lists(wells, min_size=1, max_size=3)):
         f = WELL_SHAPES[shape]

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 import primepot
 from primepot import _kernels
-from primepot.grid import PotentialGrid, default_grid
+from primepot.grid import default_grid
 from primepot.sequences import first_primes
 from primepot.susy import KINETIC_HALF, chain_step, gaps_from_spectrum
 
@@ -289,19 +289,19 @@ def test_riccati_sweep_survives_overflow():
 def test_riccati_sweep_matches_rk4_on_prime_chain():
     # every step of the primes:10 chain: both sweeps are fourth order, so
     # their difference shrinks about 16x when the spacing halves
-    gaps = gaps_from_spectrum(first_primes(10).astype(float)).gaps
+    gaps = gaps_from_spectrum(first_primes(10).astype(float))
     worst = {}
     for h in (0.01, 0.005):
         grid = default_grid(12.0, h)
-        current = PotentialGrid(grid=grid, values=np.zeros(grid.points), asymptote=0.0)
+        current = np.zeros(grid.center_index + 1)
         worst[h] = 0.0
-        for gap in gaps[1:]:
-            q = (current.values[grid.center_index :] - gap) / KINETIC_HALF**2
+        for gap in gaps:
+            q = (current - gap) / KINETIC_HALF**2
             w, status = _kernels.riccati_sweep(q, h, KINETIC_HALF)
             w_ref, status_ref = _rk4_sweep(q, h, KINETIC_HALF)
             assert status == status_ref == -1
             worst[h] = max(worst[h], float(np.max(np.abs(w - w_ref))))
-            _, current = chain_step(current, float(gap), KINETIC_HALF)
+            _, current = chain_step(current, float(gap), grid.spacing, KINETIC_HALF)
     assert worst[0.005] <= 1e-7
     assert worst[0.01] / worst[0.005] >= 12.0
 

@@ -13,7 +13,8 @@ from primepot.pipeline import (
     parse_sequence_spec,
     run_pipeline,
 )
-from primepot import semiclassical, sequences
+from primepot import cli, semiclassical, sequences
+from primepot.scattering import SCAN_STEP_LIMIT
 from primepot.semiclassical import PROFILE_POINT_LIMIT, SAMPLE_LIMIT
 from primepot.sequences import DEFAULT_TERMS, EXACT_COUNT_LIMIT, LUCKY_LIMIT
 
@@ -258,6 +259,47 @@ def test_cli_rejects_non_finite(tmp_path, monkeypatch, capsys, argv, named):
     assert main(argv) == 1
     assert named in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_cli_design_rejects_non_finite_levels(tmp_path, capsys, bad):
+    levels = tmp_path / "levels.txt"
+    levels.write_text(f"1\n{bad}\n")
+    out = tmp_path / "pot.csv"
+    assert main(["design", "--levels", f"file:{levels}", "--out", str(out)]) == 1
+    assert f"levels must be finite; got [{bad}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unresolvable_levels_fail_at_design(tmp_path, capsys):
+    # the eigensolver's resolution rule, applied where the potential is made
+    levels = tmp_path / "levels.txt"
+    levels.write_text("1\n2000\n")
+    out = tmp_path / "pot.csv"
+    assert main(["design", "--levels", f"file:{levels}", "--out", str(out)]) == 1
+    assert "use spacing <= 0.00354" in capsys.readouterr().err
+    assert not out.exists()
+    outdir = tmp_path / "run"
+    assert main(["pipeline", "--sequence", f"file:{levels}", "--outdir", str(outdir)]) == 1
+    assert "stage 'design' failed" in capsys.readouterr().err
+    assert not outdir.exists()
+    with pytest.raises(PipelineStageError) as info:
+        run_pipeline(PipelineConfig(sequence=f"file:{levels}", outdir=str(outdir)))
+    assert info.value.stage == "design"
+    assert not outdir.exists()
+
+
+def test_cli_scatter_rejects_steps_past_limit(monkeypatch, capsys, tmp_path):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated an energy array")
+
+    grid = default_grid(3.0, 0.005)
+    path = tmp_path / "barrier.csv"
+    PotentialGrid(grid=grid, values=np.where(np.abs(grid.x) < 1.0, 6.0, 0.0), asymptote=0.0).write_csv(path)
+    monkeypatch.setattr(cli.np, "linspace", no_allocation)
+    argv = ["scatter", str(path), "--emin", "0.5", "--emax", "20", "--steps", str(SCAN_STEP_LIMIT + 1)]
+    assert main(argv) == 1
+    assert f"exceeds {SCAN_STEP_LIMIT:.0e}" in capsys.readouterr().err
 
 
 def test_cli_scatter_schema(tmp_path, capsys):

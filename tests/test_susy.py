@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from primepot.eigensolver import bound_states
-from primepot.grid import PotentialGrid, default_grid
+from primepot.grid import default_grid
 from primepot.sequences import check_growth_bound, first_lucky, first_primes
 from primepot.susy import (
     ChainError,
-    GapSequence,
     KINETIC_HALF,
     chain_from_gaps,
     chain_step,
@@ -20,16 +19,18 @@ from primepot.susy import (
 )
 
 
+def half_line_zeros(grid):
+    """V = 0 on the nodes x = 0, h, ..., half_width: the chain's start."""
+    return np.zeros(grid.center_index + 1)
+
+
 def test_gaps_from_spectrum_simple():
-    gs = gaps_from_spectrum([2.0, 3.0, 5.0])
-    assert gs.gaps.tolist() == [0.0, -2.0, -3.0]
-    assert gs.top_level == 5.0
+    assert gaps_from_spectrum([2.0, 3.0, 5.0]).tolist() == [-2.0, -3.0]
 
 
 def test_gaps_first_ten_primes():
-    gs = gaps_from_spectrum(first_primes(10))
-    assert gs.gaps.tolist() == [0, -6, -10, -12, -16, -18, -22, -24, -26, -27]
-    assert gs.top_level == 29.0
+    gaps = gaps_from_spectrum(first_primes(10))
+    assert gaps.tolist() == [-6, -10, -12, -16, -18, -22, -24, -26, -27]
 
 
 def test_gaps_reject_duplicates():
@@ -39,42 +40,31 @@ def test_gaps_reject_duplicates():
 
 def test_trivial_zero_step():
     grid = default_grid(6.0, 0.01)
-    flat = PotentialGrid(grid=grid, values=np.zeros(grid.points), asymptote=0.0)
-    w, nxt = chain_step(flat, 0.0, KINETIC_HALF)
+    w, nxt = chain_step(half_line_zeros(grid), 0.0, grid.spacing, KINETIC_HALF)
     assert np.all(w == 0.0)
-    assert np.all(nxt.values == 0.0)
+    assert np.all(nxt == 0.0)
 
 
 def test_superpotential_is_odd(prime10_potential):
+    # W holds the half x >= 0 of an odd function, so it vanishes at x = 0
     grid = prime10_potential.grid
-    w, _ = chain_step(prime10_potential, -1.0, KINETIC_HALF)
-    assert w.shape == (grid.points,)
-    assert w[grid.center_index] == 0.0
-    assert np.array_equal(w, -w[::-1])
-
-
-def test_chain_step_rejects_uneven_potential(grid12):
-    values = np.zeros(grid12.points)
-    values[0] = 1e-9
-    uneven = PotentialGrid(grid=grid12, values=values, asymptote=0.0)
-    with pytest.raises(ValueError, match="even"):
-        chain_step(uneven, -0.5, KINETIC_HALF)
+    right = prime10_potential.values[grid.center_index :]
+    w, _ = chain_step(right, -1.0, grid.spacing, KINETIC_HALF)
+    assert w.shape == right.shape
+    assert w[0] == 0.0
 
 
 def test_single_step_poschl_teller():
     grid = default_grid(12.0, 0.005)
-    flat = PotentialGrid(grid=grid, values=np.zeros(grid.points), asymptote=0.0)
-    _, nxt = chain_step(flat, -0.5, KINETIC_HALF)
+    _, v1 = chain_step(half_line_zeros(grid), -0.5, grid.spacing, KINETIC_HALF)
     ref = poschl_teller_reference(1, grid)
-    assert np.max(np.abs(nxt.values - ref.values)) < 1e-12
+    assert np.max(np.abs(v1 - ref.values[grid.center_index :])) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_poschl_teller_closure(n):
     grid = default_grid(12.0, 0.005)
-    gaps = GapSequence(
-        gaps=np.array([-(k * k) / 2.0 for k in range(n + 1)]), top_level=0.0
-    )
+    gaps = np.array([-(k * k) / 2.0 for k in range(1, n + 1)])
     pot = chain_from_gaps(gaps, grid, KINETIC_HALF)
     ref = poschl_teller_reference(n, grid)
     assert np.max(np.abs(pot.values - ref.values)) < 1e-3
@@ -90,16 +80,20 @@ def test_poschl_teller_reference_values():
 
 
 def test_chain_residuals_small(grid12):
-    # substitute each computed superpotential back into its defining equation
-    gaps = gaps_from_spectrum(first_primes(10).astype(float))
-    grid = grid12
-    current = PotentialGrid(grid=grid, values=np.zeros(grid.points), asymptote=0.0)
-    budget = 10.0 * grid.spacing**2
-    for k in range(1, gaps.gaps.size):
-        w, nxt = chain_step(current, float(gaps.gaps[k]), KINETIC_HALF)
-        res = riccati_residual(w, current, float(gaps.gaps[k]), KINETIC_HALF)
+    # substitute each computed superpotential back into its defining equation;
+    # W extended as odd and V as even across x = 0, so the stencil reaches
+    # x = 0 and x = h too
+    h = grid12.spacing
+    v = half_line_zeros(grid12)
+    budget = 10.0 * h**2
+    for gap in gaps_from_spectrum(first_primes(10).astype(float)):
+        w, nxt = chain_step(v, float(gap), h, KINETIC_HALF)
+        w_ext = np.concatenate([-w[2:0:-1], w])
+        v_ext = np.concatenate([v[2:0:-1], v])
+        res = riccati_residual(w_ext, v_ext, float(gap), h, KINETIC_HALF)
+        assert res.size == v.size - 2  # nodes x = 0 through half_width - 2h
         assert np.max(np.abs(res)) < budget
-        current = nxt
+        v = nxt
 
 
 def crum_potential(levels, x_values, c=KINETIC_HALF):
@@ -152,9 +146,8 @@ def test_level_count_grows_with_chain(grid12):
     # after k insertions the well holds k strictly bound states plus the
     # threshold state at the edge
     gaps = gaps_from_spectrum([2.0, 3.0, 5.0, 7.0])
-    current = PotentialGrid(grid=grid12, values=np.zeros(grid12.points), asymptote=0.0)
     for k in range(1, 4):
-        _, current = chain_step(current, float(gaps.gaps[k]), KINETIC_HALF)
+        current = chain_from_gaps(gaps[:k], grid12, KINETIC_HALF)
         assert bound_states(current, KINETIC_HALF).eigenvalues.size == k
         spec = bound_states(current, KINETIC_HALF, count=k + 1)
         assert abs(spec.eigenvalues[-1] - spec.continuum_edge) <= 1e-6
@@ -162,23 +155,39 @@ def test_level_count_grows_with_chain(grid12):
 
 def test_oscillations_for_linear_gaps():
     grid = default_grid(12.0, 0.005)
-    gaps = GapSequence(gaps=-np.arange(20.0), top_level=0.0)
-    pot = chain_from_gaps(gaps, grid, KINETIC_HALF)
+    pot = chain_from_gaps(-np.arange(1.0, 20.0), grid, KINETIC_HALF)
     right = pot.values[grid.center_index :]
     sign_changes = np.count_nonzero(np.diff(np.sign(np.diff(right))) != 0)
     assert sign_changes >= 3
 
 
 def test_gap_above_ground_state_rejected(grid12):
-    flat = PotentialGrid(grid=grid12, values=np.zeros(grid12.points), asymptote=0.0)
-    _, v1 = chain_step(flat, -2.0, KINETIC_HALF)
+    h = grid12.spacing
+    _, v1 = chain_step(half_line_zeros(grid12), -2.0, h, KINETIC_HALF)
     with pytest.raises(ChainError):
-        chain_step(v1, -1.0, KINETIC_HALF)
+        chain_step(v1, -1.0, h, KINETIC_HALF)
+
+
+def test_chain_rejects_gaps_out_of_order(grid12):
+    # the chain itself refuses what a level list could not produce
+    with pytest.raises(ChainError, match="chain step k=2 failed"):
+        chain_from_gaps([-2.0, -1.0], grid12, KINETIC_HALF)
+    with pytest.raises(ValueError, match="non-positive"):
+        chain_from_gaps([0.5], grid12, KINETIC_HALF)
 
 
 def test_design_rejects_single_level(grid12):
     with pytest.raises(ValueError):
         design_potential([5.0], grid12)
+
+
+def test_design_rejects_what_the_eigensolver_cannot_resolve(grid12):
+    # one rule for both: h^2 (max V - min V) <= 0.1 c^2
+    with pytest.raises(ValueError, match=r"use spacing <= 0\.00354"):
+        design_potential([1.0, 2000.0], grid12)
+    pot = design_potential([1.0, 2000.0], default_grid(12.0, 0.0035))
+    spec = bound_states(pot, KINETIC_HALF, count=2)
+    assert np.array_equal(np.rint(spec.eigenvalues), [1.0, 2000.0])
 
 
 def test_design_rejects_narrow_grid():
