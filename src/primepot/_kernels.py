@@ -5,6 +5,18 @@ step (``magnus_step``) on samples from one cubic cell stencil
 (``cell_samples``). The Riccati sweep of the construction chain needs the
 solution at every node, the prefix products of the steps; each transmission
 scan needs only their total product, batched over energies.
+
+A transfer scan multiplies its steps in blocks of ``BLOCK`` = 32 cells and
+rescales the running product after each block. One step call covers a span
+of whole blocks, about ``WORK`` = 8192 cell-energies, so a filter verdict's
+batches of a few dozen energies pay numpy's per-call overhead once per span
+rather than once per block, while each float64 temporary stays at 64 KiB,
+under glibc malloc's default 128 KiB mmap threshold (at 452 cells x 34
+energies, 123 KiB per temporary, the step ran about 2x slower per element
+than at 240 x 34). The span changes only how many blocks
+one call computes, never the order of a product or a rescale, so a scan's
+result is bitwise the same for any span, and each energy's result is the
+same bits in any batch.
 Timings of both are reported by ``python3 perfbench/run.py --trace 1``.
 """
 
@@ -24,7 +36,8 @@ __all__ = [
     "transmission_reflection",
 ]
 
-BLOCK = 32  # cells whose step matrices one vectorized step computes
+BLOCK = 32  # cells multiplied together between two rescales of a transfer scan
+WORK = 8192  # cell-energies per step call of a transfer scan: 64 KiB per float64 temporary
 SQRT3_12 = math.sqrt(3.0) / 12.0  # commutator weight of the two-point Gauss Magnus step
 GAUSS_POINTS = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)  # two-point Gauss nodes, as fractions of a cell
 
@@ -128,10 +141,16 @@ def transfer_scan(v_cells: np.ndarray, h: float, energies: np.ndarray, c: float,
     potentials are propagated exactly.
 
     `v_cells` holds constant cells, shape (n_cells,), or the potential at the
-    two Gauss points of each cell, shape (n_cells, 2). For each block of
-    cells the step matrices come from one vectorized step and are multiplied
-    pairwise, log2(BLOCK) vectorized levels; the block's product then
-    updates the running product, which is rescaled once per block.
+    two Gauss points of each cell, shape (n_cells, 2). The cells go in spans
+    of ``BLOCK * max(1, WORK // (BLOCK * n_energies))``: one vectorized step
+    computes a span's step matrices into the scan's one buffer, identity
+    steps pad its last block, and the steps of every block are multiplied
+    pairwise at once, log2(BLOCK) vectorized levels. Each block's product
+    then updates the running product, which is rescaled after every block,
+    so no product grows over more than ``BLOCK`` cells before it is rescaled.
+    Every product and rescale happens in the same order for any span, so the
+    result does not depend on the span, and an energy's result does not
+    depend on the batch it is scanned in, to the last bit.
 
     Returns ``(m, log_scale)``: ``exp(log_scale) * m`` maps ``(psi, psi'/k)``
     at the left end to the right end, ``k = sqrt(E - v_lead)/c`` the leads'
@@ -150,24 +169,30 @@ def transfer_scan(v_cells: np.ndarray, h: float, energies: np.ndarray, c: float,
     m = np.zeros((2, 2, energies.size))
     m[0, 0] = m[1, 1] = 1.0
     log_scale = np.zeros(energies.size)
-    # one step buffer per scan: at a few hundred energies a fresh one per block
+    # one step buffer per scan: at a few hundred energies a fresh one per span
     # is large enough for glibc malloc to map and fault in anew every time
-    steps = np.empty((2, 2, BLOCK, energies.size))
-    for start in range(0, v.shape[0], BLOCK):
-        block = v[start : start + BLOCK]
-        alpha = ((SQRT3_12 * h * h / c2) * (block[:, 0] - block[:, 1]))[:, None]
-        h_qbar = (h / c2) * (0.5 * (block[:, 0] + block[:, 1])[:, None] - energies)
-        step = magnus_step(alpha, h_qbar, h, steps[:, :, : block.shape[0]])
-        # the block's product pairwise, later cells on the left: log2(BLOCK) levels
-        while step.shape[2] > 1:
-            pairs = step.shape[2] // 2
-            product = _product(step[:, :, 1 : 2 * pairs : 2], step[:, :, 0 : 2 * pairs : 2])
-            step = np.concatenate([product, step[:, :, 2 * pairs :]], axis=2) if step.shape[2] % 2 else product
-        m = _product(step[:, :, 0], m)
-        # each step has determinant 1, so the largest entry is finite and nonzero
-        s = np.abs(m).max(axis=(0, 1))
-        m /= s
-        log_scale += np.log(s)
+    span = BLOCK * max(1, WORK // (BLOCK * max(1, energies.size)))
+    steps = np.empty((2, 2, span, energies.size))
+    for start in range(0, v.shape[0], span):
+        cells = v[start : start + span]
+        n_cells = cells.shape[0]
+        n_blocks = -(-n_cells // BLOCK)
+        alpha = ((SQRT3_12 * h * h / c2) * (cells[:, 0] - cells[:, 1]))[:, None]
+        h_qbar = (h / c2) * (0.5 * (cells[:, 0] + cells[:, 1])[:, None] - energies)
+        magnus_step(alpha, h_qbar, h, steps[:, :, :n_cells])
+        # identity steps pad the last block: I @ X is exactly X, so the odd
+        # step of a level passes up the tree unchanged
+        steps[:, :, n_cells : n_blocks * BLOCK] = np.eye(2)[:, :, None, None]
+        tree = steps[:, :, : n_blocks * BLOCK].reshape(2, 2, n_blocks, BLOCK, energies.size)
+        # each block's product pairwise, later cells on the left: log2(BLOCK) levels
+        while tree.shape[3] > 1:
+            tree = _product(tree[:, :, :, 1::2], tree[:, :, :, 0::2])
+        for block in range(n_blocks):
+            m = _product(tree[:, :, block, 0], m)
+            # each step has determinant 1, so the largest entry is finite and nonzero
+            s = np.abs(m).max(axis=(0, 1))
+            m /= s
+            log_scale += np.log(s)
     k = np.sqrt(energies - float(v_lead)) / float(c)
     m[0, 1] *= k
     m[1, 0] /= k

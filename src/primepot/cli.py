@@ -95,6 +95,8 @@ def _cmd_semiclassical(args) -> int:
 
 
 def _cmd_scatter(args) -> int:
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     if args.steps > SCAN_STEP_LIMIT:
         raise ValueError(f"--steps {args.steps} exceeds {SCAN_STEP_LIMIT:.0e}")
     pot = PotentialGrid.read_csv(args.potential)

@@ -112,6 +112,49 @@ def _lead_basis_scan(v_cells, h, energies, c, v_lead):
     return t.reshape(out_shape), r.reshape(out_shape)
 
 
+def _transfer_scan_per_block(v_cells, h, energies, c, v_lead):
+    """``transfer_scan`` with one step call and one product tree per
+    ``BLOCK`` cells, its carry rule for an odd level, and the same rescale per
+    block; reference for the span kernel, which must match it bit for bit."""
+    v = np.asarray(v_cells, dtype=np.float64)
+    if v.ndim == 1:
+        v = np.stack([v, v], axis=1)
+    energies = np.ascontiguousarray(energies, dtype=np.float64)
+    c2 = c * c
+    m = np.zeros((2, 2, energies.size))
+    m[0, 0] = m[1, 1] = 1.0
+    log_scale = np.zeros(energies.size)
+    for start in range(0, v.shape[0], _kernels.BLOCK):
+        block = v[start : start + _kernels.BLOCK]
+        alpha = ((_kernels.SQRT3_12 * h * h / c2) * (block[:, 0] - block[:, 1]))[:, None]
+        h_qbar = (h / c2) * (0.5 * (block[:, 0] + block[:, 1])[:, None] - energies)
+        step = _kernels.magnus_step(alpha, h_qbar, h, np.empty((2, 2, block.shape[0], energies.size)))
+        while step.shape[2] > 1:
+            pairs = step.shape[2] // 2
+            product = _kernels._product(step[:, :, 1 : 2 * pairs : 2], step[:, :, 0 : 2 * pairs : 2])
+            step = np.concatenate([product, step[:, :, 2 * pairs :]], axis=2) if step.shape[2] % 2 else product
+        m = _kernels._product(step[:, :, 0], m)
+        s = np.abs(m).max(axis=(0, 1))
+        m /= s
+        log_scale += np.log(s)
+    k = np.sqrt(energies - v_lead) / c
+    m[0, 1] *= k
+    m[1, 0] /= k
+    return m, log_scale
+
+
+def _span(n_energies):
+    """Cells per step call of ``transfer_scan`` for a batch of `n_energies`."""
+    b = _kernels.BLOCK
+    return b * max(1, _kernels.WORK // (b * max(1, n_energies)))
+
+
+def _edge_counts(span):
+    """Cell counts on both sides of the block and span edges."""
+    b = _kernels.BLOCK
+    return sorted({1, b - 1, b, b + 1, span - 1, span, span + 1, 3 * span + 5})
+
+
 def _magnus_oracle(gauss_cells, h, energy, c, v_lead):
     """One energy, cell by cell: ``expm`` of the Magnus exponent, then (T, R)
     from the (psi, psi') matrix and the lead wavenumber."""
@@ -156,9 +199,8 @@ def test_transfer_unitarity_deep_tunneling():
 
 def test_blocked_scan_matches_oracle_at_block_edges():
     rng = np.random.default_rng(5)
-    b = _kernels.BLOCK
     energies = np.linspace(0.5, 30.0, 37)
-    for n_cells in (1, b - 1, b, b + 1, 3 * b + 5):
+    for n_cells in _edge_counts(_span(energies.size)):
         # a barrier-and-well profile with steps, so every block holds interfaces
         cells = np.where(rng.random(n_cells) < 0.5, 12.0, 2.0) * rng.uniform(0.5, 1.5, n_cells)
         t, r = _scan_tr(cells, 0.01, energies, KINETIC_HALF, 0.0)
@@ -167,6 +209,58 @@ def test_blocked_scan_matches_oracle_at_block_edges():
         assert np.allclose(r, r_ref, atol=1e-10), n_cells
         t_lead, _ = _lead_basis_scan(cells, 0.01, energies, KINETIC_HALF, 0.0)
         assert np.max(np.abs(t - t_lead)) <= 1e-12, n_cells
+
+
+def test_span_scan_matches_per_block_kernel_bitwise():
+    # one step call per span of whole blocks multiplies and rescales in the
+    # per-block order, so nothing may differ, not even in the last bit
+    rng = np.random.default_rng(11)
+    for n_energies in (1, 2, 34, 241):
+        energies = np.sort(rng.uniform(0.5, 60.0, n_energies))
+        for n_cells in _edge_counts(_span(n_energies)):
+            for cells in (rng.uniform(0.0, 40.0, n_cells), rng.uniform(0.0, 40.0, (n_cells, 2))):
+                for h in (0.005, 0.05):
+                    m, log_scale = _kernels.transfer_scan(cells, h, energies, KINETIC_HALF, 0.0)
+                    m_ref, log_ref = _transfer_scan_per_block(cells, h, energies, KINETIC_HALF, 0.0)
+                    key = (n_energies, n_cells, cells.ndim, h)
+                    assert np.array_equal(m, m_ref) and np.array_equal(log_scale, log_ref), key
+
+
+def test_scan_is_independent_of_its_batch():
+    # an energy's result is the same bits whichever batch scans it, so a
+    # verdict's energies agree exactly with a dense scan's
+    rng = np.random.default_rng(17)
+    energies = np.sort(rng.uniform(0.5, 60.0, 41))
+    for n_cells in (_span(1) + 7, _span(energies.size) + 7, 3 * _kernels.BLOCK + 5):
+        cells = rng.uniform(0.0, 40.0, (n_cells, 2))
+        m, log_scale = _kernels.transfer_scan(cells, 0.01, energies, KINETIC_HALF, 0.0)
+        for j, energy in enumerate(energies):
+            m_one, log_one = _kernels.transfer_scan(cells, 0.01, energies[j : j + 1], KINETIC_HALF, 0.0)
+            assert np.array_equal(m_one[:, :, 0], m[:, :, j]) and log_one[0] == log_scale[j], (n_cells, energy)
+        m_part, log_part = _kernels.transfer_scan(cells, 0.01, energies[::3], KINETIC_HALF, 0.0)
+        assert np.array_equal(m_part, m[:, :, ::3]) and np.array_equal(log_part, log_scale[::3]), n_cells
+
+
+def test_scan_step_calls_cover_spans_of_whole_blocks(monkeypatch):
+    # each step call spans whole blocks, about WORK cell-energies, so its
+    # temporaries stay small at any batch; an empty batch still scans
+    calls = []
+
+    def recording_step(alpha, h_qbar, h, out):
+        calls.append(out.shape[2:])
+        return magnus_step(alpha, h_qbar, h, out)
+
+    magnus_step = _kernels.magnus_step
+    monkeypatch.setattr(_kernels, "magnus_step", recording_step)
+    b, work = _kernels.BLOCK, _kernels.WORK
+    cells = np.linspace(0.0, 20.0, 1000)
+    for n_energies in (0, 1, 34, 241, 2000):
+        calls.clear()
+        m, log_scale = _kernels.transfer_scan(cells, 0.01, np.linspace(1.0, 30.0, n_energies), KINETIC_HALF, 0.0)
+        assert m.shape == (2, 2, n_energies) and log_scale.shape == (n_energies,)
+        span = _span(n_energies)
+        assert calls == [(min(span, cells.size - start), n_energies) for start in range(0, cells.size, span)]
+        assert span % b == 0 and span * n_energies <= max(work, b * n_energies)
 
 
 def test_gauss_cells_match_expm_product():
@@ -209,7 +303,8 @@ def test_mirror_resonance_matches_full_profile_scan():
     rng = np.random.default_rng(13)
     b, h = _kernels.BLOCK, 0.02
     energies = np.array([0.3, 1.0, 4.0, 9.5, 17.0, 40.0])  # T down to 3e-18 at 0.3
-    for n_half in (1, b - 1, b + 3, 3 * b + 5):
+    span = _span(energies.size)
+    for n_half in (1, b - 1, b + 3, 3 * b + 5, span - 1, span, span + 1):
         half = rng.uniform(0.0, 25.0, (n_half, 2))
         full = np.concatenate([half, half[::-1, ::-1]])
         g = _kernels.mirror_resonance(*_kernels.transfer_scan(half, h, energies, KINETIC_HALF, 0.0))

@@ -302,6 +302,18 @@ def test_cli_scatter_rejects_steps_past_limit(monkeypatch, capsys, tmp_path):
     assert f"exceeds {SCAN_STEP_LIMIT:.0e}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", [0, -1])
+def test_cli_scatter_rejects_steps_below_one(capsys, tmp_path, steps):
+    grid = default_grid(3.0, 0.005)
+    path = tmp_path / "barrier.csv"
+    PotentialGrid(grid=grid, values=np.where(np.abs(grid.x) < 1.0, 6.0, 0.0), asymptote=0.0).write_csv(path)
+    argv = ["scatter", str(path), "--emin", "0.5", "--emax", "20", "--steps", str(steps)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"--steps must be at least 1, got {steps}" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_scatter_schema(tmp_path, capsys):
     grid = default_grid(3.0, 0.005)
     values = np.where(np.abs(grid.x) < 1.0, 6.0, 0.0)

@@ -32,6 +32,7 @@ from pathlib import Path
 
 COMMANDS = {
     "filter": ["filter", "--w", "7"],
+    "rejected": ["filter", "--w", "8"],
     "design": ["design", "--levels", "primes:10", "--out", "pot.csv"],
     "pi": ["pi", "--x", "1000"],
 }
