@@ -2,21 +2,22 @@
 
 Both solve ``psi'' = q psi`` with one propagator, the two-point Gauss Magnus
 step (``magnus_step``) on samples from one cubic cell stencil
-(``cell_samples``). The Riccati sweep of the construction chain needs the
-solution at every node, the prefix products of the steps; each transmission
-scan needs only their total product, batched over energies.
+(``cell_samples``), and multiply the steps on one block tree
+(``_block_products``, a blocked scan after Blelloch 1990): blocks of
+``BLOCK`` = 32 cells, each multiplied pairwise, and what is carried across
+the blocks is rescaled after each one. The Riccati sweep of the chain
+carries the column (u, u') and then walks each block to get u at every
+node; each transmission scan carries the 2x2 product, batched over energies.
 
-A transfer scan multiplies its steps in blocks of ``BLOCK`` = 32 cells and
-rescales the running product after each block. One step call covers a span
-of whole blocks, about ``WORK`` = 8192 cell-energies, so a filter verdict's
-batches of a few dozen energies pay numpy's per-call overhead once per span
-rather than once per block, while each float64 temporary stays at 64 KiB,
-under glibc malloc's default 128 KiB mmap threshold (at 452 cells x 34
-energies, 123 KiB per temporary, the step ran about 2x slower per element
-than at 240 x 34). The span changes only how many blocks
-one call computes, never the order of a product or a rescale, so a scan's
-result is bitwise the same for any span, and each energy's result is the
-same bits in any batch.
+A transfer scan's step call covers a span of whole blocks, about ``WORK`` =
+8192 cell-energies, so a filter verdict's batches of a few dozen energies
+pay numpy's per-call overhead once per span rather than once per block,
+while each float64 temporary stays at 64 KiB, under glibc malloc's default
+128 KiB mmap threshold (at 452 cells x 34 energies, 123 KiB per temporary,
+the step ran about 2x slower per element than at 240 x 34). The span changes
+only how many blocks one call computes, never the order of a product or a
+rescale, so a scan's result is bitwise the same for any span, and each
+energy's result is the same bits in any batch.
 Timings of both are reported by ``python3 perfbench/run.py --trace 1``.
 """
 
@@ -36,7 +37,7 @@ __all__ = [
     "transmission_reflection",
 ]
 
-BLOCK = 32  # cells multiplied together between two rescales of a transfer scan
+BLOCK = 32  # cells multiplied together between two rescales, in both kernels
 WORK = 8192  # cell-energies per step call of a transfer scan: 64 KiB per float64 temporary
 SQRT3_12 = math.sqrt(3.0) / 12.0  # commutator weight of the two-point Gauss Magnus step
 GAUSS_POINTS = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)  # two-point Gauss nodes, as fractions of a cell
@@ -105,27 +106,51 @@ def _product(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
     return later[:, 0, None] * earlier[None, 0] + later[:, 1, None] * earlier[None, 1]
 
 
+def _block_products(steps: np.ndarray, n_steps: int) -> np.ndarray:
+    """Product of each ``BLOCK`` steps of ``steps[:, :, :n_steps]``, later
+    steps on the left, pairwise in log2(BLOCK) vectorized levels with no
+    rescale; shape (2, 2, n_blocks) + ``steps.shape[3:]``. Identity steps pad
+    the last block in `steps`, which must hold whole blocks: I @ X is exactly
+    X, so the odd step of a level passes up the tree unchanged."""
+    n_blocks = -(-n_steps // BLOCK)
+    steps[:, :, n_steps : n_blocks * BLOCK] = np.eye(2).reshape((2, 2) + (1,) * (steps.ndim - 2))
+    tree = steps[:, :, : n_blocks * BLOCK].reshape((2, 2, n_blocks, BLOCK) + steps.shape[3:])
+    while tree.shape[3] > 1:
+        tree = _product(tree[:, :, :, 1::2], tree[:, :, :, 0::2])
+    return tree[:, :, :, 0]
+
+
 def riccati_sweep(q: np.ndarray, h: float, c: float):
     """Sweep of u'' = q(x) u on x >= 0 with u(0)=1, u'(0)=0.
 
     Returns W = -c u'/u on the nodes and a status index: -1 when u stayed
     positive, else the first node where u <= 0 (W is zero from there on).
     Each cell is carried by ``magnus_step`` on the Gauss samples of q from
-    ``cell_samples``. The solution at node i + 1 is the first column of the
-    product of steps 0..i, and all of these prefix products come from
-    log2(n) vectorized Hillis-Steele levels (Blelloch 1990). After each level
-    every product is divided by its largest entry: the scale is positive, so
-    the sign of u survives, and W is a ratio, so it needs no log scale.
+    ``cell_samples``. The column (u, u') is carried across the block products
+    of ``_block_products`` in order and divided by its larger entry after each
+    block: the scale is positive, so the sign of u survives, and W is a
+    ratio, so it needs no log scale. Each block's steps then carry its
+    starting column to u at every node, all blocks at once.
     """
     gauss = cell_samples(q, GAUSS_POINTS)
+    n_cells = gauss.shape[0]
     alpha = SQRT3_12 * h * h * (gauss[:, 0] - gauss[:, 1])
-    p = magnus_step(alpha, 0.5 * h * (gauss[:, 0] + gauss[:, 1]), h, np.empty((2, 2, alpha.size)))
-    shift = 1
-    while shift < p.shape[2]:
-        p = np.concatenate([p[:, :, :shift], _product(p[:, :, shift:], p[:, :, :-shift])], axis=2)
-        p /= np.abs(p).max(axis=(0, 1))
-        shift *= 2
-    u, du = p[0, 0], p[1, 0]
+    steps = np.empty((2, 2, -(-n_cells // BLOCK) * BLOCK))
+    magnus_step(alpha, 0.5 * h * (gauss[:, 0] + gauss[:, 1]), h, steps[:, :, :n_cells])
+    totals = _block_products(steps, n_cells)
+    u, du = [1.0], [0.0]
+    for t11, t12, t21, t22 in zip(*totals.reshape(4, -1)[:, :-1].tolist()):
+        nu, ndu = t11 * u[-1] + t12 * du[-1], t21 * u[-1] + t22 * du[-1]
+        s = max(abs(nu), abs(ndu))
+        u.append(nu / s)
+        du.append(ndu / s)
+    column = np.array([u, du])[:, None]
+    blocks = steps.reshape(2, 2, -1, BLOCK)
+    path = np.empty((2, column.shape[2], BLOCK))
+    for j in range(BLOCK):
+        column = _product(blocks[:, :, :, j], column)
+        path[:, :, j] = column[:, 0]
+    u, du = path.reshape(2, -1)[:, :n_cells]
     crossed = np.flatnonzero(u <= 0.0)
     end = int(crossed[0]) if crossed.size else u.size
     w = np.zeros(u.size + 1)
@@ -143,9 +168,8 @@ def transfer_scan(v_cells: np.ndarray, h: float, energies: np.ndarray, c: float,
     `v_cells` holds constant cells, shape (n_cells,), or the potential at the
     two Gauss points of each cell, shape (n_cells, 2). The cells go in spans
     of ``BLOCK * max(1, WORK // (BLOCK * n_energies))``: one vectorized step
-    computes a span's step matrices into the scan's one buffer, identity
-    steps pad its last block, and the steps of every block are multiplied
-    pairwise at once, log2(BLOCK) vectorized levels. Each block's product
+    computes a span's step matrices into the scan's one buffer, and
+    ``_block_products`` multiplies them block by block. Each block's product
     then updates the running product, which is rescaled after every block,
     so no product grows over more than ``BLOCK`` cells before it is rescaled.
     Every product and rescale happens in the same order for any span, so the
@@ -175,20 +199,12 @@ def transfer_scan(v_cells: np.ndarray, h: float, energies: np.ndarray, c: float,
     steps = np.empty((2, 2, span, energies.size))
     for start in range(0, v.shape[0], span):
         cells = v[start : start + span]
-        n_cells = cells.shape[0]
-        n_blocks = -(-n_cells // BLOCK)
         alpha = ((SQRT3_12 * h * h / c2) * (cells[:, 0] - cells[:, 1]))[:, None]
         h_qbar = (h / c2) * (0.5 * (cells[:, 0] + cells[:, 1])[:, None] - energies)
-        magnus_step(alpha, h_qbar, h, steps[:, :, :n_cells])
-        # identity steps pad the last block: I @ X is exactly X, so the odd
-        # step of a level passes up the tree unchanged
-        steps[:, :, n_cells : n_blocks * BLOCK] = np.eye(2)[:, :, None, None]
-        tree = steps[:, :, : n_blocks * BLOCK].reshape(2, 2, n_blocks, BLOCK, energies.size)
-        # each block's product pairwise, later cells on the left: log2(BLOCK) levels
-        while tree.shape[3] > 1:
-            tree = _product(tree[:, :, :, 1::2], tree[:, :, :, 0::2])
-        for block in range(n_blocks):
-            m = _product(tree[:, :, block, 0], m)
+        magnus_step(alpha, h_qbar, h, steps[:, :, : cells.shape[0]])
+        totals = _block_products(steps, cells.shape[0])
+        for block in range(totals.shape[2]):
+            m = _product(totals[:, :, block], m)
             # each step has determinant 1, so the largest entry is finite and nonzero
             s = np.abs(m).max(axis=(0, 1))
             m /= s

@@ -83,13 +83,12 @@ def count_nodes(psi: np.ndarray) -> int:
     return int(np.count_nonzero(np.diff(signs) != 0))
 
 
-def check_resolution(potential: PotentialGrid, kinetic_scale: float) -> None:
-    """Reject a potential whose depth the grid cannot resolve:
-    ``h^2 (max V - min V) > 0.1 c^2``, with the spacing that would."""
-    v = potential.values
-    h = potential.grid.spacing
+def check_resolution(v_span: float, spacing: float, kinetic_scale: float) -> None:
+    """Reject a potential span ``v_span = max V - min V`` that a grid of
+    `spacing` h cannot resolve, ``h^2 v_span > 0.1 c^2``, naming the spacing
+    that would."""
+    h = float(spacing)
     c = float(kinetic_scale)
-    v_span = float(v.max() - v.min())
     if h * h * v_span > 0.1 * c * c and v_span > 0.0:
         suggested = (0.1 * c * c / v_span) ** 0.5
         raise ValueError(
@@ -117,9 +116,9 @@ def bound_states(
         raise ValueError("kinetic_scale must be positive")
     if count is not None and count < 1:
         raise ValueError("count must be positive")
-    check_resolution(potential, c)
     v = potential.values
     h = potential.grid.spacing
+    check_resolution(float(v.max() - v.min()), h, c)
     edge = 0.5 * (float(v[0]) + float(v[-1]))
 
     inv_h2 = c * c / (h * h)

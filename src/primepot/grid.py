@@ -76,11 +76,14 @@ def write_table(path, metadata: dict, header: str, x, y) -> None:
 
 
 def read_table(path) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
-    """Inverse of write_table: (metadata as unparsed strings, x, y)."""
+    """Inverse of write_table: (metadata as unparsed strings, x, y).
+
+    A row holding nan or inf is rejected with its path and line number.
+    """
     meta = {}
     xs, ys = [], []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -93,6 +96,8 @@ def read_table(path) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
             sx, _, sy = line.partition(",")
             xs.append(float(sx))
             ys.append(float(sy))
+            if not (math.isfinite(xs[-1]) and math.isfinite(ys[-1])):
+                raise ValueError(f"{path}: line {lineno} holds a non-finite value: {line!r}")
     return meta, np.asarray(xs), np.asarray(ys)
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "chain_step",
     "chain_from_gaps",
     "design_potential",
-    "poschl_teller_reference",
     "riccati_residual",
 ]
 
@@ -102,7 +101,10 @@ def design_potential(levels, grid: Grid | None = None, kinetic_scale: float = KI
     The returned potential is the chain output shifted up by the top level,
     so its asymptote equals that level; the top state itself sits at the
     continuum edge. A potential the eigensolver could not resolve on `grid`
-    is rejected here, before any caller writes or scans it.
+    is rejected here, before any caller writes or scans it. A correct
+    design spans at least the levels' own span (its minimum lies below the
+    lowest level, its maximum at most the top one), so that span is checked
+    before the chain runs, and the designed span after it.
     """
     gaps = gaps_from_spectrum(levels)
     top = float(levels[-1])
@@ -116,18 +118,11 @@ def design_potential(levels, grid: Grid | None = None, kinetic_scale: float = KI
             f"grid half_width {grid.half_width} too small for the shallowest gap "
             f"state; need at least {needed:.2f}"
         )
+    check_resolution(top - float(levels[0]), grid.spacing, c)
     pot = chain_from_gaps(gaps, grid, c)
     designed = PotentialGrid(grid=grid, values=pot.values + top, asymptote=top)
-    check_resolution(designed, c)
+    check_resolution(designed.max() - designed.min(), grid.spacing, c)
     return designed
-
-
-def poschl_teller_reference(n: int, grid: Grid) -> PotentialGrid:
-    """Closed-form -n(n+1)/(2 cosh^2 x) samples."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    values = -0.5 * n * (n + 1) / np.cosh(grid.x) ** 2
-    return PotentialGrid(grid=grid, values=values, asymptote=0.0)
 
 
 def riccati_residual(w: np.ndarray, v: np.ndarray, gap: float, h: float, kinetic_scale: float) -> np.ndarray:

@@ -31,12 +31,7 @@ from primepot.semiclassical import (
     wkb_level_count,
 )
 from primepot.sequences import counting_estimates, first_lucky, first_primes, sieve_primes
-from primepot.susy import (
-    KINETIC_HALF,
-    chain_from_gaps,
-    design_potential,
-    poschl_teller_reference,
-)
+from primepot.susy import KINETIC_HALF, chain_from_gaps, design_potential
 
 UNIT_KINETIC = 1.0  # -d^2/dx^2, the convention of the textbook oracles
 
@@ -94,8 +89,8 @@ def test_criterion_2_lucky_round_trip(grid12):
 def test_criterion_3_poschl_teller_closure():
     grid = default_grid(12.0, 0.005)
     pot = chain_from_gaps(np.array([-0.5, -2.0, -4.5]), grid, KINETIC_HALF)
-    ref = poschl_teller_reference(3, grid)
-    err = float(np.max(np.abs(pot.values - ref.values)))
+    ref = -6.0 / np.cosh(grid.x) ** 2  # -n(n+1)/(2 cosh^2 x) at n = 3
+    err = float(np.max(np.abs(pot.values - ref)))
     _report("3 Poschl-Teller closure N=3", err <= 1e-3, f"sup-norm={err:.2e}")
 
 

@@ -6,6 +6,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.linalg import expm
 
 import primepot
@@ -319,7 +320,7 @@ def test_mirror_resonance_matches_full_profile_scan():
 
 def _rk4_sweep(q, h, c):
     """Scalar RK4 sweep of u'' = q u from u(0)=1, u'(0)=0, q at step midpoints
-    from a 4-point cubic stencil; reference for the prefix-product sweep. It
+    from a 4-point cubic stencil; reference for `riccati_sweep`. It
     does not rescale (u, u'), so u must stay below overflow."""
     n = q.shape[0]
     w = np.zeros(n)
@@ -399,6 +400,32 @@ def test_riccati_sweep_matches_rk4_on_prime_chain():
             _, current = chain_step(current, float(gap), grid.spacing, KINETIC_HALF)
     assert worst[0.005] <= 1e-7
     assert worst[0.01] / worst[0.005] >= 12.0
+
+
+@pytest.mark.parametrize(
+    "n, first_node",
+    [(n, None) for n in (5, 32, 33, 34, 65, 97, 200)]
+    + [(5, 2), (34, 20), (34, 32), (65, 31), (65, 32), (97, 50), (200, 100), (200, 196)],
+)
+def test_riccati_sweep_matches_rk4_at_block_edges(n, first_node):
+    # node counts on both sides of the BLOCK = 32-cell edges, 200 being six
+    # blocks and a partial one, with u's first node in the first, a middle or
+    # the last partial block, or nowhere; RK4 steps 32x finer, so its own
+    # error stays far below the tolerance even where u has few nodes per wave
+    h, c, refine = 0.01, KINETIC_HALF, 32
+    if first_node is None:
+        q = lambda x: 3.0 + 2.0 * np.cos(5.0 * x)  # q > 0: u never crosses zero
+    else:
+        # u = cos(k x) crosses zero halfway across the cell after first_node
+        k = math.pi / (2.0 * h * (first_node + 0.5))
+        q = lambda x: np.full_like(x, -k * k)
+    w, status = _kernels.riccati_sweep(q(h * np.arange(n)), h, c)
+    w_ref, status_ref = _rk4_sweep(q(h / refine * np.arange(refine * (n - 1) + 1)), h / refine, c)
+    expected = -1 if first_node is None else first_node + 1
+    assert status == expected
+    assert (status_ref if status_ref < 0 else -(-status_ref // refine)) == expected
+    w_ref = w_ref[::refine]
+    assert np.all(np.abs(w - w_ref) <= 1e-7 * np.maximum(1.0, np.abs(w_ref)))
 
 
 # each is imported inside the one function that runs it, so the CLI import,

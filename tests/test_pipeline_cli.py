@@ -7,6 +7,7 @@ import pytest
 
 from primepot.cli import build_parser, main
 from primepot.grid import PotentialGrid, default_grid
+from primepot.hologram import potential_to_target, write_intensity_csv
 from primepot.pipeline import (
     PipelineConfig,
     PipelineStageError,
@@ -269,6 +270,34 @@ def test_cli_design_rejects_non_finite_levels(tmp_path, capsys, bad):
     assert main(["design", "--levels", f"file:{levels}", "--out", str(out)]) == 1
     assert f"levels must be finite; got [{bad}]" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["solve", "scatter", "synth", "extract"])
+def test_cli_rejects_non_finite_csv_rows(tmp_path, monkeypatch, capsys, command, bad):
+    grid = default_grid(3.0, 0.05)
+    pot = PotentialGrid(grid=grid, values=-6.0 / np.cosh(grid.x) ** 2, asymptote=0.0)
+    if command == "extract":
+        _, tmap = potential_to_target(pot, 20)
+        path = tmp_path / "intensity.csv"
+        write_intensity_csv(path, np.ones(tmap.sr_length), tmap)
+    else:
+        path = tmp_path / "pot.csv"
+        pot.write_csv(path)
+    lines = path.read_text().splitlines()
+    row = len(lines) - 5
+    lines[row] = lines[row].partition(",")[0] + "," + bad
+    path.write_text("\n".join(lines) + "\n")
+    argv = {
+        "solve": ["solve", str(path), "--json", "spectrum.json"],
+        "scatter": ["scatter", str(path), "--emin", "1", "--emax", "2", "--json", "scan.json"],
+        "synth": ["holo", "synth", str(path), "--iters", "2", "--cost-out", "cost.json"],
+        "extract": ["holo", "extract", str(path)],
+    }[command]
+    monkeypatch.chdir(tmp_path)  # every default output lands here
+    assert main(argv) == 1
+    assert f"{path}: line {row + 1} holds a non-finite value" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
 def test_unresolvable_levels_fail_at_design(tmp_path, capsys):

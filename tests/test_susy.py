@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from primepot import susy
 from primepot.eigensolver import bound_states
 from primepot.grid import default_grid
 from primepot.sequences import check_growth_bound, first_lucky, first_primes
@@ -14,7 +15,6 @@ from primepot.susy import (
     chain_step,
     design_potential,
     gaps_from_spectrum,
-    poschl_teller_reference,
     riccati_residual,
 )
 
@@ -22,6 +22,12 @@ from primepot.susy import (
 def half_line_zeros(grid):
     """V = 0 on the nodes x = 0, h, ..., half_width: the chain's start."""
     return np.zeros(grid.center_index + 1)
+
+
+def poschl_teller_reference(n, grid):
+    """Closed-form -n(n+1)/(2 cosh^2 x) on the nodes of `grid`: the chain's
+    output for the gap ladder -1/2, -2, ..., -n^2/2."""
+    return -0.5 * n * (n + 1) / np.cosh(grid.x) ** 2
 
 
 def test_gaps_from_spectrum_simple():
@@ -58,7 +64,7 @@ def test_single_step_poschl_teller():
     grid = default_grid(12.0, 0.005)
     _, v1 = chain_step(half_line_zeros(grid), -0.5, grid.spacing, KINETIC_HALF)
     ref = poschl_teller_reference(1, grid)
-    assert np.max(np.abs(v1 - ref.values[grid.center_index :])) < 1e-12
+    assert np.max(np.abs(v1 - ref[grid.center_index :])) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -67,16 +73,14 @@ def test_poschl_teller_closure(n):
     gaps = np.array([-(k * k) / 2.0 for k in range(1, n + 1)])
     pot = chain_from_gaps(gaps, grid, KINETIC_HALF)
     ref = poschl_teller_reference(n, grid)
-    assert np.max(np.abs(pot.values - ref.values)) < 1e-3
+    assert np.max(np.abs(pot.values - ref)) < 1e-3
 
 
 def test_poschl_teller_reference_values():
     grid = default_grid(4.0, 0.01)
-    assert np.all(poschl_teller_reference(0, grid).values == 0.0)
-    v1 = poschl_teller_reference(1, grid)
-    assert v1.values[grid.center_index] == pytest.approx(-1.0)
-    v2 = poschl_teller_reference(2, grid)
-    assert v2.values[grid.center_index] == pytest.approx(-3.0)
+    assert np.all(poschl_teller_reference(0, grid) == 0.0)
+    assert poschl_teller_reference(1, grid)[grid.center_index] == pytest.approx(-1.0)
+    assert poschl_teller_reference(2, grid)[grid.center_index] == pytest.approx(-3.0)
 
 
 def test_chain_residuals_small(grid12):
@@ -188,6 +192,17 @@ def test_design_rejects_what_the_eigensolver_cannot_resolve(grid12):
     pot = design_potential([1.0, 2000.0], default_grid(12.0, 0.0035))
     spec = bound_states(pot, KINETIC_HALF, count=2)
     assert np.array_equal(np.rint(spec.eigenvalues), [1.0, 2000.0])
+
+
+def test_design_refuses_unresolvable_levels_before_the_chain(monkeypatch, grid12):
+    # a correct design spans at least top - bottom level, so primes:2000
+    # (span 17387) is refused without running a single chain step
+    def no_chain(*args):
+        raise AssertionError("the chain ran")
+
+    monkeypatch.setattr(susy, "chain_from_gaps", no_chain)
+    with pytest.raises(ValueError, match=r"use spacing <= 0\.0017$"):
+        design_potential(first_primes(2000), grid12)
 
 
 def test_design_rejects_narrow_grid():
