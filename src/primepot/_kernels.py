@@ -23,6 +23,7 @@ Timings of both are reported by ``python3 perfbench/run.py --trace 1``.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -47,27 +48,44 @@ def backend_name() -> str:
     return "numpy"
 
 
+@functools.lru_cache(maxsize=8)
+def _stencil_weights(fractions: tuple) -> np.ndarray:
+    """Cubic Lagrange weights of stencil nodes 0..3 at `fractions` of a cell
+    that starts on node 0 (the first cell), node 1 (every interior cell) or
+    node 2 (the last cell): shape (3, 4, len(fractions), 1), read-only."""
+    x = np.arange(3)[:, None] + np.asarray(fractions, dtype=np.float64)[None, :]
+    weights = np.stack(
+        (
+            -(x - 1.0) * (x - 2.0) * (x - 3.0) / 6.0,
+            x * (x - 2.0) * (x - 3.0) / 2.0,
+            -x * (x - 1.0) * (x - 3.0) / 2.0,
+            x * (x - 1.0) * (x - 2.0) / 6.0,
+        ),
+        axis=1,
+    )[..., None]
+    weights.flags.writeable = False
+    return weights
+
+
 def cell_samples(values, fractions) -> np.ndarray:
     """Samples at `fractions` of each cell of a uniform grid, shape
     (n_nodes - 1, len(fractions)).
 
     Each cell takes the cubic through its two end nodes and one neighbour on
     either side (the four nearest nodes at the grid ends). At ``GAUSS_POINTS``
-    these are the samples both kernels step with.
+    these are the samples both kernels step with. Every interior cell has the
+    same weights, so they are computed once per `fractions`.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.size < 4:
         raise ValueError("need at least 4 nodes for the cubic stencil")
-    first = np.clip(np.arange(v.size - 1) - 1, 0, v.size - 4)
-    # position of each sample on the stencil's nodes 0..3
-    x = (np.arange(v.size - 1) - first)[:, None] + np.asarray(fractions, dtype=np.float64)[None, :]
-    lagrange = (
-        -(x - 1.0) * (x - 2.0) * (x - 3.0) / 6.0,
-        x * (x - 2.0) * (x - 3.0) / 2.0,
-        -x * (x - 1.0) * (x - 3.0) / 2.0,
-        x * (x - 1.0) * (x - 2.0) / 6.0,
-    )
-    return sum(w * v[first + j][:, None] for j, w in enumerate(lagrange))
+    w = _stencil_weights(tuple(np.asarray(fractions, dtype=np.float64).tolist()))
+    n = v.size
+    # one row per fraction, so each product runs along the grid
+    first = sum(w[0, j] * v[j] for j in range(4))
+    interior = sum(w[1, j] * v[j : n - 3 + j] for j in range(4))
+    last = sum(w[2, j] * v[n - 4 + j] for j in range(4))
+    return np.ascontiguousarray(np.concatenate((first, interior, last), axis=1).T)
 
 
 def magnus_step(alpha, h_qbar, h: float, out: np.ndarray) -> np.ndarray:

@@ -67,6 +67,27 @@ def reference_cost_and_gradient(state):
     return steep * (1.0 - overlap) ** 2, -2.0 * steep * (1.0 - overlap) * d_overlap
 
 
+def shifted_cost_and_gradient(state, sums):
+    """Cost and column-sum gradient with the row built by fftshift/ifftshift
+    rolls of the full length-2m vectors."""
+    m, w = state.m, state.target_row
+    padded = np.zeros(2 * m, dtype=np.complex128)
+    padded[m // 2 : m // 2 + m] = sums
+    row = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(padded))) / (2 * m)
+    sr = state.sr_columns
+    f_sr = row[sr]
+    power_sr = float(np.sum(np.abs(f_sr) ** 2))
+    amp = np.abs(f_sr)
+    sqrt_p = np.sqrt(power_sr)
+    overlap = float(np.sum(w * amp) / sqrt_p)
+    amp_safe = np.where(amp > 0.0, amp, 1.0)
+    adj = np.zeros_like(row)
+    adj[sr] = f_sr * (w / (amp_safe * sqrt_p) - overlap / power_sr)
+    back = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(adj)))
+    steep = hologram.STEEPNESS
+    return steep * (1.0 - overlap) ** 2, -2.0 * steep * (1.0 - overlap) * back[m // 2 : m // 2 + m]
+
+
 @st.composite
 def row_cases(draw):
     m = draw(st.integers(8, 256))
@@ -88,6 +109,24 @@ def test_row_path_matches_2d_reference(state):
     ref_cost, ref_grad = reference_cost_and_gradient(state)
     assert cost == pytest.approx(ref_cost, rel=1e-12)
     assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
+@pytest.mark.parametrize("m", [31, 32, 64, 256])
+def test_row_without_shifts_is_bitwise_the_shifted_row(m):
+    # the sums go straight to their rolled positions and the SR is read
+    # through the matching index: the same FFT input, the same bits
+    for sr_len in (4, 37, min(100, 2 * m - 1)):
+        rng = np.random.default_rng(m + sr_len)
+        amp = rng.uniform(0.2, 1.0, sr_len)
+        state = make_state(m, amp / np.sqrt(np.sum(amp**2)), seed=sr_len)
+        sums = hologram._column_sums(state)
+        cost, grad = cost_and_gradient(state, sums)
+        ref_cost, ref_grad = shifted_cost_and_gradient(state, sums)
+        assert cost == ref_cost
+        assert np.array_equal(grad, ref_grad)
+        phase_cost, phase_grad = cost_and_gradient(state)
+        assert phase_cost == ref_cost
+        assert np.array_equal(phase_grad, np.imag(np.exp(-1j * state.phase) * (1.0 / m) * ref_grad))
 
 
 def test_target_normalized_and_inverted(prime10_potential):
@@ -234,6 +273,21 @@ def test_perfect_match_costs_nothing():
     assert result.history.size <= 2
 
 
+def test_line_search_failure_flagged(monkeypatch):
+    # a gradient pointing uphill leaves no step that lowers the cost:
+    # L-BFGS-B ends with status 2 ("ABNORMAL") at the start point
+    state = random_state(m=16, sr=20)
+
+    def uphill(s, sums=None):
+        cost, grad = cost_and_gradient(s, sums)
+        return cost, -grad
+
+    monkeypatch.setattr(hologram, "cost_and_gradient", uphill)
+    result = optimize_phase(state, max_iters=50)
+    assert result.line_search_failed
+    assert result.history.size == 1
+
+
 def test_seeded_history_reproducible(v10_target):
     amp, tmap = v10_target
     short = amp[:40] / np.sqrt(np.sum(amp[:40] ** 2))
@@ -254,6 +308,7 @@ def test_cost_history_monotone(v10_target):
     assert cost_and_gradient(result.state)[0] == pytest.approx(result.history[-1], rel=1e-9)
     assert np.all((result.state.phase >= 0.0) & (result.state.phase < 2.0 * np.pi))
     assert result.history.size - 1 <= 120
+    assert not result.line_search_failed
 
 
 def test_v10_synthesis_meets_error_budget(v10_target):

@@ -345,6 +345,32 @@ def _rk4_sweep(q, h, c):
     return w, -1
 
 
+def _cell_samples_per_cell(values, fractions):
+    """Cubic Lagrange weights evaluated for every cell from its own stencil
+    position; reference for the hoisted weights."""
+    v = np.asarray(values, dtype=np.float64)
+    first = np.clip(np.arange(v.size - 1) - 1, 0, v.size - 4)
+    x = (np.arange(v.size - 1) - first)[:, None] + np.asarray(fractions, dtype=np.float64)[None, :]
+    lagrange = (
+        -(x - 1.0) * (x - 2.0) * (x - 3.0) / 6.0,
+        x * (x - 2.0) * (x - 3.0) / 2.0,
+        -x * (x - 1.0) * (x - 3.0) / 2.0,
+        x * (x - 1.0) * (x - 2.0) / 6.0,
+    )
+    return sum(w * v[first + j][:, None] for j, w in enumerate(lagrange))
+
+
+@pytest.mark.parametrize("n", [4, 5, 33, 2401])
+def test_cell_samples_match_per_cell_weights_bitwise(n):
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    for fractions in (_kernels.GAUSS_POINTS, rng.uniform(size=3), np.array([0.0, 0.5, 1.0])):
+        samples = _kernels.cell_samples(values, fractions)
+        expected = _cell_samples_per_cell(values, fractions)
+        assert samples.shape == expected.shape and samples.flags.c_contiguous
+        assert samples.tobytes() == expected.tobytes()
+
+
 def test_riccati_sweep_matches_tanh():
     # flat q = const > 0 gives u = cosh, W = -c*sqrt(q)*c*tanh(...)
     h = 0.005

@@ -14,10 +14,10 @@ from primepot.pipeline import (
     parse_sequence_spec,
     run_pipeline,
 )
-from primepot import cli, semiclassical, sequences
+from primepot import cli, hologram, semiclassical, sequences
 from primepot.scattering import SCAN_STEP_LIMIT
 from primepot.semiclassical import PROFILE_POINT_LIMIT, SAMPLE_LIMIT
-from primepot.sequences import DEFAULT_TERMS, EXACT_COUNT_LIMIT, LUCKY_LIMIT
+from primepot.sequences import DEFAULT_TERMS, EXACT_COUNT_LIMIT, LUCKY_LIMIT, first_primes
 
 
 def test_parse_sequence_specs(tmp_path):
@@ -105,6 +105,25 @@ def test_pipeline_with_hologram(tmp_path):
         assert Path(report.files[key]).exists()
     history = json.loads(Path(report.files["cost_history"]).read_text())
     assert all(b <= a for a, b in zip(history, history[1:]))
+
+
+@pytest.mark.parametrize("m, iters", [(64, 500), (256, 40)])
+def test_hologram_level_budget_over_seeds(tmp_path, m, iters):
+    # primes:10 at the hologram benchmark's (m, iterations): every read-back
+    # level within 0.05 of its target, a non-increasing cost history, and at
+    # (64, 500) a median final cost no higher than a Polak-Ribiere conjugate
+    # gradient's 4.4e-6 over the same seeds
+    targets = first_primes(10)
+    finals = []
+    for seed in range(1, 9):
+        config = PipelineConfig(hologram=True, holo_m=m, holo_iters=iters, seed=seed, outdir=str(tmp_path))
+        report = run_pipeline(config)
+        assert np.max(np.abs(report.eigenvalues - targets)) <= 0.05, seed
+        history = np.asarray(json.loads(Path(report.files["cost_history"]).read_text()))
+        assert np.all(np.diff(history) <= 0.0), seed
+        finals.append(history[-1])
+    if (m, iters) == (64, 500):
+        assert np.median(finals) <= 4.4e-6
 
 
 @pytest.mark.parametrize("half_width", [8.0, 12.0, 20.0, 40.0])
@@ -446,6 +465,27 @@ def test_cli_holo_commands(tmp_path, capsys):
     assert main(["solve", str(rec), "--targets", "primes:5"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["rounds_to_target"] == [True] * 5
+
+
+def test_cli_holo_synth_warns_on_failed_line_search(tmp_path, capsys, monkeypatch):
+    pot = tmp_path / "pot.csv"
+    main(["design", "--levels", "primes:5", "--half-width", "10", "--out", str(pot)])
+    out = f"{tmp_path / 'phase.csv'},{tmp_path / 'intensity.csv'}"
+    synth = ["holo", "synth", str(pot), "--m", "48", "--sr", "80", "--iters", "20", "--out", out]
+    capsys.readouterr()
+    assert main(synth) == 0
+    assert "line search stalled" not in capsys.readouterr().err
+    exact = hologram.cost_and_gradient
+
+    def uphill(state, sums=None):
+        cost, grad = exact(state, sums)
+        return cost, -grad
+
+    monkeypatch.setattr(hologram, "cost_and_gradient", uphill)
+    assert main(synth) == 0
+    captured = capsys.readouterr()
+    assert "iterations 0" in captured.out
+    assert "warning: line search stalled" in captured.err
 
 
 @pytest.mark.parametrize("out", ["one.csv", "a.csv,b.csv,c.csv", "phase.csv,"])

@@ -35,6 +35,7 @@ COMMANDS = {
     "rejected": ["filter", "--w", "8"],
     "design": ["design", "--levels", "primes:10", "--out", "pot.csv"],
     "pi": ["pi", "--x", "1000"],
+    "holo": ["pipeline", "--sequence", "primes:10", "--hologram", "--outdir", "."],
 }
 
 
