@@ -139,7 +139,8 @@ def _block_products(steps: np.ndarray, n_steps: int) -> np.ndarray:
 
 
 def riccati_sweep(q: np.ndarray, h: float, c: float):
-    """Sweep of u'' = q(x) u on x >= 0 with u(0)=1, u'(0)=0.
+    """Sweep of u'' = q(x) u on x >= 0 with u(0)=1, u'(0)=0; `c`, like q,
+    is an input of the equation, not a convention of this module.
 
     Returns W = -c u'/u on the nodes and a status index: -1 when u stayed
     positive, else the first node where u <= 0 (W is zero from there on).
@@ -181,7 +182,7 @@ def transfer_scan(v_cells: np.ndarray, h: float, energies: np.ndarray, c: float,
 
     The solution ``(psi, psi')`` of ``psi'' = q psi``, ``q = (V - E)/c^2``,
     is carried across each cell by ``magnus_step``, so piecewise-constant
-    potentials are propagated exactly.
+    potentials are propagated exactly; `c` is an input like the cells.
 
     `v_cells` holds constant cells, shape (n_cells,), or the potential at the
     two Gauss points of each cell, shape (n_cells, 2). The cells go in spans

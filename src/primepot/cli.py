@@ -25,6 +25,7 @@ from .pipeline import (
     write_json,
 )
 from .scattering import (
+    DEFAULT_LEVEL_COUNT,
     SCAN_STEP_LIMIT,
     build_filter_apparatus,
     filter_lucky_prime,
@@ -228,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filter", help="test whether w is both lucky and prime")
     p.add_argument("--w", type=int, required=True)
-    p.add_argument("--lucky-count", type=int, default=10, dest="lucky_count")
-    p.add_argument("--prime-count", type=int, default=10, dest="prime_count")
+    p.add_argument("--lucky-count", type=int, default=DEFAULT_LEVEL_COUNT, dest="lucky_count")
+    p.add_argument("--prime-count", type=int, default=DEFAULT_LEVEL_COUNT, dest="prime_count")
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("holo", help="holographic synthesis and extraction")

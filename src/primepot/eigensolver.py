@@ -86,7 +86,7 @@ def count_nodes(psi: np.ndarray) -> int:
 def check_resolution(v_span: float, spacing: float, kinetic_scale: float) -> None:
     """Reject a potential span ``v_span = max V - min V`` that a grid of
     `spacing` h cannot resolve, ``h^2 v_span > 0.1 c^2``, naming the spacing
-    that would."""
+    that would. c stays an argument, as in ``bound_states``."""
     h = float(spacing)
     c = float(kinetic_scale)
     if h * h * v_span > 0.1 * c * c and v_span > 0.0:
@@ -110,6 +110,8 @@ def bound_states(
     bound when it lies below continuum_edge - 1e-3 * depth; the continuum
     edge is the mean of the two boundary samples. An exactly even potential
     is solved as its even and odd parity blocks, any other as one matrix.
+    ``kinetic_scale`` (c in ``-c^2 d^2/dx^2``) stays an argument so that
+    tests can check the solver against c = 1 textbook spectra.
     """
     c = float(kinetic_scale)
     if c <= 0.0:

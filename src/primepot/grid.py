@@ -13,7 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid", "PotentialGrid", "default_grid", "read_table", "write_table"]
+__all__ = ["DEFAULT_HALF_WIDTH", "DEFAULT_SPACING", "Grid", "PotentialGrid", "default_grid", "read_table", "write_table"]
+
+DEFAULT_HALF_WIDTH = 12.0  # the production grid of default_grid, PipelineConfig and the CLI
+DEFAULT_SPACING = 0.005
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,7 @@ class Grid:
         return self.points // 2
 
 
-def default_grid(half_width: float = 12.0, spacing: float = 0.005) -> Grid:
+def default_grid(half_width: float = DEFAULT_HALF_WIDTH, spacing: float = DEFAULT_SPACING) -> Grid:
     """Production grid: holds primes:40 within 6.1e-4 of every level."""
     _check_positive_finite("half_width", half_width)
     _check_positive_finite("spacing", spacing)
@@ -75,10 +78,13 @@ def write_table(path, metadata: dict, header: str, x, y) -> None:
             fh.write(f"{float(xi)!r},{float(yi)!r}\n")
 
 
-def read_table(path) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
-    """Inverse of write_table: (metadata as unparsed strings, x, y).
+def read_table(path, kinds: dict) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Inverse of write_table: (metadata, x, y), each metadata value whose
+    key is in `kinds` parsed by its type there, any other left a string.
 
-    A row holding nan or inf is rejected with its path and line number.
+    A row that is not two numbers or that holds nan or inf is rejected with
+    its path and line number, a metadata value that does not parse with its
+    path and key.
     """
     meta = {}
     xs, ys = [], []
@@ -93,11 +99,20 @@ def read_table(path) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
                 continue
             if line.lower().startswith("x,"):
                 continue
-            sx, _, sy = line.partition(",")
-            xs.append(float(sx))
-            ys.append(float(sy))
-            if not (math.isfinite(xs[-1]) and math.isfinite(ys[-1])):
+            try:
+                x, y = map(float, line.split(","))
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno} is not two comma-separated numbers: {line!r}") from None
+            xs.append(x)
+            ys.append(y)
+            if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"{path}: line {lineno} holds a non-finite value: {line!r}")
+    for key, value in meta.items():
+        if key in kinds:
+            try:
+                meta[key] = kinds[key](value)
+            except ValueError:
+                raise ValueError(f"{path}: metadata {key}={value!r} is not a valid {kinds[key].__name__}") from None
     return meta, np.asarray(xs), np.asarray(ys)
 
 
@@ -147,7 +162,7 @@ class PotentialGrid:
 
     @classmethod
     def read_csv(cls, path) -> "PotentialGrid":
-        meta, x, values = read_table(path)
+        meta, x, values = read_table(path, {"asymptote": float})
         if x.size < 3:
             raise ValueError(f"{path}: expected at least 3 rows")
         spacing = np.diff(x)
@@ -158,5 +173,4 @@ class PotentialGrid:
         if x.size % 2 == 0:
             raise ValueError(f"{path}: grid must have an odd number of nodes")
         grid = Grid(half_width=float(x[-1]), points=x.size)
-        asym = float(meta.get("asymptote", values[-1]))
-        return cls(grid=grid, values=values, asymptote=asym)
+        return cls(grid=grid, values=values, asymptote=meta.get("asymptote", values[-1]))

@@ -104,19 +104,22 @@ class HologramState:
     """Phase plane plus the unit-power target amplitude of the SR row."""
 
     phase: np.ndarray
-    m: int
     target_row: np.ndarray
     target_map: TargetMap | None = None
 
     def __post_init__(self):
         self.phase = np.asarray(self.phase, dtype=np.float64)
-        if self.phase.shape != (self.m, self.m):
+        if self.phase.ndim != 2 or self.phase.shape[0] != self.phase.shape[1]:
             raise ValueError("phase plane must be m x m")
         self.target_row = np.asarray(self.target_row, dtype=np.float64)
         if self.target_row.ndim != 1 or self.target_row.size >= 2 * self.m:
             raise ValueError("signal region must sit strictly inside the output plane")
         if abs(float(np.sum(self.target_row**2)) - 1.0) > 1e-9:
             raise ValueError("target amplitude must carry unit power over the SR")
+
+    @property
+    def m(self) -> int:
+        return self.phase.shape[0]
 
     @property
     def sr_columns(self) -> slice:
@@ -176,11 +179,11 @@ def potential_to_target(potential: PotentialGrid, sr_length: int):
     return amplitude, target_map
 
 
-def make_state(m: int, amplitude_row: np.ndarray, seed: int = 1, target_map: TargetMap | None = None) -> HologramState:
+def make_state(m: int, amplitude_row: np.ndarray, seed: int, target_map: TargetMap | None = None) -> HologramState:
     """Seeded random-phase state with the 1D target centred on the output row."""
     rng = np.random.default_rng(seed)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=(m, m))
-    return HologramState(phase=phase, m=m, target_row=amplitude_row, target_map=target_map)
+    return HologramState(phase=phase, target_row=amplitude_row, target_map=target_map)
 
 
 def _column_sums(state: HologramState) -> np.ndarray:
@@ -266,7 +269,7 @@ def _double_phase(sums: np.ndarray) -> np.ndarray:
     return np.mod(np.angle(sums) + sign[:, None] * spread, 2.0 * np.pi)
 
 
-def optimize_phase(state: HologramState, max_iters: int = 500) -> OptimizeResult:
+def optimize_phase(state: HologramState, max_iters: int) -> OptimizeResult:
     """L-BFGS-B (scipy's, default options) over the real and imaginary parts
     of the m column sums.
 
@@ -343,13 +346,12 @@ def write_intensity_csv(path, intensity: np.ndarray, tmap: TargetMap) -> None:
 
 def read_intensity_csv(path) -> tuple[np.ndarray, TargetMap]:
     """Inverse of write_intensity_csv: (intensity row, target map)."""
-    meta, _, intensity = read_table(path)
+    meta, _, intensity = read_table(path, get_type_hints(TargetMap))
     names = [f.name for f in fields(TargetMap)]
     missing = set(names) - meta.keys()
     if missing:
         raise ValueError(f"{path}: missing metadata {sorted(missing)}")
-    kinds = get_type_hints(TargetMap)
-    return intensity, TargetMap(**{name: kinds[name](meta[name]) for name in names})
+    return intensity, TargetMap(**{name: meta[name] for name in names})
 
 
 def sr_intensity_error(field: np.ndarray, state: HologramState) -> float:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .eigensolver import DiscrepancyReport, bound_states, compare_spectrum
-from .grid import PotentialGrid, default_grid
+from .grid import DEFAULT_HALF_WIDTH, DEFAULT_SPACING, PotentialGrid, default_grid
 from .hologram import (
     OptimizeResult,
     extract_profile,
@@ -71,8 +71,8 @@ _BOOLEANS = {"True": True, "true": True, "1": True, "False": False, "false": Fal
 @dataclass
 class PipelineConfig:
     sequence: str = "primes:10"
-    half_width: float = 12.0
-    spacing: float = 0.005
+    half_width: float = DEFAULT_HALF_WIDTH
+    spacing: float = DEFAULT_SPACING
     hologram: bool = False
     holo_m: int = 64
     holo_sr: int = 100

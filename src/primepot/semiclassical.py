@@ -37,7 +37,8 @@ WKB_POINTS = 4001  # trapezoid nodes of wkb_level_count's phase integral
 
 @dataclass(frozen=True)
 class SemiclassicalProfile:
-    """Monotone x(V) samples on the half line, x(e0) = 0."""
+    """Monotone x(V) samples on the half line, x(e0) = 0; ``kinetic_scale``
+    is read by ``wkb_level_count`` and set by the benchmark's self-test."""
 
     v_values: np.ndarray
     x_values: np.ndarray
@@ -85,12 +86,12 @@ def invert_to_potential(
     dos,
     e0: float,
     v_max: float,
-    samples: int = 400,
-    kinetic_scale: float = KINETIC_HALF,
+    samples: int,
     panels: int = 4,
     nodes_per_panel: int = 64,
 ) -> SemiclassicalProfile:
-    """x(V) = c * integral of dos(E)/sqrt(V - E) from e0 to V, per V sample.
+    """x(V) = c * integral of dos(E)/sqrt(V - E) from e0 to V, per V sample,
+    with c = ``KINETIC_HALF``.
 
     After E = V - t^2 the integrand is 2 c dos(V - t^2) on t in [0, sqrt(V-e0)],
     handled by `panels` Gauss-Legendre panels of `nodes_per_panel` nodes.
@@ -103,7 +104,7 @@ def invert_to_potential(
         raise ValueError("v_max must exceed e0")
     if not 2 <= samples <= SAMPLE_LIMIT:
         raise ValueError(f"samples={samples} must be at least 2 and not exceed {SAMPLE_LIMIT:.0e}")
-    c = float(kinetic_scale)
+    c = KINETIC_HALF
     nodes, weights = np.polynomial.legendre.leggauss(nodes_per_panel)
     v_values = np.linspace(e0, v_max, samples)
     v = v_values[1:, None]

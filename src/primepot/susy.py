@@ -10,12 +10,12 @@ makes every W odd and every intermediate potential even, so each step holds
 V on the nodes x = 0, h, 2h, ... only, and the finished potential is
 mirrored to the full grid once.
 
-The kinetic term is ``-c^2 d^2/dx^2`` with a single scale ``c``. The value
-``c = 1/sqrt(2)`` (``KINETIC_HALF``, the one every command uses) is the
-calibrated default: it is the unique scale at which the chain run on the gap
-ladder ``{-1/2, -2, ..., -N^2/2}`` closes onto ``-N(N+1)/(2 cosh^2 x)``,
-the one family that reproduces itself analytically. Any other scale gives
-the same well stretched by ``c sqrt(2)``: ``V_c(x) = V_half(x / (c sqrt 2))``.
+The kinetic term is ``-c^2 d^2/dx^2`` with ``c = 1/sqrt(2)`` (``KINETIC_HALF``),
+the paper's ``-(hbar^2/2m) d^2/dx^2``, and no function here takes another
+scale. It is the scale at which the chain run on the gap ladder
+``{-1/2, -2, ..., -N^2/2}`` closes onto ``-N(N+1)/(2 cosh^2 x)``, the one
+family that reproduces itself analytically; any other would give the same
+well stretched by ``c sqrt(2)``, ``V_c(x) = V_half(x / (c sqrt 2))``.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def gaps_from_spectrum(levels) -> np.ndarray:
     return values[-2::-1] - values[-1]
 
 
-def chain_step(v: np.ndarray, gap: float, h: float, kinetic_scale: float):
+def chain_step(v: np.ndarray, gap: float, h: float):
     """One superpotential step on the half line: returns (W, next V).
 
     `v` holds V on the nodes x = 0, h, 2h, ...; W, on the same nodes, is the
@@ -71,9 +71,7 @@ def chain_step(v: np.ndarray, gap: float, h: float, kinetic_scale: float):
     """
     if gap > 0.0:
         raise ValueError("gap must be non-positive")
-    c = float(kinetic_scale)
-    if c <= 0.0:
-        raise ValueError("kinetic_scale must be positive")
+    c = KINETIC_HALF
     w, status = _kernels.riccati_sweep((v - gap) / (c * c), h, c)
     if status >= 0:
         raise ChainError(
@@ -83,19 +81,19 @@ def chain_step(v: np.ndarray, gap: float, h: float, kinetic_scale: float):
     return w, 2.0 * gap + 2.0 * w**2 - v
 
 
-def chain_from_gaps(gaps, grid: Grid, kinetic_scale: float) -> PotentialGrid:
+def chain_from_gaps(gaps, grid: Grid) -> PotentialGrid:
     """Run every Riccati step in gap order (smallest magnitude first) on the
     right half of `grid`, then mirror the result."""
     v = np.zeros(grid.center_index + 1)
     for k, gap in enumerate(gaps, start=1):
         try:
-            _, v = chain_step(v, float(gap), grid.spacing, kinetic_scale)
+            _, v = chain_step(v, float(gap), grid.spacing)
         except ChainError as err:
             raise ChainError(f"chain step k={k} failed: {err}") from err
     return PotentialGrid.from_even_half(grid, v, asymptote=float(v[-1]))
 
 
-def design_potential(levels, grid: Grid | None = None, kinetic_scale: float = KINETIC_HALF) -> PotentialGrid:
+def design_potential(levels, grid: Grid | None = None) -> PotentialGrid:
     """Even potential whose bound spectrum is the requested level list.
 
     The returned potential is the chain output shifted up by the top level,
@@ -110,7 +108,7 @@ def design_potential(levels, grid: Grid | None = None, kinetic_scale: float = KI
     top = float(levels[-1])
     if grid is None:
         grid = default_grid()
-    c = float(kinetic_scale)
+    c = KINETIC_HALF
     deepest_rate = math.sqrt(-float(gaps[0])) / c
     if deepest_rate * grid.half_width < _MIN_EFOLDINGS:
         needed = _MIN_EFOLDINGS / deepest_rate
@@ -119,13 +117,13 @@ def design_potential(levels, grid: Grid | None = None, kinetic_scale: float = KI
             f"state; need at least {needed:.2f}"
         )
     check_resolution(top - float(levels[0]), grid.spacing, c)
-    pot = chain_from_gaps(gaps, grid, c)
+    pot = chain_from_gaps(gaps, grid)
     designed = PotentialGrid(grid=grid, values=pot.values + top, asymptote=top)
     check_resolution(designed.max() - designed.min(), grid.spacing, c)
     return designed
 
 
-def riccati_residual(w: np.ndarray, v: np.ndarray, gap: float, h: float, kinetic_scale: float) -> np.ndarray:
+def riccati_residual(w: np.ndarray, v: np.ndarray, gap: float, h: float) -> np.ndarray:
     """Pointwise residual of c W' - W^2 + V - gap on the interior nodes of
     the arrays W and V, both sampled at spacing h.
 
@@ -134,4 +132,4 @@ def riccati_residual(w: np.ndarray, v: np.ndarray, gap: float, h: float, kinetic
     """
     dw = (w[:-4] - 8.0 * w[1:-3] + 8.0 * w[3:-1] - w[4:]) / (12.0 * h)
     interior = slice(2, -2)
-    return kinetic_scale * dw - w[interior] ** 2 + v[interior] - gap
+    return KINETIC_HALF * dw - w[interior] ** 2 + v[interior] - gap

@@ -88,7 +88,7 @@ def test_criterion_2_lucky_round_trip(grid12):
 
 def test_criterion_3_poschl_teller_closure():
     grid = default_grid(12.0, 0.005)
-    pot = chain_from_gaps(np.array([-0.5, -2.0, -4.5]), grid, KINETIC_HALF)
+    pot = chain_from_gaps(np.array([-0.5, -2.0, -4.5]), grid)
     ref = -6.0 / np.cosh(grid.x) ** 2  # -n(n+1)/(2 cosh^2 x) at n = 3
     err = float(np.max(np.abs(pot.values - ref)))
     _report("3 Poschl-Teller closure N=3", err <= 1e-3, f"sup-norm={err:.2e}")

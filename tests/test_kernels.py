@@ -423,7 +423,7 @@ def test_riccati_sweep_matches_rk4_on_prime_chain():
             w_ref, status_ref = _rk4_sweep(q, h, KINETIC_HALF)
             assert status == status_ref == -1
             worst[h] = max(worst[h], float(np.max(np.abs(w - w_ref))))
-            _, current = chain_step(current, float(gap), grid.spacing, KINETIC_HALF)
+            _, current = chain_step(current, float(gap), grid.spacing)
     assert worst[0.005] <= 1e-7
     assert worst[0.01] / worst[0.005] >= 12.0
 

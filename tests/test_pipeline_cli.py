@@ -291,9 +291,11 @@ def test_cli_design_rejects_non_finite_levels(tmp_path, capsys, bad):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "three", "one", "meta"])
 @pytest.mark.parametrize("command", ["solve", "scatter", "synth", "extract"])
 def test_cli_rejects_non_finite_csv_rows(tmp_path, monkeypatch, capsys, command, bad):
+    # a non-finite value, a row of three or one values, or a metadata value
+    # that is not a number: each is named by path and line or key
     grid = default_grid(3.0, 0.05)
     pot = PotentialGrid(grid=grid, values=-6.0 / np.cosh(grid.x) ** 2, asymptote=0.0)
     if command == "extract":
@@ -304,8 +306,16 @@ def test_cli_rejects_non_finite_csv_rows(tmp_path, monkeypatch, capsys, command,
         path = tmp_path / "pot.csv"
         pot.write_csv(path)
     lines = path.read_text().splitlines()
-    row = len(lines) - 5
-    lines[row] = lines[row].partition(",")[0] + "," + bad
+    if bad == "meta":
+        key = "sr_length" if command == "extract" else "asymptote"
+        lines = [f"# {key}=1x0" if line.startswith(f"# {key}=") else line for line in lines]
+        message = f"{path}: metadata {key}='1x0' is not a valid"
+    else:
+        row = len(lines) - 5
+        x = lines[row].partition(",")[0]
+        lines[row] = {"three": f"{x},1,5", "one": x}.get(bad, f"{x},{bad}")
+        problem = "is not two comma-separated numbers" if bad in ("three", "one") else "holds a non-finite value"
+        message = f"{path}: line {row + 1} {problem}"
     path.write_text("\n".join(lines) + "\n")
     argv = {
         "solve": ["solve", str(path), "--json", "spectrum.json"],
@@ -315,8 +325,25 @@ def test_cli_rejects_non_finite_csv_rows(tmp_path, monkeypatch, capsys, command,
     }[command]
     monkeypatch.chdir(tmp_path)  # every default output lands here
     assert main(argv) == 1
-    assert f"{path}: line {row + 1} holds a non-finite value" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+@pytest.mark.parametrize(
+    "xs, message",
+    [
+        ([-0.1, 0.1], "expected at least 3 rows"),
+        ([-1.0, -0.2, 0.0, 0.2, 1.0], "grid is not uniform"),
+        ([0.0, 0.5, 1.0], "grid is not symmetric about zero"),
+        ([-0.75, -0.25, 0.25, 0.75], "grid must have an odd number of nodes"),
+    ],
+    ids=["rows", "uniform", "symmetric", "odd"],
+)
+def test_cli_solve_rejects_malformed_grids(tmp_path, capsys, xs, message):
+    path = tmp_path / "pot.csv"
+    path.write_text("# asymptote=0.0\nx,V\n" + "".join(f"{x!r},0.0\n" for x in xs))
+    assert main(["solve", str(path)]) == 1
+    assert f"error: {path}: {message}" in capsys.readouterr().err
 
 
 def test_unresolvable_levels_fail_at_design(tmp_path, capsys):

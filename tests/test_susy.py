@@ -46,7 +46,7 @@ def test_gaps_reject_duplicates():
 
 def test_trivial_zero_step():
     grid = default_grid(6.0, 0.01)
-    w, nxt = chain_step(half_line_zeros(grid), 0.0, grid.spacing, KINETIC_HALF)
+    w, nxt = chain_step(half_line_zeros(grid), 0.0, grid.spacing)
     assert np.all(w == 0.0)
     assert np.all(nxt == 0.0)
 
@@ -55,14 +55,14 @@ def test_superpotential_is_odd(prime10_potential):
     # W holds the half x >= 0 of an odd function, so it vanishes at x = 0
     grid = prime10_potential.grid
     right = prime10_potential.values[grid.center_index :]
-    w, _ = chain_step(right, -1.0, grid.spacing, KINETIC_HALF)
+    w, _ = chain_step(right, -1.0, grid.spacing)
     assert w.shape == right.shape
     assert w[0] == 0.0
 
 
 def test_single_step_poschl_teller():
     grid = default_grid(12.0, 0.005)
-    _, v1 = chain_step(half_line_zeros(grid), -0.5, grid.spacing, KINETIC_HALF)
+    _, v1 = chain_step(half_line_zeros(grid), -0.5, grid.spacing)
     ref = poschl_teller_reference(1, grid)
     assert np.max(np.abs(v1 - ref[grid.center_index :])) < 1e-12
 
@@ -71,7 +71,7 @@ def test_single_step_poschl_teller():
 def test_poschl_teller_closure(n):
     grid = default_grid(12.0, 0.005)
     gaps = np.array([-(k * k) / 2.0 for k in range(1, n + 1)])
-    pot = chain_from_gaps(gaps, grid, KINETIC_HALF)
+    pot = chain_from_gaps(gaps, grid)
     ref = poschl_teller_reference(n, grid)
     assert np.max(np.abs(pot.values - ref)) < 1e-3
 
@@ -91,10 +91,10 @@ def test_chain_residuals_small(grid12):
     v = half_line_zeros(grid12)
     budget = 10.0 * h**2
     for gap in gaps_from_spectrum(first_primes(10).astype(float)):
-        w, nxt = chain_step(v, float(gap), h, KINETIC_HALF)
+        w, nxt = chain_step(v, float(gap), h)
         w_ext = np.concatenate([-w[2:0:-1], w])
         v_ext = np.concatenate([v[2:0:-1], v])
-        res = riccati_residual(w_ext, v_ext, float(gap), h, KINETIC_HALF)
+        res = riccati_residual(w_ext, v_ext, float(gap), h)
         assert res.size == v.size - 2  # nodes x = 0 through half_width - 2h
         assert np.max(np.abs(res)) < budget
         v = nxt
@@ -151,7 +151,7 @@ def test_level_count_grows_with_chain(grid12):
     # threshold state at the edge
     gaps = gaps_from_spectrum([2.0, 3.0, 5.0, 7.0])
     for k in range(1, 4):
-        current = chain_from_gaps(gaps[:k], grid12, KINETIC_HALF)
+        current = chain_from_gaps(gaps[:k], grid12)
         assert bound_states(current, KINETIC_HALF).eigenvalues.size == k
         spec = bound_states(current, KINETIC_HALF, count=k + 1)
         assert abs(spec.eigenvalues[-1] - spec.continuum_edge) <= 1e-6
@@ -159,7 +159,7 @@ def test_level_count_grows_with_chain(grid12):
 
 def test_oscillations_for_linear_gaps():
     grid = default_grid(12.0, 0.005)
-    pot = chain_from_gaps(-np.arange(1.0, 20.0), grid, KINETIC_HALF)
+    pot = chain_from_gaps(-np.arange(1.0, 20.0), grid)
     right = pot.values[grid.center_index :]
     sign_changes = np.count_nonzero(np.diff(np.sign(np.diff(right))) != 0)
     assert sign_changes >= 3
@@ -167,17 +167,17 @@ def test_oscillations_for_linear_gaps():
 
 def test_gap_above_ground_state_rejected(grid12):
     h = grid12.spacing
-    _, v1 = chain_step(half_line_zeros(grid12), -2.0, h, KINETIC_HALF)
+    _, v1 = chain_step(half_line_zeros(grid12), -2.0, h)
     with pytest.raises(ChainError):
-        chain_step(v1, -1.0, h, KINETIC_HALF)
+        chain_step(v1, -1.0, h)
 
 
 def test_chain_rejects_gaps_out_of_order(grid12):
     # the chain itself refuses what a level list could not produce
     with pytest.raises(ChainError, match="chain step k=2 failed"):
-        chain_from_gaps([-2.0, -1.0], grid12, KINETIC_HALF)
+        chain_from_gaps([-2.0, -1.0], grid12)
     with pytest.raises(ValueError, match="non-positive"):
-        chain_from_gaps([0.5], grid12, KINETIC_HALF)
+        chain_from_gaps([0.5], grid12)
 
 
 def test_design_rejects_single_level(grid12):

@@ -35,6 +35,7 @@ COMMANDS = {
     "rejected": ["filter", "--w", "8"],
     "design": ["design", "--levels", "primes:10", "--out", "pot.csv"],
     "pi": ["pi", "--x", "1000"],
+    "semiclassical": ["semiclassical", "--out", "sc.csv"],
     "holo": ["pipeline", "--sequence", "primes:10", "--hologram", "--outdir", "."],
 }
 
@@ -76,11 +77,11 @@ def main(argv=None) -> int:
                 prints[name, src].add((code, sha))
 
     failed = False
-    print(f"{'command':<8} {'tree':<2} {'median_s':>8}  exit  sha256 (stdout and files)")
+    print(f"{'command':<13} {'tree':<2} {'median_s':>8}  exit  sha256 (stdout and files)")
     for name in COMMANDS:
         for i, src in enumerate(srcs):
             for code, sha in sorted(prints[name, src]):
-                print(f"{name:<8} {'AB'[i]:<2} {statistics.median(walls[name, src]):8.3f}  {code:>4}  {sha[:16]}")
+                print(f"{name:<13} {'AB'[i]:<2} {statistics.median(walls[name, src]):8.3f}  {code:>4}  {sha[:16]}")
                 failed |= code != 0
             if len(prints[name, src]) > 1:
                 print(f"  {name}: tree {'AB'[i]} printed {len(prints[name, src])} fingerprints over {args.repeats} runs")
