@@ -65,17 +65,25 @@ def _check_positive_finite(name: str, value: float) -> None:
         raise ValueError(f"{name}={value!r} must be positive and finite")
 
 
+_TABLE_CHUNK = 1024  # rows formatted per write; a whole-table join costs ~1.4 MiB at 9601 rows
+
+
 def write_table(path, metadata: dict, header: str, x, y) -> None:
     """Two-column CSV: `# key=value` lines (values by repr), a header, `x,y` rows.
 
-    Every float is written by repr, so read_table recovers it bit for bit.
+    Every value is written as the repr of its float64, so read_table
+    recovers it bit for bit.
     """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     with open(path, "w") as fh:
         for key, value in metadata.items():
             fh.write(f"# {key}={value!r}\n")
         fh.write(f"{header}\n")
-        for xi, yi in zip(x, y):
-            fh.write(f"{float(xi)!r},{float(yi)!r}\n")
+        for start in range(0, x.size, _TABLE_CHUNK):
+            chunk = slice(start, start + _TABLE_CHUNK)
+            pairs = zip(x[chunk].tolist(), y[chunk].tolist())
+            fh.write("".join([f"{a!r},{b!r}\n" for a, b in pairs]))
 
 
 def read_table(path, kinds: dict) -> tuple[dict, np.ndarray, np.ndarray]:
@@ -83,8 +91,8 @@ def read_table(path, kinds: dict) -> tuple[dict, np.ndarray, np.ndarray]:
     key is in `kinds` parsed by its type there, any other left a string.
 
     A row that is not two numbers or that holds nan or inf is rejected with
-    its path and line number, a metadata value that does not parse with its
-    path and key.
+    its path and line number, a metadata value that does not parse, or a
+    float one that is nan or inf, with its path and key.
     """
     meta = {}
     xs, ys = [], []
@@ -113,6 +121,8 @@ def read_table(path, kinds: dict) -> tuple[dict, np.ndarray, np.ndarray]:
                 meta[key] = kinds[key](value)
             except ValueError:
                 raise ValueError(f"{path}: metadata {key}={value!r} is not a valid {kinds[key].__name__}") from None
+            if kinds[key] is float and not math.isfinite(meta[key]):
+                raise ValueError(f"{path}: metadata {key}={value!r} is not finite")
     return meta, np.asarray(xs), np.asarray(ys)
 
 

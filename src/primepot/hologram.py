@@ -15,8 +15,8 @@ the 1D centered transform of the modulated plane's column sums
 s_j = (1/m) sum_i exp(i phi_ij), scaled by 1/(2m). The cost therefore depends
 on the phase only through those m complex sums, and only that row is ever
 computed: one length-2m FFT forward, one length-2m inverse FFT for the
-adjoint. The full 2D plane exists only as a reference implementation in the
-tests.
+adjoint. The 2m x 2m output plane exists only as a reference implementation
+in the tests.
 
 The optimizer's unknowns are the 2m real and imaginary parts of the column
 sums, not the m^2 phases. The cost is invariant to s -> lambda s for any
@@ -53,6 +53,7 @@ intensity error near 0.03) and d = 12 runs all 500 iterations at m = 64.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
@@ -191,11 +192,15 @@ def _column_sums(state: HologramState) -> np.ndarray:
     return (np.exp(1j * state.phase) * (1.0 / state.m)).sum(axis=0)
 
 
+@functools.lru_cache
 def _unshifted(start: int, stop: int, m: int) -> np.ndarray:
     """Positions of centred pixels start..stop-1 of a length-2m row in FFT
     order: fftshift and ifftshift both roll by m, so pixel k sits at
-    (k - m) mod 2m."""
-    return (np.arange(start, stop) - m) % (2 * m)
+    (k - m) mod 2m. Cached, since every cost evaluation asks for the same
+    three; read-only, since every caller shares the array."""
+    index = (np.arange(start, stop) - m) % (2 * m)
+    index.flags.writeable = False
+    return index
 
 
 def _sr_index(state: HologramState) -> np.ndarray:

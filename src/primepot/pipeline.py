@@ -157,8 +157,30 @@ class HologramRun:
 
     def write(self, phase_path, intensity_path) -> None:
         """Phase plane as bare CSV; SR intensity with its target map."""
-        np.savetxt(phase_path, self.result.state.phase, delimiter=",")
+        _write_phase_csv(phase_path, self.result.state.phase)
         write_intensity_csv(intensity_path, np.abs(self.field) ** 2, self.result.state.target_map)
+
+
+_PHASE_LINE_CACHE = 3  # distinct rows of a double-phase plane (2, or 3 for odd m)
+
+
+def _write_phase_csv(path, plane: np.ndarray) -> None:
+    """The bytes of ``np.savetxt(path, plane, delimiter=",")``: one line of
+    comma-separated ``%.18e`` per row. A double-phase plane repeats its
+    rows, so each distinct row is formatted once; the cache holds at most
+    three lines, so a plane whose rows all differ formats every row, as
+    savetxt does."""
+    row_format = ",".join(["%.18e"] * plane.shape[1]) + "\n"
+    lines: dict[bytes, str] = {}
+    with open(path, "w") as fh:
+        for row in plane:
+            key = row.tobytes()
+            line = lines.get(key)
+            if line is None:
+                line = row_format % tuple(row.tolist())
+                if len(lines) < _PHASE_LINE_CACHE:
+                    lines[key] = line
+            fh.write(line)
 
 
 def synthesize_hologram(potential: PotentialGrid, m: int, sr_length: int, max_iters: int, seed: int) -> HologramRun:

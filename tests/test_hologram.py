@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -368,3 +369,22 @@ def test_sr_utilization_declines_with_length(v10_target):
             vals.append(frac / sr_len)
         per_pixel.append(np.mean(vals))
     assert per_pixel[0] > per_pixel[-1]
+
+
+@pytest.mark.parametrize("start, stop, m", [(0, 10, 5), (3, 8, 7), (16, 48, 32), (31, 94, 63), (0, 128, 64)])
+def test_unshifted_is_shared_and_read_only(start, stop, m):
+    index = hologram._unshifted(start, stop, m)
+    assert np.array_equal(index, (np.arange(start, stop) - m) % (2 * m))
+    assert hologram._unshifted(start, stop, m) is index
+    with pytest.raises(ValueError):
+        index[0] = 0
+
+
+def test_read_intensity_csv_rejects_non_finite_ceiling(tmp_path, v10_target):
+    amp, tmap = v10_target
+    path = tmp_path / "intensity.csv"
+    write_intensity_csv(path, amp**2, tmap)
+    lines = ["# ceiling=inf" if line.startswith("# ceiling=") else line for line in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: metadata ceiling='inf' is not finite")):
+        read_intensity_csv(path)

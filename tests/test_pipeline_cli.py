@@ -14,7 +14,7 @@ from primepot.pipeline import (
     parse_sequence_spec,
     run_pipeline,
 )
-from primepot import cli, hologram, semiclassical, sequences
+from primepot import cli, hologram, pipeline, semiclassical, sequences
 from primepot.scattering import SCAN_STEP_LIMIT
 from primepot.semiclassical import PROFILE_POINT_LIMIT, SAMPLE_LIMIT
 from primepot.sequences import DEFAULT_TERMS, EXACT_COUNT_LIMIT, LUCKY_LIMIT, first_primes
@@ -580,3 +580,29 @@ def test_cli_holo_matches_pipeline_bytes(tmp_path):
     assert intensity.read_bytes() == (outdir / "intensity.csv").read_bytes()
     assert rec.read_bytes() == (outdir / "potential_reconstructed.csv").read_bytes()
     assert cost.read_bytes() == (outdir / "cost_history.json").read_bytes()
+
+
+def test_cli_holo_synth_rejects_nan_asymptote(tmp_path, monkeypatch, capsys):
+    grid = default_grid(3.0, 0.05)
+    path = tmp_path / "pot.csv"
+    PotentialGrid(grid=grid, values=-6.0 / np.cosh(grid.x) ** 2, asymptote=0.0).write_csv(path)
+    path.write_text(path.read_text().replace("# asymptote=0.0\n", "# asymptote=nan\n"))
+    monkeypatch.chdir(tmp_path)  # the default outputs land here
+    assert main(["holo", "synth", str(path), "--iters", "2", "--cost-out", "cost.json"]) == 1
+    assert f"{path}: metadata asymptote='nan' is not finite" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+@pytest.mark.parametrize("m", [48, 63, 256, 17])
+def test_phase_writer_bytes_match_savetxt(tmp_path, m):
+    # double-phase planes repeat 2 (odd m: 3) rows; the m = 17 plane's rows are all distinct
+    rng = np.random.default_rng(m)
+    if m == 17:
+        plane = rng.uniform(0.0, 2.0 * np.pi, size=(m, m))
+        assert len({row.tobytes() for row in plane}) == m
+    else:
+        plane = hologram._double_phase(rng.normal(size=m) + 1j * rng.normal(size=m))
+    written, reference = tmp_path / "phase.csv", tmp_path / "savetxt.csv"
+    pipeline._write_phase_csv(written, plane)
+    np.savetxt(reference, plane, delimiter=",")
+    assert written.read_bytes() == reference.read_bytes()

@@ -37,6 +37,9 @@ COMMANDS = {
     "pi": ["pi", "--x", "1000"],
     "semiclassical": ["semiclassical", "--out", "sc.csv"],
     "holo": ["pipeline", "--sequence", "primes:10", "--hologram", "--outdir", "."],
+    "holo256": [
+        "pipeline", "--sequence", "primes:10", "--hologram", "--holo-m", "256", "--holo-iters", "40", "--outdir", ".",
+    ],
 }
 
 
