@@ -18,16 +18,18 @@ computed: one length-2m FFT forward, one length-2m inverse FFT for the
 adjoint. The 2m x 2m output plane exists only as a reference implementation
 in the tests.
 
-The optimizer's unknowns are the 2m real and imaginary parts of the column
-sums, not the m^2 phases. The cost is invariant to s -> lambda s for any
-complex lambda != 0 (the overlap is normalized by the SR power), so the sums
-need no constraint. The phase plane is built once, at the end, by
-double-phase encoding (Hsueh & Sawchuk, Appl. Opt. 17, 3874 (1978); Arrizon
-et al., JOSA A 24, 3500 (2007)): with t_j = |s_j| / max|s| and a_j = arg s_j,
-the rows of column j alternate a_j + b_j and a_j - b_j, where cos b_j = t_j
-for even m; for odd m the last row is a_j and cos b_j = (m t_j - 1)/(m - 1).
-Each column then sums to exactly s_j / max|s|, so the plane has the optimized
-cost.
+A ``HologramState`` holds those sums, at first of a seeded random plane, and
+the optimizer's unknowns are their 2m real and imaginary parts. The cost is
+invariant to s -> lambda s for any complex lambda != 0 (the overlap is
+normalized by the SR power), so they need no constraint. The result is
+realized by double-phase encoding (Hsueh & Sawchuk, Appl. Opt. 17, 3874
+(1978); Arrizon et al., JOSA A 24, 3500 (2007)): with t_j = |s_j| / max|s|
+and a_j = arg s_j, the rows of column j alternate a_j + b_j and a_j - b_j,
+where cos b_j = t_j for even m; for odd m the last row is a_j and
+cos b_j = (m t_j - 1)/(m - 1). Each column sums to exactly s_j / max|s|, so
+the plane has the optimized cost. Only its 2 (odd m: 3) distinct rows are
+kept; ``plane_row_index`` maps each plane row to one, and the plane exists
+only as the file written from them.
 
 Minimization is scipy's L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci.
 Comput. 16, 1190 (1995)) with its default options and no bounds. Its line
@@ -69,6 +71,7 @@ __all__ = [
     "OptimizeResult",
     "potential_to_target",
     "make_state",
+    "plane_row_index",
     "propagate",
     "cost_and_gradient",
     "optimize_phase",
@@ -102,25 +105,29 @@ class TargetMap:
 
 @dataclass
 class HologramState:
-    """Phase plane plus the unit-power target amplitude of the SR row."""
+    """Column sums of the modulated beam plus the SR row's unit-power target."""
 
-    phase: np.ndarray
+    sums: np.ndarray
     target_row: np.ndarray
     target_map: TargetMap | None = None
 
     def __post_init__(self):
-        self.phase = np.asarray(self.phase, dtype=np.float64)
-        if self.phase.ndim != 2 or self.phase.shape[0] != self.phase.shape[1]:
-            raise ValueError("phase plane must be m x m")
+        self.sums = np.asarray(self.sums, dtype=np.complex128)
+        if self.sums.ndim != 1:
+            raise ValueError("column sums must be a 1D array")
         self.target_row = np.asarray(self.target_row, dtype=np.float64)
-        if self.target_row.ndim != 1 or self.target_row.size >= 2 * self.m:
-            raise ValueError("signal region must sit strictly inside the output plane")
+        sr, m = self.target_row.size, self.m
+        if self.target_row.ndim != 1 or sr >= 2 * m:
+            raise ValueError(
+                f"signal region (sr_length = {sr}) must sit strictly inside the output row of "
+                f"2m = {2 * m} pixels: m = {m} is too small, the smallest m that fits is {sr // 2 + 1}"
+            )
         if abs(float(np.sum(self.target_row**2)) - 1.0) > 1e-9:
             raise ValueError("target amplitude must carry unit power over the SR")
 
     @property
     def m(self) -> int:
-        return self.phase.shape[0]
+        return self.sums.size
 
     @property
     def sr_columns(self) -> slice:
@@ -131,12 +138,13 @@ class HologramState:
 
 @dataclass
 class OptimizeResult:
-    """Optimized state and cost history. `line_search_failed` is L-BFGS-B's
-    status 2, "ABNORMAL" (no step along the search direction lowered the
-    cost) or "WARNING"; the iteration cap (status 1) and the stop tests
-    (status 0) leave it False."""
+    """Optimized state, its double-phase plane's distinct rows and the cost
+    history. `line_search_failed` is L-BFGS-B's status 2, "ABNORMAL" (no
+    step along the search direction lowered the cost) or "WARNING"; the
+    iteration cap (status 1) and the stop tests (status 0) leave it False."""
 
     state: HologramState
+    rows: np.ndarray  # (2 + m % 2, m); state.sums are the column sums of rows[plane_row_index(m)]
     history: np.ndarray
     line_search_failed: bool = False
 
@@ -181,15 +189,17 @@ def potential_to_target(potential: PotentialGrid, sr_length: int):
 
 
 def make_state(m: int, amplitude_row: np.ndarray, seed: int, target_map: TargetMap | None = None) -> HologramState:
-    """Seeded random-phase state with the 1D target centred on the output row."""
+    """Column sums of a seeded random-phase plane; the 1D target centred on the output row."""
+    if m < 1:
+        raise ValueError(f"modulator side m must be at least 1, got {m}")
     rng = np.random.default_rng(seed)
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=(m, m))
-    return HologramState(phase=phase, target_row=amplitude_row, target_map=target_map)
+    plane = rng.uniform(0.0, 2.0 * np.pi, size=(m, m))
+    return HologramState(sums=_column_sums(plane), target_row=amplitude_row, target_map=target_map)
 
 
-def _column_sums(state: HologramState) -> np.ndarray:
-    """Column sums s_j = (1/m) sum_i exp(i phi_ij) of the modulated beam."""
-    return (np.exp(1j * state.phase) * (1.0 / state.m)).sum(axis=0)
+def _column_sums(plane: np.ndarray) -> np.ndarray:
+    """Column sums s_j = (1/m) sum_i exp(i phi_ij) of a modulated m x m plane."""
+    return (np.exp(1j * plane) * (1.0 / len(plane))).sum(axis=0)
 
 
 @functools.lru_cache
@@ -222,20 +232,15 @@ def _output_row(sums: np.ndarray) -> np.ndarray:
 
 def propagate(state: HologramState) -> np.ndarray:
     """Complex output field on the SR row for the modulated beam."""
-    return _output_row(_column_sums(state))[_sr_index(state)]
+    return _output_row(state.sums)[_sr_index(state)]
 
 
 def cost_and_gradient(state: HologramState, sums: np.ndarray | None = None):
-    """Steepened squared overlap deficit and its gradient via the adjoint
-    transform.
-
-    With `sums`, the cost of any plane with those m column sums and the
-    gradient d/dRe s + i d/dIm s. Without, the sums of `state.phase` and the
-    phase gradient by the chain rule, Im(conj(exp(i phi)/m) * gradient).
-    """
-    chain = sums is None
-    if chain:
-        sums = _column_sums(state)
+    """Steepened squared overlap deficit of any plane with the m column sums
+    `sums` (default `state.sums`), and its gradient d/dRe s + i d/dIm s via
+    the adjoint transform."""
+    if sums is None:
+        sums = state.sums
     row = _output_row(sums)
     sr = _sr_index(state)
     f_sr = row[sr]
@@ -255,31 +260,35 @@ def cost_and_gradient(state: HologramState, sums: np.ndarray | None = None):
     # adjoint of _output_row, read back at the sums' rolled positions
     lo = state.m // 2
     back = np.fft.ifft(adj)[_unshifted(lo, lo + state.m, state.m)]
-    grad = -2.0 * STEEPNESS * (1.0 - overlap) * back
-    if chain:
-        grad = np.imag(np.exp(-1j * state.phase) * (1.0 / state.m) * grad)
-    return cost, grad
+    return cost, -2.0 * STEEPNESS * (1.0 - overlap) * back
 
 
 def _double_phase(sums: np.ndarray) -> np.ndarray:
-    """Phase plane in [0, 2 pi) whose column sums are sums / max|sums|."""
+    """Distinct rows in [0, 2 pi) of the double-phase plane whose column sums
+    are sums / max|sums|: a_j + b_j and a_j - b_j, and a_j for odd m."""
     m = sums.size
     t = np.abs(sums) / np.max(np.abs(sums))
-    sign = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
-    if m % 2:
-        sign[-1] = 0.0
-        spread = np.arccos((m * t - 1.0) / max(m - 1, 1))
-    else:
-        spread = np.arccos(t)
+    spread = np.arccos((m * t - 1.0) / max(m - 1, 1) if m % 2 else t)
+    sign = np.array([1.0, -1.0, 0.0][: 2 + m % 2])
     return np.mod(np.angle(sums) + sign[:, None] * spread, 2.0 * np.pi)
+
+
+def plane_row_index(m: int) -> np.ndarray:
+    """Row of ``_double_phase``'s output that each of the m plane rows
+    repeats: the rows alternate 0, 1, and for odd m the last is 2."""
+    index = np.arange(m) % 2
+    if m % 2:
+        index[-1] = 2
+    return index
 
 
 def optimize_phase(state: HologramState, max_iters: int) -> OptimizeResult:
     """L-BFGS-B (scipy's, default options) over the real and imaginary parts
     of the m column sums.
 
-    Starts from the column sums of `state.phase` and realizes the result as
-    a phase plane by double-phase encoding (module docstring). Stops after
+    Starts from `state.sums` and realizes the result by double-phase
+    encoding (module docstring): the result holds the plane's distinct rows
+    and a state with the plane's column sums. Stops after
     `max_iters` iterations, or earlier on either of L-BFGS-B's tests: the
     largest projected-gradient component of the 2m-real gradient is at most
     pgtol = 1e-5, or a step lowers the cost by at most ftol = 2.2e-9 times
@@ -302,17 +311,18 @@ def optimize_phase(state: HologramState, max_iters: int) -> OptimizeResult:
             history.append(value)
         return value, np.concatenate((grad.real, grad.imag))
 
-    start = _column_sums(state)
     result = minimize(
         cost,
-        np.concatenate((start.real, start.imag)),
+        np.concatenate((state.sums.real, state.sums.imag)),
         jac=True,
         method="L-BFGS-B",
         callback=lambda intermediate_result: history.append(intermediate_result.fun),
         options={"maxiter": max_iters},
     )
+    rows = _double_phase(result.x[:m] + 1j * result.x[m:])
     return OptimizeResult(
-        state=replace(state, phase=_double_phase(result.x[:m] + 1j * result.x[m:])),
+        state=replace(state, sums=_column_sums(rows[plane_row_index(m)])),
+        rows=rows,
         history=np.asarray(history),
         line_search_failed=result.status == 2,
     )

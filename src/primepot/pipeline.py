@@ -22,6 +22,7 @@ from .hologram import (
     extract_profile,
     make_state,
     optimize_phase,
+    plane_row_index,
     potential_to_target,
     propagate,
     sr_intensity_error,
@@ -157,30 +158,19 @@ class HologramRun:
 
     def write(self, phase_path, intensity_path) -> None:
         """Phase plane as bare CSV; SR intensity with its target map."""
-        _write_phase_csv(phase_path, self.result.state.phase)
+        _write_phase_csv(phase_path, self.result.rows)
         write_intensity_csv(intensity_path, np.abs(self.field) ** 2, self.result.state.target_map)
 
 
-_PHASE_LINE_CACHE = 3  # distinct rows of a double-phase plane (2, or 3 for odd m)
-
-
-def _write_phase_csv(path, plane: np.ndarray) -> None:
-    """The bytes of ``np.savetxt(path, plane, delimiter=",")``: one line of
-    comma-separated ``%.18e`` per row. A double-phase plane repeats its
-    rows, so each distinct row is formatted once; the cache holds at most
-    three lines, so a plane whose rows all differ formats every row, as
-    savetxt does."""
-    row_format = ",".join(["%.18e"] * plane.shape[1]) + "\n"
-    lines: dict[bytes, str] = {}
+def _write_phase_csv(path, rows: np.ndarray) -> None:
+    """The bytes of ``np.savetxt(path, plane, delimiter=",")`` for the m x m
+    double-phase plane with these distinct rows: one line of comma-separated
+    ``%.18e`` per plane row, each distinct row formatted once."""
+    m = rows.shape[1]
+    row_format = ",".join(["%.18e"] * m) + "\n"
+    lines = [row_format % tuple(row.tolist()) for row in rows]
     with open(path, "w") as fh:
-        for row in plane:
-            key = row.tobytes()
-            line = lines.get(key)
-            if line is None:
-                line = row_format % tuple(row.tolist())
-                if len(lines) < _PHASE_LINE_CACHE:
-                    lines[key] = line
-            fh.write(line)
+        fh.writelines(lines[i] for i in plane_row_index(m))
 
 
 def synthesize_hologram(potential: PotentialGrid, m: int, sr_length: int, max_iters: int, seed: int) -> HologramRun:
@@ -205,21 +195,22 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         designed = design_potential(targets, grid)
     except (ValueError, ChainError) as err:
         raise PipelineStageError("design", err) from err
+    solve_input = designed
+    if config.hologram:
+        try:
+            holo = synthesize_hologram(designed, config.holo_m, config.holo_sr, config.holo_iters, config.seed)
+            solve_input = extract_profile(holo.field, holo.result.state)
+        except ValueError as err:
+            raise PipelineStageError("hologram", err) from err
+
+    # the first file is written once every stage before solve has succeeded
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     files: dict[str, str] = {}
     pot_path = outdir / "potential.csv"
     designed.write_csv(pot_path)
     files["potential"] = str(pot_path)
-
-    solve_input = designed
-    holo_err = None
     if config.hologram:
-        try:
-            holo = synthesize_hologram(designed, config.holo_m, config.holo_sr, config.holo_iters, config.seed)
-            reconstructed = extract_profile(holo.field, holo.result.state)
-        except ValueError as err:
-            raise PipelineStageError("hologram", err) from err
         phase_path = outdir / "phase.csv"
         intensity_path = outdir / "intensity.csv"
         holo.write(phase_path, intensity_path)
@@ -229,10 +220,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         write_json(cost_path, holo.result.history.tolist())
         files["cost_history"] = str(cost_path)
         rec_path = outdir / "potential_reconstructed.csv"
-        reconstructed.write_csv(rec_path)
+        solve_input.write_csv(rec_path)
         files["potential_reconstructed"] = str(rec_path)
-        solve_input = reconstructed
-        holo_err = holo.sr_error
 
     try:
         spectrum = bound_states(solve_input, KINETIC_HALF, count=targets.size)
@@ -260,7 +249,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         continuum_edge=spectrum.continuum_edge,
         report=report,
         files=files,
-        hologram_sr_error=holo_err,
+        hologram_sr_error=holo.sr_error if config.hologram else None,
     )
     report_path = outdir / "report.json"
     write_json(report_path, out.as_dict())

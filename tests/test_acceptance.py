@@ -188,8 +188,6 @@ def test_criterion_7_scattering(filter_apparatus):
 
 
 def test_criterion_8_hologram(prime10_potential):
-    from dataclasses import replace
-
     rng = np.random.default_rng(0)
     amp16 = rng.uniform(0.2, 1.0, 20)
     amp16 /= np.sqrt(np.sum(amp16**2))
@@ -197,16 +195,17 @@ def test_criterion_8_hologram(prime10_potential):
     _, grad = cost_and_gradient(state16)
     eps = 1e-6
     worst = 0.0
-    for i in range(0, 16, 4):
-        for j in range(0, 16, 4):
-            up = state16.phase.copy()
-            up[i, j] += eps
-            dn = state16.phase.copy()
-            dn[i, j] -= eps
-            cu, _ = cost_and_gradient(replace(state16, phase=up))
-            cd, _ = cost_and_gradient(replace(state16, phase=dn))
+    # the optimizer's gradient, over the real and imaginary parts of the column sums
+    for j in range(16):
+        for step, part in ((eps, grad[j].real), (1j * eps, grad[j].imag)):
+            up = state16.sums.copy()
+            up[j] += step
+            dn = state16.sums.copy()
+            dn[j] -= step
+            cu, _ = cost_and_gradient(state16, up)
+            cd, _ = cost_and_gradient(state16, dn)
             fd = (cu - cd) / (2 * eps)
-            worst = max(worst, abs(fd - grad[i, j]) / max(abs(fd), 1e-300))
+            worst = max(worst, abs(fd - part) / max(abs(fd), 1e-300))
 
     t0 = time.perf_counter()
     amp, tmap = potential_to_target(prime10_potential, 100)

@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,7 @@ from primepot import cli, hologram, pipeline, semiclassical, sequences
 from primepot.scattering import SCAN_STEP_LIMIT
 from primepot.semiclassical import PROFILE_POINT_LIMIT, SAMPLE_LIMIT
 from primepot.sequences import DEFAULT_TERMS, EXACT_COUNT_LIMIT, LUCKY_LIMIT, first_primes
+from primepot.susy import design_potential
 
 
 def test_parse_sequence_specs(tmp_path):
@@ -85,6 +86,29 @@ def test_pipeline_invalid_sequence_writes_nothing(tmp_path):
     with pytest.raises(PipelineStageError) as info:
         run_pipeline(config)
     assert info.value.stage == "sequence"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--holo-iters", "0"], "max_iters must be >= 1"),
+        (["--holo-sr", "3"], "sr_length must be at least 4"),
+        (
+            ["--holo-m", "8"],
+            "signal region (sr_length = 100) must sit strictly inside the output row of 2m = 16 pixels: "
+            "m = 8 is too small, the smallest m that fits is 51",
+        ),
+        (["--holo-m", "0"], "m must be at least 1"),
+    ],
+    ids=["iters0", "sr3", "m8", "m0"],
+)
+def test_pipeline_failed_hologram_writes_nothing(tmp_path, capsys, flags, message):
+    outdir = tmp_path / "out"
+    argv = ["pipeline", "--sequence", "primes:5", "--half-width", "10", "--hologram", "--outdir", str(outdir)]
+    assert main(argv + flags) == 1
+    err = capsys.readouterr().err
+    assert "stage 'hologram' failed" in err and message in err
     assert not outdir.exists()
 
 
@@ -593,16 +617,28 @@ def test_cli_holo_synth_rejects_nan_asymptote(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
-@pytest.mark.parametrize("m", [48, 63, 256, 17])
+@pytest.mark.parametrize("m", [48, 63, 256])
 def test_phase_writer_bytes_match_savetxt(tmp_path, m):
-    # double-phase planes repeat 2 (odd m: 3) rows; the m = 17 plane's rows are all distinct
+    # a double-phase plane repeats its 2 (odd m: 3) distinct rows
     rng = np.random.default_rng(m)
-    if m == 17:
-        plane = rng.uniform(0.0, 2.0 * np.pi, size=(m, m))
-        assert len({row.tobytes() for row in plane}) == m
-    else:
-        plane = hologram._double_phase(rng.normal(size=m) + 1j * rng.normal(size=m))
+    rows = hologram._double_phase(rng.normal(size=m) + 1j * rng.normal(size=m))
     written, reference = tmp_path / "phase.csv", tmp_path / "savetxt.csv"
-    pipeline._write_phase_csv(written, plane)
-    np.savetxt(reference, plane, delimiter=",")
+    pipeline._write_phase_csv(written, rows)
+    np.savetxt(reference, rows[hologram.plane_row_index(m)], delimiter=",")
     assert written.read_bytes() == reference.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def primes5_potential():
+    return design_potential(first_primes(5).astype(np.float64), default_grid(10.0))
+
+
+@pytest.mark.parametrize("m", [48, 63, 256])
+def test_reported_field_is_the_written_planes(tmp_path, primes5_potential, m):
+    holo = pipeline.synthesize_hologram(primes5_potential, m, 80, 30, seed=1)
+    holo.write(tmp_path / "phase.csv", tmp_path / "intensity.csv")
+    plane = np.loadtxt(tmp_path / "phase.csv", delimiter=",")
+    assert plane.shape == (m, m)
+    sums = (np.exp(1j * plane) * (1.0 / m)).sum(axis=0)
+    assert np.array_equal(sums, holo.result.state.sums)
+    assert np.array_equal(holo.field, hologram.propagate(replace(holo.result.state, sums=sums)))

@@ -40,6 +40,9 @@ COMMANDS = {
     "holo256": [
         "pipeline", "--sequence", "primes:10", "--hologram", "--holo-m", "256", "--holo-iters", "40", "--outdir", ".",
     ],
+    "holo63": [
+        "pipeline", "--sequence", "primes:10", "--hologram", "--holo-m", "63", "--holo-iters", "200", "--outdir", ".",
+    ],
 }
 
 
