@@ -83,7 +83,7 @@ def _cmd_solve(args) -> int:
     if args.json:
         write_json(args.json, payload)
     _print_json(payload)
-    return EXIT_OK if all(payload.get("rounds_to_target", ())) else EXIT_NUMERICAL
+    return EXIT_OK if targets is None or report.all_round else EXIT_NUMERICAL
 
 
 def _cmd_semiclassical(args) -> int:
@@ -125,7 +125,7 @@ def _cmd_holo_synth(args) -> int:
         raise ValueError(f"--out needs two comma-separated paths, phase,intensity; got {args.out!r}")
     phase_out, intensity_out = paths
     pot = PotentialGrid.read_csv(args.potential)
-    holo = synthesize_hologram(pot, args.m, args.sr, args.iters, args.seed)
+    holo = synthesize_hologram(pot, args.m, args.iters, args.seed)
     holo.write(phase_out, intensity_out)
     history = holo.result.history
     if args.cost_out:
@@ -238,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps = holo_sub.add_parser("synth", help="optimize a phase hologram for a potential")
     ps.add_argument("potential")
     ps.add_argument("--m", type=int, default=PipelineConfig.holo_m)
-    ps.add_argument("--sr", type=int, default=PipelineConfig.holo_sr)
     ps.add_argument("--iters", type=int, default=PipelineConfig.holo_iters)
     ps.add_argument("--seed", type=int, default=PipelineConfig.seed)
     ps.add_argument("--out", default="phase.csv,intensity.csv")

@@ -10,6 +10,17 @@ everywhere else the field is unconstrained. The overlap takes the modulus
 per pixel before summing, so a zero cost means the SR intensity profile
 matches exactly while the output phase stays free.
 
+The SR length is derived from the potential, not set. Its pixel pitch
+2 span / (n - 1) times k_max = sqrt(asymptote - min V) / c, the largest
+wavenumber of the top level, must stay at or below 0.5: the Nyquist
+condition on the well's fastest oscillation (Shannon, Proc. IRE 37, 10
+(1949)). Above it the read-back levels drift by sampling alone, with perfect
+optics (pitch x k_max near 1: 0.016-0.08; 1.5-1.9: up to 2.4). The length is
+max(100, ceil(4 span k_max) + 1): primes:10 keeps 100 pixels (its rule gives
+97), primes:20 takes 191, lucky:20 213, primes:30 310 and primes:40 372. A
+modulator side m must exceed half the length; a smaller one is refused with
+the smallest m that fits.
+
 The SR lies on the zero-vertical-frequency row of the output plane, which is
 the 1D centered transform of the modulated plane's column sums
 s_j = (1/m) sum_i exp(i phi_ij), scaled by 1/(2m). The cost therefore depends
@@ -56,13 +67,14 @@ intensity error near 0.03) and d = 12 runs all 500 iterations at m = 64.
 from __future__ import annotations
 
 import functools
-import operator
+import math
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
 import numpy as np
 
 from .grid import Grid, PotentialGrid, read_table, write_table
+from .susy import KINETIC_HALF
 
 __all__ = [
     "STEEPNESS",
@@ -77,6 +89,7 @@ __all__ = [
     "optimize_phase",
     "extract_profile",
     "intensity_to_potential",
+    "write_phase_csv",
     "write_intensity_csv",
     "read_intensity_csv",
     "sr_intensity_error",
@@ -149,18 +162,17 @@ class OptimizeResult:
     line_search_failed: bool = False
 
 
-def potential_to_target(potential: PotentialGrid, sr_length: int):
-    """Resample ceiling - V to `sr_length` pixels; return (amplitude row, map).
+def potential_to_target(potential: PotentialGrid):
+    """Resample ceiling - V to the SR row; return (amplitude row, map).
 
     Higher intensity encodes lower potential (red-detuned trapping), so the
     amplitude is the square root of the affinely inverted potential,
     normalized to unit power over the row. The ceiling lies 2% of the well
     depth (at least 0.02) above the potential maximum. The row spans 1.15
     times the extent where V departs from its asymptote, within the grid.
+    Its length keeps the pixel pitch at or below 0.5 / k_max (module
+    docstring), and at least 100 pixels.
     """
-    sr_length = operator.index(sr_length)  # a Python int, so the map's metadata reads back
-    if sr_length < 4:
-        raise ValueError("sr_length must be at least 4")
     v = potential.values
     depth = max(potential.max() - potential.min(), 1.0)
     ceiling = potential.max() + 0.02 * depth
@@ -171,6 +183,9 @@ def potential_to_target(potential: PotentialGrid, sr_length: int):
     else:
         x_edge = max(abs(potential.x[away[0]]), abs(potential.x[away[-1]]))
         span = min(1.15 * x_edge, potential.grid.half_width)
+    k_max = math.sqrt(max(potential.asymptote - potential.min(), 0.0)) / KINETIC_HALF
+    # the floor keeps every list whose rule asks for fewer pixels (primes:10: 97) at 100
+    sr_length = max(100, math.ceil(4.0 * span * k_max) + 1)
     x_sr = np.linspace(-span, span, sr_length)
     v_sr = np.interp(x_sr, potential.x, v)
     intensity = ceiling - v_sr
@@ -351,6 +366,17 @@ def extract_profile(field: np.ndarray, state: HologramState) -> PotentialGrid:
     if state.target_map is None:
         raise ValueError("state carries no target map; build it with potential_to_target")
     return intensity_to_potential(np.abs(field) ** 2, state.target_map)
+
+
+def write_phase_csv(path, rows: np.ndarray) -> None:
+    """The bytes of ``np.savetxt(path, plane, delimiter=",")`` for the m x m
+    double-phase plane with these distinct rows: one line of comma-separated
+    ``%.18e`` per plane row, each distinct row formatted once."""
+    m = rows.shape[1]
+    row_format = ",".join(["%.18e"] * m) + "\n"
+    lines = [row_format % tuple(row.tolist()) for row in rows]
+    with open(path, "w") as fh:
+        fh.writelines(lines[i] for i in plane_row_index(m))
 
 
 def write_intensity_csv(path, intensity: np.ndarray, tmap: TargetMap) -> None:

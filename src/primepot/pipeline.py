@@ -22,11 +22,11 @@ from .hologram import (
     extract_profile,
     make_state,
     optimize_phase,
-    plane_row_index,
     potential_to_target,
     propagate,
     sr_intensity_error,
     write_intensity_csv,
+    write_phase_csv,
 )
 from .sequences import first_lucky, first_primes
 from .susy import KINETIC_HALF, ChainError, design_potential
@@ -76,7 +76,6 @@ class PipelineConfig:
     spacing: float = DEFAULT_SPACING
     hologram: bool = False
     holo_m: int = 64
-    holo_sr: int = 100
     holo_iters: int = 500
     seed: int = 1
     outdir: str = "pipeline_out"
@@ -158,25 +157,14 @@ class HologramRun:
 
     def write(self, phase_path, intensity_path) -> None:
         """Phase plane as bare CSV; SR intensity with its target map."""
-        _write_phase_csv(phase_path, self.result.rows)
+        write_phase_csv(phase_path, self.result.rows)
         write_intensity_csv(intensity_path, np.abs(self.field) ** 2, self.result.state.target_map)
 
 
-def _write_phase_csv(path, rows: np.ndarray) -> None:
-    """The bytes of ``np.savetxt(path, plane, delimiter=",")`` for the m x m
-    double-phase plane with these distinct rows: one line of comma-separated
-    ``%.18e`` per plane row, each distinct row formatted once."""
-    m = rows.shape[1]
-    row_format = ",".join(["%.18e"] * m) + "\n"
-    lines = [row_format % tuple(row.tolist()) for row in rows]
-    with open(path, "w") as fh:
-        fh.writelines(lines[i] for i in plane_row_index(m))
-
-
-def synthesize_hologram(potential: PotentialGrid, m: int, sr_length: int, max_iters: int, seed: int) -> HologramRun:
+def synthesize_hologram(potential: PotentialGrid, m: int, max_iters: int, seed: int) -> HologramRun:
     """Target row, seeded random-phase state, optimized phase and output field
     under the uniform beam, plus the SR intensity error."""
-    amp, tmap = potential_to_target(potential, sr_length)
+    amp, tmap = potential_to_target(potential)
     state = make_state(m, amp, seed=seed, target_map=tmap)
     result = optimize_phase(state, max_iters=max_iters)
     field = propagate(result.state)
@@ -198,7 +186,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     solve_input = designed
     if config.hologram:
         try:
-            holo = synthesize_hologram(designed, config.holo_m, config.holo_sr, config.holo_iters, config.seed)
+            holo = synthesize_hologram(designed, config.holo_m, config.holo_iters, config.seed)
             solve_input = extract_profile(holo.field, holo.result.state)
         except ValueError as err:
             raise PipelineStageError("hologram", err) from err

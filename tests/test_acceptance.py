@@ -208,7 +208,7 @@ def test_criterion_8_hologram(prime10_potential):
             worst = max(worst, abs(fd - part) / max(abs(fd), 1e-300))
 
     t0 = time.perf_counter()
-    amp, tmap = potential_to_target(prime10_potential, 100)
+    amp, tmap = potential_to_target(prime10_potential)
     state = make_state(64, amp, seed=1, target_map=tmap)
     result = optimize_phase(state, max_iters=500)
     field = propagate(result.state)

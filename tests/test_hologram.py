@@ -26,7 +26,7 @@ from primepot.susy import KINETIC_HALF
 
 @pytest.fixture(scope="module")
 def v10_target(prime10_potential):
-    amp, tmap = potential_to_target(prime10_potential, 100)
+    amp, tmap = potential_to_target(prime10_potential)
     return amp, tmap
 
 
@@ -141,7 +141,8 @@ def test_row_without_shifts_is_bitwise_the_shifted_row(m):
 
 
 def test_target_normalized_and_inverted(prime10_potential):
-    amp, tmap = potential_to_target(prime10_potential, 100)
+    amp, tmap = potential_to_target(prime10_potential)
+    assert tmap.sr_length == 100  # the floor: the Nyquist rule asks for 97
     assert np.sum(amp**2) == pytest.approx(1.0)
     # lowest potential point maps to the brightest pixel
     x_sr = np.linspace(-tmap.span, tmap.span, 100)
@@ -154,7 +155,7 @@ def test_constant_potential_uniform_target():
 
     grid = default_grid(4.0, 0.01)
     flat = PotentialGrid(grid=grid, values=np.full(grid.points, 2.0), asymptote=2.0)
-    amp, _ = potential_to_target(flat, 50)
+    amp, _ = potential_to_target(flat)
     assert np.max(np.abs(amp - amp[0])) < 1e-12
 
 
@@ -168,7 +169,7 @@ def test_files_from_numpy_scalars_read_back(tmp_path):
     back = PotentialGrid.read_csv(tmp_path / "pot.csv")
     assert (back.asymptote, back.grid.points) == (pot.asymptote, 801)
     assert np.array_equal(back.values, values)
-    amp, tmap = potential_to_target(pot, np.int64(40))
+    amp, tmap = potential_to_target(pot)
     write_intensity_csv(tmp_path / "intensity.csv", amp**2, tmap)
     intensity, tmap_back = read_intensity_csv(tmp_path / "intensity.csv")
     assert tmap_back == tmap
@@ -338,8 +339,8 @@ def test_uniform_target_extracts_flat_profile():
 
     grid = default_grid(4.0, 0.01)
     flat = PotentialGrid(grid=grid, values=np.full(grid.points, 2.0), asymptote=2.0)
-    amp, tmap = potential_to_target(flat, 40)
-    state = make_state(32, amp, seed=5, target_map=tmap)
+    amp, tmap = potential_to_target(flat)
+    state = make_state(64, amp, seed=5, target_map=tmap)
     result = optimize_phase(state, max_iters=300)
     rec = extract_profile(propagate(result.state), result.state)
     inside = np.abs(rec.x) <= 3.0

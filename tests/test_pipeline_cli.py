@@ -42,7 +42,13 @@ def test_config_round_trips(tmp_path):
 
 @pytest.mark.parametrize(
     "line, named",
-    [("spaceing=0.01", "spaceing"), ("hologram=yes", "yes"), ("kinetic='half'", "kinetic"), ("holo_d=9", "holo_d")],
+    [
+        ("spaceing=0.01", "spaceing"),
+        ("hologram=yes", "yes"),
+        ("kinetic='half'", "kinetic"),
+        ("holo_d=9", "holo_d"),
+        ("holo_sr=100", "holo_sr"),  # the SR length is derived from the potential
+    ],
 )
 def test_config_rejects_bad_input(tmp_path, capsys, line, named):
     path = tmp_path / "bad.cfg"
@@ -93,15 +99,19 @@ def test_pipeline_invalid_sequence_writes_nothing(tmp_path):
     "flags, message",
     [
         (["--holo-iters", "0"], "max_iters must be >= 1"),
-        (["--holo-sr", "3"], "sr_length must be at least 4"),
         (
             ["--holo-m", "8"],
             "signal region (sr_length = 100) must sit strictly inside the output row of 2m = 16 pixels: "
             "m = 8 is too small, the smallest m that fits is 51",
         ),
+        (
+            ["--sequence", "primes:40", "--holo-m", "64"],
+            "signal region (sr_length = 372) must sit strictly inside the output row of 2m = 128 pixels: "
+            "m = 64 is too small, the smallest m that fits is 187",
+        ),
         (["--holo-m", "0"], "m must be at least 1"),
     ],
-    ids=["iters0", "sr3", "m8", "m0"],
+    ids=["iters0", "m8", "primes40_m64", "m0"],
 )
 def test_pipeline_failed_hologram_writes_nothing(tmp_path, capsys, flags, message):
     outdir = tmp_path / "out"
@@ -117,8 +127,7 @@ def test_pipeline_with_hologram(tmp_path):
         sequence="primes:5",
         half_width=10.0,
         hologram=True,
-        holo_m=48,
-        holo_sr=80,
+        holo_m=52,
         holo_iters=300,
         outdir=str(tmp_path / "holo"),
     )
@@ -148,6 +157,15 @@ def test_hologram_level_budget_over_seeds(tmp_path, m, iters):
         finals.append(history[-1])
     if (m, iters) == (64, 500):
         assert np.median(finals) <= 4.4e-6
+
+
+@pytest.mark.parametrize("sequence", ["primes:20", "lucky:20", "primes:30", "primes:40"])
+def test_hologram_level_budget_long_lists(tmp_path, sequence):
+    # a 100-pixel SR undersamples these wells (lucky:20 0.058, primes:30
+    # 0.225, primes:40 2.37); the derived length keeps them within 0.05
+    config = PipelineConfig(sequence=sequence, hologram=True, holo_m=256, seed=1, outdir=str(tmp_path))
+    report = run_pipeline(config)
+    assert np.max(report.report.per_level_abs) <= 0.05
 
 
 @pytest.mark.parametrize("half_width", [8.0, 12.0, 20.0, 40.0])
@@ -241,6 +259,7 @@ def test_cli_design_solve_cycle(tmp_path, capsys):
     )
     # bitwise mirrored on read-back, so solve takes the parity-block path
     assert PotentialGrid.read_csv(pot).even
+    assert main(["solve", str(pot)]) == 0  # no targets, nothing to miss
     assert main(["solve", str(pot), "--targets", "primes:5", "--json", str(rep)]) == 0
     payload = json.loads(rep.read_text())
     assert payload["rounds_to_target"] == [True] * 5
@@ -323,7 +342,7 @@ def test_cli_rejects_non_finite_csv_rows(tmp_path, monkeypatch, capsys, command,
     grid = default_grid(3.0, 0.05)
     pot = PotentialGrid(grid=grid, values=-6.0 / np.cosh(grid.x) ** 2, asymptote=0.0)
     if command == "extract":
-        _, tmap = potential_to_target(pot, 20)
+        _, tmap = potential_to_target(pot)
         path = tmp_path / "intensity.csv"
         write_intensity_csv(path, np.ones(tmap.sr_length), tmap)
     else:
@@ -452,12 +471,7 @@ def test_cli_defaults_match_pipeline_config():
     design = parser.parse_args(["design", "--levels", "primes:3"])
     assert (design.half_width, design.spacing) == (config.half_width, config.spacing)
     synth = parser.parse_args(["holo", "synth", "pot.csv"])
-    assert (synth.m, synth.sr, synth.iters, synth.seed) == (
-        config.holo_m,
-        config.holo_sr,
-        config.holo_iters,
-        config.seed,
-    )
+    assert (synth.m, synth.iters, synth.seed) == (config.holo_m, config.holo_iters, config.seed)
     pipeline = parser.parse_args(["pipeline"])
     assert set(vars(pipeline)) == {f.name for f in fields(PipelineConfig)} | {"config", "command", "func"}
     assert all(getattr(pipeline, f.name) is None for f in fields(PipelineConfig))
@@ -499,9 +513,7 @@ def test_cli_holo_commands(tmp_path, capsys):
             "synth",
             str(pot),
             "--m",
-            "48",
-            "--sr",
-            "80",
+            "52",
             "--iters",
             "250",
             "--out",
@@ -522,7 +534,7 @@ def test_cli_holo_synth_warns_on_failed_line_search(tmp_path, capsys, monkeypatc
     pot = tmp_path / "pot.csv"
     main(["design", "--levels", "primes:5", "--half-width", "10", "--out", str(pot)])
     out = f"{tmp_path / 'phase.csv'},{tmp_path / 'intensity.csv'}"
-    synth = ["holo", "synth", str(pot), "--m", "48", "--sr", "80", "--iters", "20", "--out", out]
+    synth = ["holo", "synth", str(pot), "--m", "52", "--iters", "20", "--out", out]
     capsys.readouterr()
     assert main(synth) == 0
     assert "line search stalled" not in capsys.readouterr().err
@@ -580,30 +592,32 @@ def test_cli_pipeline_exit_zero(tmp_path):
 
 
 def test_cli_holo_matches_pipeline_bytes(tmp_path):
-    outdir = tmp_path / "pipe"
-    config = PipelineConfig(
-        sequence="primes:5",
-        half_width=10.0,
-        hologram=True,
-        holo_m=48,
-        holo_sr=80,
-        holo_iters=250,
-        seed=1,
-        outdir=str(outdir),
-    )
-    run_pipeline(config)
-    phase, intensity, rec, cost = (
-        tmp_path / name for name in ("phase.csv", "intensity.csv", "rec.csv", "cost.json")
-    )
-    synth = ["holo", "synth", str(outdir / "potential.csv"), "--m", "48", "--sr", "80"]
-    synth += ["--iters", "250", "--seed", "1", "--out", f"{phase},{intensity}"]
-    synth += ["--cost-out", str(cost)]
-    assert main(synth) == 0
-    assert main(["holo", "extract", str(intensity), "--out", str(rec)]) == 0
-    assert phase.read_bytes() == (outdir / "phase.csv").read_bytes()
-    assert intensity.read_bytes() == (outdir / "intensity.csv").read_bytes()
-    assert rec.read_bytes() == (outdir / "potential_reconstructed.csv").read_bytes()
-    assert cost.read_bytes() == (outdir / "cost_history.json").read_bytes()
+    # synth derives the pipeline's SR length from the written CSV: at the
+    # 100-pixel floor (primes:5) and above it (lucky:20, 213 pixels)
+    for sequence, m, iters in (("primes:5", 52, 250), ("lucky:20", 128, 40)):
+        outdir = tmp_path / sequence.replace(":", "")
+        config = PipelineConfig(
+            sequence=sequence,
+            half_width=10.0,
+            hologram=True,
+            holo_m=m,
+            holo_iters=iters,
+            seed=1,
+            outdir=str(outdir),
+        )
+        run_pipeline(config)
+        phase, intensity, rec, cost = (
+            tmp_path / name for name in ("phase.csv", "intensity.csv", "rec.csv", "cost.json")
+        )
+        synth = ["holo", "synth", str(outdir / "potential.csv"), "--m", str(m)]
+        synth += ["--iters", str(iters), "--seed", "1", "--out", f"{phase},{intensity}"]
+        synth += ["--cost-out", str(cost)]
+        assert main(synth) == 0
+        assert main(["holo", "extract", str(intensity), "--out", str(rec)]) == 0
+        assert phase.read_bytes() == (outdir / "phase.csv").read_bytes()
+        assert intensity.read_bytes() == (outdir / "intensity.csv").read_bytes()
+        assert rec.read_bytes() == (outdir / "potential_reconstructed.csv").read_bytes()
+        assert cost.read_bytes() == (outdir / "cost_history.json").read_bytes()
 
 
 def test_cli_holo_synth_rejects_nan_asymptote(tmp_path, monkeypatch, capsys):
@@ -623,7 +637,7 @@ def test_phase_writer_bytes_match_savetxt(tmp_path, m):
     rng = np.random.default_rng(m)
     rows = hologram._double_phase(rng.normal(size=m) + 1j * rng.normal(size=m))
     written, reference = tmp_path / "phase.csv", tmp_path / "savetxt.csv"
-    pipeline._write_phase_csv(written, rows)
+    hologram.write_phase_csv(written, rows)
     np.savetxt(reference, rows[hologram.plane_row_index(m)], delimiter=",")
     assert written.read_bytes() == reference.read_bytes()
 
@@ -633,9 +647,9 @@ def primes5_potential():
     return design_potential(first_primes(5).astype(np.float64), default_grid(10.0))
 
 
-@pytest.mark.parametrize("m", [48, 63, 256])
+@pytest.mark.parametrize("m", [52, 63, 256])
 def test_reported_field_is_the_written_planes(tmp_path, primes5_potential, m):
-    holo = pipeline.synthesize_hologram(primes5_potential, m, 80, 30, seed=1)
+    holo = pipeline.synthesize_hologram(primes5_potential, m, 30, seed=1)
     holo.write(tmp_path / "phase.csv", tmp_path / "intensity.csv")
     plane = np.loadtxt(tmp_path / "phase.csv", delimiter=",")
     assert plane.shape == (m, m)

@@ -43,6 +43,10 @@ COMMANDS = {
     "holo63": [
         "pipeline", "--sequence", "primes:10", "--hologram", "--holo-m", "63", "--holo-iters", "200", "--outdir", ".",
     ],
+    # an SR length above the 100-pixel floor (213 pixels)
+    "holo_lucky20": [
+        "pipeline", "--sequence", "lucky:20", "--hologram", "--holo-m", "128", "--holo-iters", "200", "--outdir", ".",
+    ],
 }
 
 
