@@ -1,6 +1,9 @@
 """Command-line interface wiring every subsystem.
 
-Exit codes: 0 success, 1 validation failure, 2 numerical failure.
+Exit codes: 0 success; 1 when the failure, or the failed pipeline stage's
+cause, is bad input (``pipeline.INPUT_FAILURES``); 2 on any other of
+``pipeline.RUN_FAILURES`` and when `solve --targets` or `pipeline` misses a
+target level.
 """
 
 from __future__ import annotations
@@ -14,11 +17,14 @@ import numpy as np
 
 from . import __version__
 from .eigensolver import bound_states, compare_spectrum
-from .grid import PotentialGrid, default_grid
+from .grid import PotentialGrid
 from .hologram import intensity_to_potential, read_intensity_csv
 from .pipeline import (
+    INPUT_FAILURES,
+    RUN_FAILURES,
     PipelineConfig,
     PipelineStageError,
+    design_sequence,
     parse_sequence_spec,
     run_pipeline,
     synthesize_hologram,
@@ -32,8 +38,8 @@ from .scattering import (
     transmission_scan,
 )
 from .semiclassical import invert_to_potential, prime_density_of_states, profile_to_potential
-from .sequences import DEFAULT_TERMS, counting_estimates, first_lucky, first_primes, sieve_lucky, sieve_primes
-from .susy import KINETIC_HALF, ChainError, design_potential
+from .sequences import counting_estimates, first_lucky, first_primes, sieve_lucky, sieve_primes
+from .susy import KINETIC_HALF
 from .units import PhysicalContext, energy_scale
 
 EXIT_OK = 0
@@ -53,15 +59,13 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_pi(args) -> int:
-    est = counting_estimates(args.x, args.terms)
+    est = counting_estimates(args.x)
     _print_json(est.as_dict())
     return EXIT_OK
 
 
 def _cmd_design(args) -> int:
-    levels = parse_sequence_spec(args.levels)
-    grid = default_grid(args.half_width, args.spacing)
-    pot = design_potential(levels, grid)
+    _, pot = design_sequence(args.levels, args.half_width, args.spacing)
     pot.write_csv(args.out)
     print(f"wrote {args.out} ({pot.grid.points} nodes, asymptote {pot.asymptote})")
     return EXIT_OK
@@ -87,8 +91,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_semiclassical(args) -> int:
-    dos = lambda e: prime_density_of_states(e, args.terms)
-    profile = invert_to_potential(dos, args.e0, args.vmax, args.samples)
+    profile = invert_to_potential(prime_density_of_states, args.e0, args.vmax, args.samples)
     pot = profile_to_potential(profile)
     pot.write_csv(args.out)
     print(f"wrote {args.out} ({pot.grid.points} nodes, edge {pot.asymptote})")
@@ -126,12 +129,9 @@ def _cmd_holo_synth(args) -> int:
     phase_out, intensity_out = paths
     pot = PotentialGrid.read_csv(args.potential)
     holo = synthesize_hologram(pot, args.m, args.iters, args.seed)
-    holo.write(phase_out, intensity_out)
-    history = holo.result.history
-    if args.cost_out:
-        write_json(args.cost_out, history.tolist())
+    holo.write(phase_out, intensity_out, args.cost_out)
     print(
-        f"wrote {phase_out}, {intensity_out}; iterations {history.size - 1}, "
+        f"wrote {phase_out}, {intensity_out}; iterations {holo.result.history.size - 1}, "
         f"SR intensity rms error {holo.sr_error:.4f}"
     )
     if holo.result.line_search_failed:
@@ -195,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pi", help="prime counting estimates at x")
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--terms", type=int, default=DEFAULT_TERMS)
     p.set_defaults(func=_cmd_pi)
 
     p = sub.add_parser("design", help="build a potential for a level sequence")
@@ -215,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e0", type=float, default=2.0)
     p.add_argument("--vmax", type=float, default=100.0)
     p.add_argument("--samples", type=int, default=400)
-    p.add_argument("--terms", type=int, default=DEFAULT_TERMS)
     p.add_argument("--out", default="sc.csv")
     p.set_defaults(func=_cmd_semiclassical)
 
@@ -273,17 +271,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PipelineStageError as err:
+    except RUN_FAILURES as err:
         print(f"error: {err}", file=sys.stderr)
-        if isinstance(err.original, (ValueError, OSError)):
-            return EXIT_VALIDATION
-        return EXIT_NUMERICAL
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ChainError, ArithmeticError, RuntimeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        cause = err.original if isinstance(err, PipelineStageError) else err
+        return EXIT_VALIDATION if isinstance(cause, INPUT_FAILURES) else EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -19,7 +19,12 @@ optics (pitch x k_max near 1: 0.016-0.08; 1.5-1.9: up to 2.4). The length is
 max(100, ceil(4 span k_max) + 1): primes:10 keeps 100 pixels (its rule gives
 97), primes:20 takes 191, lucky:20 213, primes:30 310 and primes:40 372. A
 modulator side m must exceed half the length; a smaller one is refused with
-the smallest m that fits.
+the smallest m that fits. No m may exceed ``MODULATOR_LIMIT`` = 4096, the side
+of a 4K spatial light modulator: its seeded start plane is 134 MB of float64
+(with two 268 MB complex temporaries while its column sums are formed) and
+its phase.csv about 420 MB. A larger m is refused before the start plane is
+drawn, and an SR of 2 x 4096 pixels or more, which no allowed m holds, before
+any row is built.
 
 The SR lies on the zero-vertical-frequency row of the output plane, which is
 the 1D centered transform of the modulated plane's column sums
@@ -77,6 +82,7 @@ from .grid import Grid, PotentialGrid, read_table, write_table
 from .susy import KINETIC_HALF
 
 __all__ = [
+    "MODULATOR_LIMIT",
     "STEEPNESS",
     "TargetMap",
     "HologramState",
@@ -96,6 +102,7 @@ __all__ = [
 ]
 
 STEEPNESS = 10.0**9  # cost prefactor 10^d at d = 9 (module docstring)
+MODULATOR_LIMIT = 4096  # largest modulator side m (module docstring)
 
 
 @dataclass(frozen=True)
@@ -186,6 +193,10 @@ def potential_to_target(potential: PotentialGrid):
     k_max = math.sqrt(max(potential.asymptote - potential.min(), 0.0)) / KINETIC_HALF
     # the floor keeps every list whose rule asks for fewer pixels (primes:10: 97) at 100
     sr_length = max(100, math.ceil(4.0 * span * k_max) + 1)
+    if sr_length >= 2 * MODULATOR_LIMIT:
+        raise ValueError(
+            f"signal region (sr_length = {sr_length}) needs m = {sr_length // 2 + 1}, past the limit of {MODULATOR_LIMIT}"
+        )
     x_sr = np.linspace(-span, span, sr_length)
     v_sr = np.interp(x_sr, potential.x, v)
     intensity = ceiling - v_sr
@@ -207,6 +218,8 @@ def make_state(m: int, amplitude_row: np.ndarray, seed: int, target_map: TargetM
     """Column sums of a seeded random-phase plane; the 1D target centred on the output row."""
     if m < 1:
         raise ValueError(f"modulator side m must be at least 1, got {m}")
+    if m > MODULATOR_LIMIT:
+        raise ValueError(f"modulator side m = {m} exceeds the limit of {MODULATOR_LIMIT}")
     rng = np.random.default_rng(seed)
     plane = rng.uniform(0.0, 2.0 * np.pi, size=(m, m))
     return HologramState(sums=_column_sums(plane), target_row=amplitude_row, target_map=target_map)

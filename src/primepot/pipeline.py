@@ -5,11 +5,21 @@ A PipelineConfig round-trips losslessly through a flat key=value file; the
 run turns are module constants, such as ``susy.KINETIC_HALF`` and
 ``hologram.STEEPNESS``. Runs are deterministic for a fixed config and seed,
 including the bytes of every artifact written.
+
+Failure policy: ``RUN_FAILURES`` are the failures a run can meet, bad input
+(``INPUT_FAILURES``: ValueError, OSError) and numerical breakdown
+(ArithmeticError and RuntimeError, ``susy.ChainError`` among them). Any of
+them raised inside one of the stages sequence, design, hologram and solve is
+re-raised as a ``PipelineStageError`` that names the stage and keeps the
+failure as ``original``. No file is written before every stage up to solve
+has succeeded. The CLI exits 1 on an input failure and 2 on any other, with
+or without a stage around it.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -29,24 +39,40 @@ from .hologram import (
     write_phase_csv,
 )
 from .sequences import first_lucky, first_primes
-from .susy import KINETIC_HALF, ChainError, design_potential
+from .susy import KINETIC_HALF, design_potential
 
 __all__ = [
+    "INPUT_FAILURES",
+    "RUN_FAILURES",
     "HologramRun",
     "PipelineConfig",
     "PipelineReport",
     "PipelineStageError",
+    "design_sequence",
     "parse_sequence_spec",
     "run_pipeline",
     "synthesize_hologram",
     "write_json",
 ]
 
+INPUT_FAILURES = (ValueError, OSError)
+RUN_FAILURES = INPUT_FAILURES + (ArithmeticError, RuntimeError)
+
+
 class PipelineStageError(RuntimeError):
     def __init__(self, stage: str, original: Exception):
         super().__init__(f"stage {stage!r} failed: {original}")
         self.stage = stage
         self.original = original
+
+
+@contextmanager
+def _stage(name: str):
+    """Re-raise any of RUN_FAILURES as stage `name`'s PipelineStageError."""
+    try:
+        yield
+    except RUN_FAILURES as err:
+        raise PipelineStageError(name, err) from err
 
 
 def parse_sequence_spec(spec: str) -> np.ndarray:
@@ -60,6 +86,8 @@ def parse_sequence_spec(spec: str) -> np.ndarray:
         return first_lucky(int(arg)).astype(np.float64)
     if kind == "file":
         levels = np.atleast_1d(np.loadtxt(arg, dtype=np.float64))
+        if not np.all(np.isfinite(levels)):
+            raise ValueError(f"{arg}: levels must be finite; got {levels[~np.isfinite(levels)].tolist()}")
         if levels.size < 2 or np.any(np.diff(levels) <= 0):
             raise ValueError(f"{arg}: levels must be at least two, strictly increasing")
         return levels
@@ -107,7 +135,10 @@ class PipelineConfig:
                 elif kind is str:
                     kwargs[key] = text.strip("'\"")
                 else:
-                    kwargs[key] = kind(text)
+                    try:
+                        kwargs[key] = kind(text)
+                    except ValueError:
+                        raise ValueError(f"{path}: {key}={text!r} is not a valid {kind.__name__}") from None
         return cls(**kwargs)
 
 
@@ -155,10 +186,13 @@ class HologramRun:
     field: np.ndarray  # complex SR row
     sr_error: float
 
-    def write(self, phase_path, intensity_path) -> None:
-        """Phase plane as bare CSV; SR intensity with its target map."""
+    def write(self, phase_path, intensity_path, history_path=None) -> None:
+        """Phase plane as bare CSV; SR intensity with its target map; the cost
+        history as JSON when given a path."""
         write_phase_csv(phase_path, self.result.rows)
         write_intensity_csv(intensity_path, np.abs(self.field) ** 2, self.result.state.target_map)
+        if history_path:
+            write_json(history_path, self.result.history.tolist())
 
 
 def synthesize_hologram(potential: PotentialGrid, m: int, max_iters: int, seed: int) -> HologramRun:
@@ -171,56 +205,46 @@ def synthesize_hologram(potential: PotentialGrid, m: int, max_iters: int, seed: 
     return HologramRun(result, field, sr_intensity_error(field, result.state))
 
 
+def design_sequence(spec: str, half_width: float, spacing: float) -> tuple[np.ndarray, PotentialGrid]:
+    """The sequence and design stages: (target levels, designed potential)."""
+    with _stage("sequence"):
+        targets = parse_sequence_spec(spec)
+    with _stage("design"):
+        designed = design_potential(targets, default_grid(half_width, spacing))
+    return targets, designed
+
+
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
     """design -> (optional hologram synth + extract) -> eigensolve -> compare."""
-    try:
-        targets = parse_sequence_spec(config.sequence)
-    except (ValueError, OSError) as err:
-        raise PipelineStageError("sequence", err) from err
-
-    try:
-        grid = default_grid(config.half_width, config.spacing)
-        designed = design_potential(targets, grid)
-    except (ValueError, ChainError) as err:
-        raise PipelineStageError("design", err) from err
+    targets, designed = design_sequence(config.sequence, config.half_width, config.spacing)
     solve_input = designed
     if config.hologram:
-        try:
+        with _stage("hologram"):
             holo = synthesize_hologram(designed, config.holo_m, config.holo_iters, config.seed)
             solve_input = extract_profile(holo.field, holo.result.state)
-        except ValueError as err:
-            raise PipelineStageError("hologram", err) from err
 
     # the first file is written once every stage before solve has succeeded
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     files: dict[str, str] = {}
-    pot_path = outdir / "potential.csv"
-    designed.write_csv(pot_path)
-    files["potential"] = str(pot_path)
-    if config.hologram:
-        phase_path = outdir / "phase.csv"
-        intensity_path = outdir / "intensity.csv"
-        holo.write(phase_path, intensity_path)
-        files["phase"] = str(phase_path)
-        files["intensity"] = str(intensity_path)
-        cost_path = outdir / "cost_history.json"
-        write_json(cost_path, holo.result.history.tolist())
-        files["cost_history"] = str(cost_path)
-        rec_path = outdir / "potential_reconstructed.csv"
-        solve_input.write_csv(rec_path)
-        files["potential_reconstructed"] = str(rec_path)
 
-    try:
+    def artifact(name: str) -> str:
+        """Path of outdir/name, listed in the report under the name's stem."""
+        files[Path(name).stem] = path = str(outdir / name)
+        return path
+
+    designed.write_csv(artifact("potential.csv"))
+    if config.hologram:
+        holo.write(artifact("phase.csv"), artifact("intensity.csv"), artifact("cost_history.json"))
+        solve_input.write_csv(artifact("potential_reconstructed.csv"))
+
+    with _stage("solve"):
         spectrum = bound_states(solve_input, KINETIC_HALF, count=targets.size)
-    except ValueError as err:
-        raise PipelineStageError("solve", err) from err
     eigenvalues = spectrum.eigenvalues
     report = compare_spectrum(eigenvalues, targets)
 
-    spectrum_path = outdir / "spectrum.json"
     write_json(
-        spectrum_path,
+        artifact("spectrum.json"),
         {
             "eigenvalues": eigenvalues.tolist(),
             "continuum_edge": spectrum.continuum_edge,
@@ -228,7 +252,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
             "node_counts": spectrum.node_counts.tolist(),
         },
     )
-    files["spectrum"] = str(spectrum_path)
 
     out = PipelineReport(
         config=config,
@@ -239,7 +262,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         files=files,
         hologram_sr_error=holo.sr_error if config.hologram else None,
     )
-    report_path = outdir / "report.json"
+    report_path = outdir / "report.json"  # listed once written: it lists the files before it
     write_json(report_path, out.as_dict())
     files["report"] = str(report_path)
     return out

@@ -7,7 +7,7 @@ import pytest
 
 from primepot.cli import build_parser, main
 from primepot.grid import PotentialGrid, default_grid
-from primepot.hologram import potential_to_target, write_intensity_csv
+from primepot.hologram import MODULATOR_LIMIT, potential_to_target, write_intensity_csv
 from primepot.pipeline import (
     PipelineConfig,
     PipelineStageError,
@@ -17,8 +17,8 @@ from primepot.pipeline import (
 from primepot import cli, hologram, pipeline, semiclassical, sequences
 from primepot.scattering import SCAN_STEP_LIMIT
 from primepot.semiclassical import PROFILE_POINT_LIMIT, SAMPLE_LIMIT
-from primepot.sequences import DEFAULT_TERMS, EXACT_COUNT_LIMIT, LUCKY_LIMIT, first_primes
-from primepot.susy import design_potential
+from primepot.sequences import EXACT_COUNT_LIMIT, LUCKY_LIMIT, first_primes
+from primepot.susy import ChainError, design_potential
 
 
 def test_parse_sequence_specs(tmp_path):
@@ -48,6 +48,8 @@ def test_config_round_trips(tmp_path):
         ("kinetic='half'", "kinetic"),
         ("holo_d=9", "holo_d"),
         ("holo_sr=100", "holo_sr"),  # the SR length is derived from the potential
+        ("half_width=abc", "half_width='abc' is not a valid float"),
+        ("holo_m=2.5", "holo_m='2.5' is not a valid int"),
     ],
 )
 def test_config_rejects_bad_input(tmp_path, capsys, line, named):
@@ -324,13 +326,26 @@ def test_cli_rejects_non_finite(tmp_path, monkeypatch, capsys, argv, named):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("bad", ["inf", "nan"])
-def test_cli_design_rejects_non_finite_levels(tmp_path, capsys, bad):
+@pytest.mark.parametrize(
+    "command, bad",
+    [("design", "inf"), ("design", "nan"), ("solve", "inf"), ("solve", "nan")],
+    ids=["inf", "nan", "solve-inf", "solve-nan"],
+)
+def test_cli_design_rejects_non_finite_levels(tmp_path, capsys, command, bad):
     levels = tmp_path / "levels.txt"
     levels.write_text(f"1\n{bad}\n")
-    out = tmp_path / "pot.csv"
-    assert main(["design", "--levels", f"file:{levels}", "--out", str(out)]) == 1
-    assert f"levels must be finite; got [{bad}]" in capsys.readouterr().err
+    out = tmp_path / "out"
+    if command == "design":
+        argv = ["design", "--levels", f"file:{levels}", "--out", str(out)]
+    else:
+        grid = default_grid(3.0, 0.05)
+        pot = tmp_path / "pot.csv"
+        PotentialGrid(grid=grid, values=-6.0 / np.cosh(grid.x) ** 2, asymptote=0.0).write_csv(pot)
+        argv = ["solve", str(pot), "--targets", f"file:{levels}", "--json", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"levels must be finite; got [{bad}]" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -475,12 +490,37 @@ def test_cli_defaults_match_pipeline_config():
     pipeline = parser.parse_args(["pipeline"])
     assert set(vars(pipeline)) == {f.name for f in fields(PipelineConfig)} | {"config", "command", "func"}
     assert all(getattr(pipeline, f.name) is None for f in fields(PipelineConfig))
-    for command in ("pi --x 10", "semiclassical"):
-        assert parser.parse_args(command.split()).terms == DEFAULT_TERMS
 
 
 def test_cli_validation_exit_code(capsys):
     assert main(["design", "--levels", "nonsense:3", "--out", "/tmp/x.csv"]) == 1
+
+
+@pytest.mark.parametrize(
+    "failure, code",
+    [
+        (ValueError("bad input"), 1),
+        (OSError("unreadable"), 1),
+        (FloatingPointError("overflow"), 2),
+        (RuntimeError("no convergence"), 2),
+        (ChainError("node in the chain"), 2),
+    ],
+    ids=["ValueError", "OSError", "FloatingPointError", "RuntimeError", "ChainError"],
+)
+def test_cli_exit_code_by_failure(tmp_path, monkeypatch, capsys, failure, code):
+    # the exit code follows the failure's type, raised directly by a command
+    # or inside a pipeline stage, and a failed pipeline writes no file
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(cli, "counting_estimates", fail)
+    monkeypatch.setattr(pipeline, "design_potential", fail)
+    outdir = tmp_path / "out"
+    for argv in (["pi", "--x", "100"], ["pipeline", "--sequence", "primes:3", "--outdir", str(outdir)]):
+        assert main(argv) == code, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(failure) in captured.err, argv
+    assert not outdir.exists()
 
 
 def test_cli_numerical_exit_code(tmp_path, capsys):
@@ -628,6 +668,34 @@ def test_cli_holo_synth_rejects_nan_asymptote(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # the default outputs land here
     assert main(["holo", "synth", str(path), "--iters", "2", "--cost-out", "cost.json"]) == 1
     assert f"{path}: metadata asymptote='nan' is not finite" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+def test_cli_holo_synth_rejects_sizes_past_modulator_limit(tmp_path, monkeypatch, capsys):
+    def no_plane(*args, **kwargs):
+        raise AssertionError("drew a start plane")
+
+    exact_linspace = np.linspace
+
+    def bounded_linspace(start, stop, num=50, **kwargs):
+        if num >= 2 * MODULATOR_LIMIT:
+            raise AssertionError(f"built a {num}-pixel row")
+        return exact_linspace(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(hologram.np.random, "default_rng", no_plane)
+    monkeypatch.setattr(hologram.np, "linspace", bounded_linspace)
+    grid = default_grid(3.0, 0.05)
+    path = tmp_path / "pot.csv"
+    PotentialGrid(grid=grid, values=-6.0 / np.cosh(grid.x) ** 2, asymptote=0.0).write_csv(path)
+    monkeypatch.chdir(tmp_path)  # the default outputs land here
+    # at m = 30000 the start plane alone would be 7.2 GB
+    assert main(["holo", "synth", str(path), "--m", str(MODULATOR_LIMIT + 1)]) == 1
+    assert f"m = {MODULATOR_LIMIT + 1} exceeds the limit of {MODULATOR_LIMIT}" in capsys.readouterr().err
+    # an asymptote of 1e10 derives an SR of 1,697,058 pixels
+    path.write_text(path.read_text().replace("# asymptote=0.0\n", "# asymptote=10000000000.0\n"))
+    assert main(["holo", "synth", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "sr_length = 1697058" in err and f"m = 848530, past the limit of {MODULATOR_LIMIT}" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 

@@ -31,6 +31,9 @@ import time
 from pathlib import Path
 
 COMMANDS = {
+    "primes": ["primes", "--count", "100"],
+    "lucky": ["lucky", "--count", "100"],
+    "units": ["units", "--mass", "rb87", "--l", "20", "--L", "5e-4"],
     "filter": ["filter", "--w", "7"],
     "rejected": ["filter", "--w", "8"],
     "design": ["design", "--levels", "primes:10", "--out", "pot.csv"],
