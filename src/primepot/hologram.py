@@ -183,6 +183,12 @@ def potential_to_target(potential: PotentialGrid):
     v = potential.values
     depth = max(potential.max() - potential.min(), 1.0)
     ceiling = potential.max() + 0.02 * depth
+    # Python floats overflow to inf without a warning; below this bound no
+    # difference of V, the asymptote and the ceiling, nor the row's sum of
+    # fewer than 2 * MODULATOR_LIMIT intensities, can overflow
+    low, high = min(potential.min(), potential.asymptote), max(ceiling, potential.asymptote)
+    if not math.isfinite((high - low) * 2 * MODULATOR_LIMIT):
+        raise ValueError(f"potential range [{low:.3g}, {high:.3g}] overflows a float")
     tol = 0.005 * max(potential.asymptote - potential.min(), 1e-12)
     away = np.nonzero(np.abs(v - potential.asymptote) > tol)[0]
     if away.size == 0:

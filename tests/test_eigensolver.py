@@ -24,8 +24,12 @@ def sech2_well(depth, grid):
     return PotentialGrid(grid, -depth / np.cosh(grid.x) ** 2, 0.0)
 
 
-def _full_matrix_bound_states(potential, kinetic_scale, count=None):
-    """The whole (2n+1)-point matrix in one eigensolve; reference for the parity blocks."""
+def _full_matrix_bound_states(potential, kinetic_scale, count=None, dense=False):
+    """The whole (2n+1)-point matrix in one eigensolve; reference for the solver.
+
+    By default scipy's ``eigh_tridiagonal`` solves it, with full-precision
+    bisection; ``dense`` diagonalizes it as a dense matrix with numpy instead.
+    """
     c = float(kinetic_scale)
     v = potential.values
     h = potential.grid.spacing
@@ -34,16 +38,18 @@ def _full_matrix_bound_states(potential, kinetic_scale, count=None):
     diag = v + 2.0 * inv_h2
     diag[[0, -1]] -= inv_h2
     off = np.full(v.size - 1, -inv_h2)
-    if count is not None:
+    depth = edge - float(v.min())
+    window = (float(v.min()) - 1.0, edge - 1e-3 * depth)
+    if count is None and depth <= 0.0:
+        eigvals, eigvecs = np.empty(0), np.empty((v.size, 0))
+    elif dense:
+        eigvals, eigvecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        keep = slice(count) if count is not None else (eigvals > window[0]) & (eigvals <= window[1])
+        eigvals, eigvecs = eigvals[keep], eigvecs[:, keep]
+    elif count is not None:
         eigvals, eigvecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
     else:
-        depth = edge - float(v.min())
-        if depth <= 0.0:
-            eigvals, eigvecs = np.empty(0), np.empty((v.size, 0))
-        else:
-            eigvals, eigvecs = eigh_tridiagonal(
-                diag, off, select="v", select_range=(float(v.min()) - 1.0, edge - 1e-3 * depth)
-            )
+        eigvals, eigvecs = eigh_tridiagonal(diag, off, select="v", select_range=window)
     eigvecs = eigvecs / np.sqrt(np.sum(eigvecs**2, axis=0) * h)
     eigvals = eigvals + h**3 / (12.0 * c * c) * np.sum(((v[:, None] - eigvals) * eigvecs) ** 2, axis=0)
     nodes = np.array([count_nodes(eigvecs[:, i]) for i in range(eigvals.size)], dtype=np.int64)
@@ -75,6 +81,26 @@ def even_potentials(draw):
         f = WELL_SHAPES[shape]
         right -= 0.5 * depth * (f((x - offset * width) / width) + f((x + offset * width) / width))
     return PotentialGrid.from_even_half(grid, right, asymptote=0.0)
+
+
+def tilted_double_well(half_width, depth, width, separation, tilt):
+    """Two sech^2 wells at +-separation, made uneven by a tilt * x ramp."""
+    grid = default_grid(half_width, 0.02)
+    x = grid.x
+    wells = 1.0 / np.cosh((x - separation) / width) ** 2 + 1.0 / np.cosh((x + separation) / width) ** 2
+    return PotentialGrid(grid, tilt * x - depth * wells, 0.0)
+
+
+# at most 801 points; the lowest pair splits by 1.5e-8 to 0.6, and every level
+# leaks enough into the far well that its sign change lies outside the dead band
+double_wells = st.builds(
+    tilted_double_well,
+    half_width=st.floats(6.0, 8.0),
+    depth=st.floats(2.0, 12.0),
+    width=st.floats(0.3, 1.0),
+    separation=st.floats(1.0, 3.0),
+    tilt=st.floats(-9.0, -3.0).map(lambda p: 10.0**p),
+)
 
 
 def test_flat_potential_has_no_bound_states():
@@ -152,8 +178,49 @@ def test_uneven_potential_is_the_full_matrix():
     for count in (4, None):
         ref = _full_matrix_bound_states(tilted, KINETIC_HALF, count)
         spec = bound_states(tilted, KINETIC_HALF, count)
-        assert np.array_equal(spec.eigenvalues, ref.eigenvalues)
+        assert spec.eigenvalues.shape == ref.eigenvalues.shape
+        assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues)) <= 1e-9
         assert np.array_equal(spec.node_counts, ref.node_counts)
+
+
+@settings(max_examples=20, deadline=None)
+@given(potential=double_wells)
+def test_uneven_double_wells_match_dense_eigh(potential):
+    assert not potential.even
+    for count in (1, 4, None):
+        ref = _full_matrix_bound_states(potential, KINETIC_HALF, count, dense=True)
+        spec = bound_states(potential, KINETIC_HALF, count)
+        assert spec.eigenvalues.shape == ref.eigenvalues.shape
+        assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues), initial=0.0) <= 1e-9
+        assert spec.node_counts.tolist() == ref.node_counts.tolist()
+        if count is not None:
+            assert spec.node_counts.tolist() == list(range(count))
+
+
+def test_designed_levels_rarely_need_refinement(prime10_potential):
+    # the top level's box-state neighbour lies within the coarse bisection's reach
+    assert bound_states(prime10_potential, KINETIC_HALF, count=10).refined <= 2  # one per parity block
+
+
+def test_near_degenerate_pair_is_refined():
+    # the lowest pair splits by about 2e-7, far inside the coarse bisection's width
+    pair = tilted_double_well(8.0, 11.4, 0.39, 2.73, 2.3e-9)
+    spec = bound_states(pair, KINETIC_HALF, count=2)
+    assert 0.0 < np.diff(spec.eigenvalues)[0] < 1e-6
+    assert spec.refined == 2
+    ref = _full_matrix_bound_states(pair, KINETIC_HALF, 2, dense=True)
+    assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues)) <= 1e-9
+
+
+def test_three_point_grid_has_a_one_row_block():
+    grid = default_grid(1.0, 1.0)
+    well = PotentialGrid(grid, -0.01 / np.cosh(grid.x) ** 2, 0.0)
+    assert well.even and grid.points == 3
+    for count in (1, 3, None):
+        ref = _full_matrix_bound_states(well, 3.0, count)
+        spec = bound_states(well, 3.0, count)
+        assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues)) <= 1e-9
+        assert spec.node_counts.tolist() == ref.node_counts.tolist()
 
 
 def test_count_nodes_dead_band():

@@ -671,6 +671,17 @@ def test_cli_holo_synth_rejects_nan_asymptote(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
+def test_cli_holo_synth_rejects_an_overflowing_range(tmp_path, monkeypatch, capsys):
+    # asymptote - min V = 2e308 is inf; the suite's RuntimeWarning filter shows nothing overflowed first
+    grid = default_grid(3.0, 0.05)
+    path = tmp_path / "pot.csv"
+    PotentialGrid(grid=grid, values=-1e308 / np.cosh(grid.x) ** 2, asymptote=1e308).write_csv(path)
+    monkeypatch.chdir(tmp_path)  # the default outputs land here
+    assert main(["holo", "synth", str(path), "--iters", "2", "--cost-out", "cost.json"]) == 1
+    assert "potential range [-1e+308, 1e+308] overflows a float" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
 def test_cli_holo_synth_rejects_sizes_past_modulator_limit(tmp_path, monkeypatch, capsys):
     def no_plane(*args, **kwargs):
         raise AssertionError("drew a start plane")

@@ -37,6 +37,8 @@ COMMANDS = {
     "filter": ["filter", "--w", "7"],
     "rejected": ["filter", "--w", "8"],
     "design": ["design", "--levels", "primes:10", "--out", "pot.csv"],
+    # design, solve and report.json with no hologram: the design benchmark's operation
+    "design_solve": ["pipeline", "--sequence", "primes:40", "--outdir", "."],
     "pi": ["pi", "--x", "1000"],
     "semiclassical": ["semiclassical", "--out", "sc.csv"],
     "holo": ["pipeline", "--sequence", "primes:10", "--hologram", "--outdir", "."],
