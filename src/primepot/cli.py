@@ -105,11 +105,10 @@ def _cmd_scatter(args) -> int:
         raise ValueError(f"--steps {args.steps} exceeds {SCAN_STEP_LIMIT:.0e}")
     pot = PotentialGrid.read_csv(args.potential)
     energies = np.linspace(args.emin, args.emax, args.steps)
-    scan = transmission_scan(pot, energies)
-    payload = scan.as_dict()
+    payload = transmission_scan(pot, energies)
     if args.json:
         write_json(args.json, payload)
-        print(f"wrote {args.json} ({len(scan.resonances)} resonances)")
+        print(f"wrote {args.json} ({len(payload['resonances'])} resonances)")
     else:
         _print_json(payload)
     return EXIT_OK

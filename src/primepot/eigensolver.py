@@ -41,7 +41,8 @@ index, and its vector and Rayleigh quotient are recomputed from that value;
 so is every level of a block whose inverse iteration did not converge.
 ``Spectrum.refined`` counts those levels. Without a level count, two Sturm
 counts give the number of each block's levels in the bound window, which
-are then solved the same way.
+are then solved the same way. Any other LAPACK failure raises
+ArithmeticError.
 """
 
 from __future__ import annotations
@@ -124,8 +125,9 @@ ACC = 1e-10  # largest certified error of an accepted level, a tenth of the test
 
 
 def _check_info(info: int, routine: str) -> None:
+    # a numerical breakdown, not bad input: numpy's LinAlgError is a ValueError
     if info:
-        raise np.linalg.LinAlgError(f"{routine} failed with info = {info}")
+        raise ArithmeticError(f"{routine} failed with info = {info}")
 
 
 def _levels_in(d, e, window: tuple[float, float]) -> int:

@@ -1,8 +1,9 @@
 """Spatial grids and sampled potentials.
 
-All potentials live on uniform grids centered at zero. Designed potentials
-are even; scattering apparatuses built by concatenation keep the uniform
-spacing but need not be.
+All potentials live on uniform grids centered at zero, of at most
+``GRID_POINT_LIMIT`` nodes. Designed potentials are even; the filter's
+composed grid, its two wells joined by a flat gap, keeps the uniform spacing
+but need not be.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DEFAULT_HALF_WIDTH", "DEFAULT_SPACING", "Grid", "PotentialGrid", "default_grid", "read_table", "write_table"]
+__all__ = ["DEFAULT_HALF_WIDTH", "DEFAULT_SPACING", "GRID_POINT_LIMIT", "Grid", "PotentialGrid", "default_grid", "read_table", "write_table"]
 
 DEFAULT_HALF_WIDTH = 12.0  # the production grid of default_grid, PipelineConfig and the CLI
 DEFAULT_SPACING = 0.005
+GRID_POINT_LIMIT = 10**7  # most nodes of a Grid, 80 MB per array; no test or workload builds more than 16,001
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,8 @@ class Grid:
         _check_positive_finite("half_width", self.half_width)
         if self.points < 3 or self.points % 2 == 0:
             raise ValueError("points must be an odd integer >= 3")
+        if self.points > GRID_POINT_LIMIT:
+            raise ValueError(f"a grid of {self.points} points exceeds the limit of {GRID_POINT_LIMIT:.0e}")
 
     @property
     def spacing(self) -> float:

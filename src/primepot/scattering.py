@@ -18,8 +18,9 @@ The filter decides from the transmission of the two wells in series averaged
 over the phase the flat gap between them adds,
 ``<T> = T_a T_b / (1 - R_a R_b)`` (two incoherent scatterers; Datta,
 *Electronic Transport in Mesoscopic Systems*, 1995, ch. 2). A coherent scan
-of the composed grid also shows inter-well cavity modes, which transmit at
-energies unrelated to any level and move with the gap length; the average
+of the two wells on one grid (``FilterApparatus.composed``, kept for
+flux-conservation checks) also shows inter-well cavity modes, which transmit
+at energies unrelated to any level and move with the gap length; the average
 over the gap phase has none, so it is near 1 only where both wells hold a
 level and the verdict does not depend on the separation. Every designed
 well is even, so one kernel pass per well scans only its left half, and
@@ -47,7 +48,6 @@ from .susy import KINETIC_HALF, design_potential
 
 __all__ = [
     "DEFAULT_LEVEL_COUNT",
-    "TransmissionScan",
     "FilterApparatus",
     "FilterResult",
     "truncate_potential",
@@ -55,7 +55,6 @@ __all__ = [
     "transmission",
     "transmission_from_cells",
     "transmission_scan",
-    "compose_apparatus",
     "windowed_max_transmission",
     "build_filter_apparatus",
     "filter_lucky_prime",
@@ -68,30 +67,7 @@ FILTER_WINDOW = 0.5  # half-width around w absorbing the truncation shift
 FLAT_FRACTION = 0.05  # opened walls end where they come this close to the rim, relative to the depth
 SCAN_STEP_LIMIT = 20_000  # most energies `scatter --steps` takes: about 3.5 KB of scan buffers each
 DEFAULT_LEVEL_COUNT = 10  # levels in each well of the default filter apparatus, lucky and prime alike
-
-
-@dataclass
-class TransmissionScan:
-    """T(E) samples plus detected resonance peaks (energy, peak T)."""
-
-    energies: np.ndarray
-    t_values: np.ndarray
-    resonances: list[tuple[float, float]]
-
-    def __post_init__(self):
-        self.energies = np.asarray(self.energies, dtype=np.float64)
-        self.t_values = np.asarray(self.t_values, dtype=np.float64)
-        if self.energies.shape != self.t_values.shape:
-            raise ValueError("energies and t_values must align")
-        if np.any((self.t_values < -1e-9) | (self.t_values > 1.0 + 1e-9)):
-            raise ValueError("transmission outside [0, 1]")
-
-    def as_dict(self) -> dict:
-        return {
-            "energies": self.energies.tolist(),
-            "T": self.t_values.tolist(),
-            "resonances": [[e, t] for e, t in self.resonances],
-        }
+COMPOSED_GAP = 2.0  # length of the flat gap between the wells of `FilterApparatus.composed`
 
 
 def truncate_potential(potential: PotentialGrid) -> PotentialGrid:
@@ -146,30 +122,6 @@ def opened_cells(potential: PotentialGrid, fractions=GAUSS_POINTS) -> np.ndarray
     return samples
 
 
-def compose_apparatus(
-    pot_a: PotentialGrid, pot_b: PotentialGrid, separation: float
-) -> PotentialGrid:
-    """Concatenate A, a flat gap, and B on one merged grid.
-
-    The gap is the nearest whole number of cells to `separation`, at least
-    one, plus one if needed to keep the composed node count odd (x = 0 on a
-    node).
-    """
-    h_a, h_b = pot_a.grid.spacing, pot_b.grid.spacing
-    if abs(h_a - h_b) > 1e-12 * max(h_a, h_b):
-        raise ValueError("grids must share the same spacing")
-    if abs(pot_a.asymptote - pot_b.asymptote) > 1e-9:
-        raise ValueError("asymptote mismatch between the two devices")
-    if separation < 0.0:
-        raise ValueError("separation must be non-negative")
-    flat = pot_a.asymptote
-    n_gap = max(int(round(separation / h_a)), 1)
-    n_gap += (pot_a.grid.points + pot_b.grid.points + n_gap) % 2
-    values = np.concatenate([pot_a.values, np.full(n_gap - 1, flat), pot_b.values])
-    grid = Grid(half_width=(values.size - 1) * h_a / 2.0, points=values.size)
-    return PotentialGrid(grid=grid, values=values, asymptote=flat)
-
-
 def transmission_from_cells(
     cells, spacing: float, energies, kinetic_scale: float = KINETIC_HALF, lead_potential: float = 0.0
 ):
@@ -204,16 +156,23 @@ def transmission(potential: PotentialGrid, energies, kinetic_scale: float = KINE
     )
 
 
-def transmission_scan(potential: PotentialGrid, energies) -> TransmissionScan:
-    """T over the energy list plus local maxima with T above ``RESONANCE_HEIGHT``."""
+def transmission_scan(potential: PotentialGrid, energies) -> dict:
+    """``scatter``'s payload: the energies, T over them, and as resonances its
+    local maxima above ``RESONANCE_HEIGHT``, [energy, T] pairs. A T outside
+    [0, 1] beyond roundoff is a numerical breakdown: ArithmeticError."""
     energies = np.asarray(energies, dtype=np.float64)
     from scipy.signal import find_peaks
 
     t_values, _ = transmission(potential, energies)
+    if not np.all((t_values >= -1e-9) & (t_values <= 1.0 + 1e-9)):  # nan included
+        raise ArithmeticError("transmission outside [0, 1]")
     # prominence floor keeps roundoff ripples on flat T = 1 stretches out
     peaks, _ = find_peaks(t_values, height=RESONANCE_HEIGHT, prominence=1e-3)
-    resonances = [(float(energies[i]), float(t_values[i])) for i in peaks]
-    return TransmissionScan(energies=energies, t_values=t_values, resonances=resonances)
+    return {
+        "energies": energies.tolist(),
+        "T": t_values.tolist(),
+        "resonances": [[float(energies[i]), float(t_values[i])] for i in peaks],
+    }
 
 
 def windowed_max_transmission(resonance, lo: float, hi: float) -> tuple[float, float]:
@@ -258,9 +217,10 @@ class FilterApparatus:
     designed wells are even, so ``resonance_functions`` scans each left half
     once. The wells in series transmit ``<T> = 1/(1 + G_a^2 + G_b^2)``
     averaged over the gap phase. ``device_lucky`` and ``device_prime`` are
-    the same wells on their node grids (``truncate_potential``), for
-    ``composed()``. ``w_max`` is the largest integer safely below both rims;
-    the filter is only meaningful inside that window.
+    the same wells on their node grids (``truncate_potential``), which
+    ``composed()`` joins for coherent checks. ``w_max`` is the largest
+    integer safely below both rims; the filter is only meaningful inside
+    that window.
     """
 
     lucky_levels: np.ndarray
@@ -283,9 +243,16 @@ class FilterApparatus:
         self.spacing = self.device_lucky.grid.spacing
         self.w_max = int(min(self.device_lucky.max(), self.device_prime.max()) - 1.0)
 
-    def composed(self, separation: float = 2.0) -> PotentialGrid:
-        """Both wells on one grid, `separation` apart (for coherent checks)."""
-        return compose_apparatus(self.device_lucky, self.device_prime, separation)
+    def composed(self) -> PotentialGrid:
+        """The lucky well, a flat gap at the lead potential 0 and the prime
+        well on one grid, for coherent checks: the gap is ``COMPOSED_GAP`` in
+        whole cells, one more if the node count would be even (x = 0 on a node)."""
+        a, b = self.device_lucky.values, self.device_prime.values
+        n_gap = int(round(COMPOSED_GAP / self.spacing))
+        n_gap += (a.size + b.size + n_gap) % 2
+        values = np.concatenate([a, np.zeros(n_gap - 1), b])
+        grid = Grid(half_width=(values.size - 1) * self.spacing / 2.0, points=values.size)
+        return PotentialGrid(grid=grid, values=values, asymptote=0.0)
 
     def resonance_functions(self, energies):
         """Both wells' resonance functions G at `energies`, shape (n, 2), the

@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 PROFILE_SPACING = 0.005  # grid spacing of profile_to_potential's output
-PROFILE_POINT_LIMIT = 10**7  # largest output grid, 80 MB per array; v_max = 100 needs 1345 points
 SAMPLE_LIMIT = 10**4  # most x(V) samples: the quadrature lattice has (samples - 1) * panels * nodes energies
 WKB_POINTS = 4001  # trapezoid nodes of wkb_level_count's phase integral
 
@@ -127,8 +126,6 @@ def profile_to_potential(profile: SemiclassicalProfile) -> PotentialGrid:
     points = int(round(2.0 * 1.05 * x_max / PROFILE_SPACING)) + 1
     if points % 2 == 0:
         points += 1
-    if points > PROFILE_POINT_LIMIT:
-        raise ValueError(f"{points} grid points for x_max={x_max:.6g} exceeds {PROFILE_POINT_LIMIT:.0e}; lower v_max")
     grid = Grid(half_width=(points - 1) * PROFILE_SPACING / 2.0, points=points)
     values = np.interp(
         np.abs(grid.x), profile.x_values, profile.v_values, right=profile.v_max

@@ -8,7 +8,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from primepot.eigensolver import Spectrum, bound_states, compare_spectrum, count_nodes
 from primepot.grid import PotentialGrid, default_grid
-from primepot.susy import KINETIC_HALF
+from primepot.sequences import first_primes
+from primepot.susy import KINETIC_HALF, design_potential
 
 UNIT_KINETIC = 1.0  # -d^2/dx^2, the convention of the textbook oracles
 
@@ -210,6 +211,43 @@ def test_near_degenerate_pair_is_refined():
     assert spec.refined == 2
     ref = _full_matrix_bound_states(pair, KINETIC_HALF, 2, dense=True)
     assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues)) <= 1e-9
+
+
+def _unconverged_first_pass(dstein):
+    """dstein reporting non-convergence on each block's first pass, so that
+    block's levels are all re-bisected; the re-bisected pass succeeds."""
+    calls = []
+
+    def patched(*args, **kwargs):
+        z, info = dstein(*args, **kwargs)
+        calls.append(info)
+        return z, 1 if len(calls) % 2 else info
+
+    return patched
+
+
+def _singular_shift(dl, d, du, b, **kwargs):
+    """dgtsv reporting every sharpening shift singular: each level is re-bisected."""
+    return dl, d, du, b, 1
+
+
+@pytest.mark.parametrize(
+    "routine, patch",
+    [("dstein", _unconverged_first_pass), ("dgtsv", lambda dgtsv: _singular_shift)],
+    ids=["unconverged-vectors", "singular-shift"],
+)
+def test_fallbacks_rebisect_every_level(monkeypatch, routine, patch):
+    from scipy.linalg import lapack
+
+    pot = design_potential(first_primes(10), default_grid(10.0, 0.01))
+    plain = bound_states(pot, KINETIC_HALF, count=10)
+    ref = _full_matrix_bound_states(pot, KINETIC_HALF, 10, dense=True)
+    monkeypatch.setattr(lapack, routine, patch(getattr(lapack, routine)))
+    spec = bound_states(pot, KINETIC_HALF, count=10)
+    assert spec.refined == 10
+    assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues)) <= 1e-9
+    assert np.max(np.abs(spec.eigenvalues - plain.eigenvalues)) <= 1e-9
+    assert spec.node_counts.tolist() == plain.node_counts.tolist() == list(range(10))
 
 
 def test_three_point_grid_has_a_one_row_block():

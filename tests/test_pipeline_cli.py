@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from primepot.cli import build_parser, main
-from primepot.grid import PotentialGrid, default_grid
+from primepot.grid import GRID_POINT_LIMIT, Grid, PotentialGrid, default_grid
 from primepot.hologram import MODULATOR_LIMIT, potential_to_target, write_intensity_csv
 from primepot.pipeline import (
     PipelineConfig,
@@ -14,9 +14,9 @@ from primepot.pipeline import (
     parse_sequence_spec,
     run_pipeline,
 )
-from primepot import cli, hologram, pipeline, semiclassical, sequences
+from primepot import cli, hologram, pipeline, scattering, semiclassical, sequences, susy
 from primepot.scattering import SCAN_STEP_LIMIT
-from primepot.semiclassical import PROFILE_POINT_LIMIT, SAMPLE_LIMIT
+from primepot.semiclassical import SAMPLE_LIMIT
 from primepot.sequences import EXACT_COUNT_LIMIT, LUCKY_LIMIT, first_primes
 from primepot.susy import ChainError, design_potential
 
@@ -233,13 +233,54 @@ def test_cli_semiclassical_rejects_sizes_past_their_bounds(monkeypatch, capsys, 
 
     out = str(tmp_path / "sc.csv")
     # x_max grows like sqrt(v_max): 1e15 would need about 5.5e8 output nodes
-    monkeypatch.setattr(semiclassical, "Grid", no_allocation)
+    monkeypatch.setattr(Grid, "x", property(no_allocation))
     assert main(["semiclassical", "--vmax", "1e15", "--out", out]) == 1
-    assert f"exceeds {PROFILE_POINT_LIMIT:.0e}" in capsys.readouterr().err
+    assert f"exceeds the limit of {GRID_POINT_LIMIT:.0e}" in capsys.readouterr().err
     # the quadrature lattice holds (samples - 1) x 256 energies
     monkeypatch.setattr(semiclassical.np, "linspace", no_allocation)
     assert main(["semiclassical", "--samples", str(SAMPLE_LIMIT + 1), "--out", out]) == 1
     assert f"not exceed {SAMPLE_LIMIT:.0e}" in capsys.readouterr().err
+
+
+def test_cli_rejects_grids_past_the_point_limit(monkeypatch, capsys, tmp_path):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated an oversized array")
+
+    # an intensity file whose target map declares a 2e9-node design grid
+    grid = default_grid(3.0, 0.05)
+    row, tmap = potential_to_target(PotentialGrid(grid=grid, values=-6.0 / np.cosh(grid.x) ** 2, asymptote=0.0))
+    path = tmp_path / "intensity.csv"
+    write_intensity_csv(path, row**2, replace(tmap, grid_points=2000000001))
+    monkeypatch.setattr(Grid, "x", property(no_allocation))
+    monkeypatch.setattr(susy, "chain_from_gaps", no_allocation)
+    monkeypatch.chdir(tmp_path)  # the default outputs land here
+    assert main(["holo", "extract", str(path)]) == 1
+    assert f"a grid of 2000000001 points exceeds the limit of {GRID_POINT_LIMIT:.0e}" in capsys.readouterr().err
+    # spacing 1e-8 on the default half-width would be a grid of 2.4e9 nodes
+    assert main(["design", "--levels", "primes:10", "--spacing", "1e-8"]) == 1
+    assert f"a grid of 2400000001 points exceeds the limit of {GRID_POINT_LIMIT:.0e}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+def test_cli_eigensolver_breakdown_exits_numerical(monkeypatch, capsys, tmp_path):
+    from scipy.linalg import lapack
+
+    dstein = lapack.dstein
+
+    def unconverged(*args, **kwargs):
+        z, _ = dstein(*args, **kwargs)
+        return z, 1
+
+    pot = tmp_path / "pot.csv"
+    design_potential(first_primes(5)).write_csv(pot)
+    monkeypatch.setattr(lapack, "dstein", unconverged)
+    assert main(["solve", str(pot), "--targets", "primes:5"]) == 2
+    assert "dstein failed with info = 1" in capsys.readouterr().err
+    outdir = tmp_path / "out"
+    assert main(["pipeline", "--sequence", "primes:5", "--outdir", str(outdir)]) == 2
+    assert "stage 'solve' failed: dstein failed with info = 1" in capsys.readouterr().err
+    # the design is written before the solve stage runs; no report follows it
+    assert sorted(p.name for p in outdir.iterdir()) == ["potential.csv"]
 
 
 def test_cli_design_solve_cycle(tmp_path, capsys):
@@ -464,6 +505,19 @@ def test_cli_scatter_schema(tmp_path, capsys):
     assert set(payload) == {"energies", "T", "resonances"}
     assert len(payload["energies"]) == 200
     assert all(0.0 <= t <= 1.0 + 1e-12 for t in payload["T"])
+
+
+@pytest.mark.parametrize("t", [1.0 + 1e-6, -1e-6, np.nan])
+def test_cli_scatter_transmission_outside_unit_interval_exits_numerical(monkeypatch, tmp_path, capsys, t):
+    # a barrier of 1e308 overflows the kernel to T = nan, which JSON cannot hold
+    grid = default_grid(3.0, 0.005)
+    path = tmp_path / "barrier.csv"
+    PotentialGrid(grid=grid, values=np.where(np.abs(grid.x) < 1.0, 6.0, 0.0), asymptote=0.0).write_csv(path)
+    monkeypatch.setattr(scattering, "transmission", lambda pot, e: (np.full(e.size, t), None))
+    out = tmp_path / "scan.json"
+    assert main(["scatter", str(path), "--emin", "0.5", "--emax", "20", "--steps", "20", "--json", str(out)]) == 2
+    assert "transmission outside [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_units_anchor(capsys):

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from primepot import _kernels, scattering
 from primepot._kernels import GAUSS_POINTS, cell_samples
-from primepot.grid import Grid, PotentialGrid, default_grid
+from primepot.grid import PotentialGrid, default_grid
 from primepot.scattering import (
     build_filter_apparatus,
-    compose_apparatus,
     filter_lucky_prime,
     opened_cells,
     transmission,
@@ -53,8 +52,8 @@ def test_zero_potential_transmits_everything():
     grid = default_grid(4.0, 0.01)
     flat = PotentialGrid(grid=grid, values=np.zeros(grid.points), asymptote=0.0)
     scan = transmission_scan(flat, np.linspace(0.5, 20.0, 50))
-    assert np.max(np.abs(scan.t_values - 1.0)) < 1e-10
-    assert scan.resonances == []
+    assert np.max(np.abs(np.array(scan["T"]) - 1.0)) < 1e-10
+    assert scan["resonances"] == []
 
 
 def test_scan_energies_must_exceed_lead():
@@ -66,7 +65,7 @@ def test_scan_energies_must_exceed_lead():
     # are above it, and the reflectionless well transmits them
     well = design_potential(np.array([-3.0, -1.0]))
     scan = transmission_scan(well, np.linspace(-0.5, 0.0, 11))
-    assert np.max(np.abs(scan.t_values - 1.0)) < 1e-6
+    assert np.max(np.abs(np.array(scan["T"]) - 1.0)) < 1e-6
 
 
 def test_truncate_rejects_asymptote_at_or_below_lead(prime10_potential):
@@ -157,51 +156,20 @@ def test_opened_cells_follow_truncated_well(prime10_potential):
     assert np.max(np.abs(gauss - gauss[::-1, ::-1])) < 1e-12  # the mirror swaps the Gauss points
 
 
-def test_compose_requires_matching_asymptotes(filter_apparatus):
-    a = filter_apparatus.device_lucky
-    b = filter_apparatus.device_prime
-    raised = PotentialGrid(grid=b.grid, values=b.values + 1e-6, asymptote=b.asymptote + 1e-6)
-    with pytest.raises(ValueError, match="asymptote"):
-        compose_apparatus(a, raised, 2.0)
-
-
 def test_compose_length_and_padding(filter_apparatus):
     a = filter_apparatus.device_lucky
     b = filter_apparatus.device_prime
-    sep = 2.0
-    composed = compose_apparatus(a, b, sep)
+    composed = filter_apparatus.composed()
     h = a.grid.spacing
-    expected = a.grid.points + b.grid.points + int(round(sep / h)) - 1
+    expected = a.grid.points + b.grid.points + int(round(scattering.COMPOSED_GAP / h)) - 1
     assert composed.grid.points in (expected, expected + 1)
-    # flat gap between the devices at the shared asymptote
-    gap = composed.values[a.grid.points : a.grid.points + 10]
-    assert np.all(gap == composed.asymptote)
-
-
-def test_compose_separations_below_a_cell(filter_apparatus):
-    a = filter_apparatus.device_lucky
-    b = filter_apparatus.device_prime
-    h = a.grid.spacing
-    for sep in (0.0, h / 4, h, 2.0):
-        composed = compose_apparatus(a, b, sep)
-        n_gap = composed.grid.points - a.grid.points - b.grid.points + 1
-        assert n_gap >= 1 and abs(n_gap * h - sep) <= 2.0 * h
-        gap = composed.values[a.grid.points - 1 : a.grid.points + n_gap]
-        assert np.all(gap == composed.asymptote)
-
-
-def test_compose_with_flat_pad_keeps_transmission(filter_apparatus):
-    a = filter_apparatus.device_lucky
-    flat = PotentialGrid(
-        grid=Grid(half_width=0.5, points=int(1.0 / a.grid.spacing) + 1 | 1),
-        values=np.zeros(int(1.0 / a.grid.spacing) + 1 | 1),
-        asymptote=0.0,
-    )
-    composed = compose_apparatus(a, flat, 1.0)
-    energies = np.array([2.5, 4.9, 10.1])
-    t_single, _ = transmission(a, energies)
-    t_composed, _ = transmission(composed, energies)
-    assert np.max(np.abs(t_single - t_composed)) < 1e-9
+    assert composed.grid.spacing == pytest.approx(h, rel=1e-12)
+    # the lucky well, a flat gap at the lead potential 0, the prime well
+    assert np.array_equal(composed.values[: a.grid.points], a.values)
+    assert np.array_equal(composed.values[-b.grid.points :], b.values)
+    n_gap = composed.grid.points - a.grid.points - b.grid.points + 1
+    gap = composed.values[a.grid.points - 1 : a.grid.points + n_gap]
+    assert np.all(gap == 0.0) and composed.asymptote == 0.0
 
 
 def test_composite_no_better_than_either_device_off_resonance(filter_apparatus):
@@ -352,7 +320,7 @@ def test_filter_scan_budget(filter_apparatus, monkeypatch):
         raise AssertionError("the filter composed a PotentialGrid")
 
     monkeypatch.setattr(_kernels, "transfer_scan", counted)
-    monkeypatch.setattr(scattering, "compose_apparatus", forbidden)
+    monkeypatch.setattr(scattering.FilterApparatus, "composed", forbidden)
     # each well's left half in its own pass, lucky then prime, on the
     # iterates and their forward-difference partners
     halves = [(406, 2 * scattering.COARSE), (452, 2 * scattering.COARSE)]

@@ -2,15 +2,17 @@
 
 Each run is a fresh `python -m primepot` process in an empty working
 directory, so the wall time includes interpreter start-up and every import
-the subcommand pays for. Given two source trees (for example a parent
-checkout's `src` and this one's), the runs alternate between them and the
-side that goes first swaps on every repeat.
+the subcommand pays for. A command that reads a file comes after the setup
+commands that write it; they run first, untimed, in the same directory.
+Given two source trees (for example a parent checkout's `src` and this
+one's), the runs alternate between them and the side that goes first swaps
+on every repeat.
 
 The fingerprint of a run is its exit code and the sha256 of its stdout
-followed by every file it wrote. The script exits 1 when a command exits
-nonzero, when one tree's fingerprint changes between repeats, or when two
-trees print different fingerprints: a faster start cannot hide a changed
-output.
+followed by every file in its directory, setup outputs included. The script
+exits 1 when a command exits nonzero, when one tree's fingerprint changes
+between repeats, or when two trees print different fingerprints: a faster
+start cannot hide a changed output.
 
     python tools/cold_cli.py                      # this checkout's src, 7 repeats
     python tools/cold_cli.py --repeats 11 ../parent/src src
@@ -30,40 +32,55 @@ import tempfile
 import time
 from pathlib import Path
 
+# each entry's commands run in order in one directory; the last is timed
 COMMANDS = {
-    "primes": ["primes", "--count", "100"],
-    "lucky": ["lucky", "--count", "100"],
-    "units": ["units", "--mass", "rb87", "--l", "20", "--L", "5e-4"],
-    "filter": ["filter", "--w", "7"],
-    "rejected": ["filter", "--w", "8"],
-    "design": ["design", "--levels", "primes:10", "--out", "pot.csv"],
+    "primes": [["primes", "--count", "100"]],
+    "lucky": [["lucky", "--count", "100"]],
+    "units": [["units", "--mass", "rb87", "--l", "20", "--L", "5e-4"]],
+    "filter": [["filter", "--w", "7"]],
+    "rejected": [["filter", "--w", "8"]],
+    "design": [["design", "--levels", "primes:10", "--out", "pot.csv"]],
     # design, solve and report.json with no hologram: the design benchmark's operation
-    "design_solve": ["pipeline", "--sequence", "primes:40", "--outdir", "."],
-    "pi": ["pi", "--x", "1000"],
-    "semiclassical": ["semiclassical", "--out", "sc.csv"],
-    "holo": ["pipeline", "--sequence", "primes:10", "--hologram", "--outdir", "."],
+    "design_solve": [["pipeline", "--sequence", "primes:40", "--outdir", "."]],
+    "pi": [["pi", "--x", "1000"]],
+    "semiclassical": [["semiclassical", "--out", "sc.csv"]],
+    "holo": [["pipeline", "--sequence", "primes:10", "--hologram", "--outdir", "."]],
     "holo256": [
-        "pipeline", "--sequence", "primes:10", "--hologram", "--holo-m", "256", "--holo-iters", "40", "--outdir", ".",
+        ["pipeline", "--sequence", "primes:10", "--hologram", "--holo-m", "256", "--holo-iters", "40", "--outdir", "."],
     ],
     "holo63": [
-        "pipeline", "--sequence", "primes:10", "--hologram", "--holo-m", "63", "--holo-iters", "200", "--outdir", ".",
+        ["pipeline", "--sequence", "primes:10", "--hologram", "--holo-m", "63", "--holo-iters", "200", "--outdir", "."],
     ],
     # an SR length above the 100-pixel floor (213 pixels)
     "holo_lucky20": [
-        "pipeline", "--sequence", "lucky:20", "--hologram", "--holo-m", "128", "--holo-iters", "200", "--outdir", ".",
+        ["pipeline", "--sequence", "lucky:20", "--hologram", "--holo-m", "128", "--holo-iters", "200", "--outdir", "."],
+    ],
+    # 8 resonances above the semiclassical well's rim, through the peak finder
+    "scatter": [
+        ["semiclassical", "--out", "sc.csv"],
+        ["scatter", "sc.csv", "--emin", "100.5", "--emax", "160", "--steps", "400", "--json", "scan.json"],
+    ],
+    "solve": [
+        ["design", "--levels", "primes:10", "--out", "pot.csv"],
+        ["solve", "pot.csv", "--targets", "primes:10", "--json", "report.json"],
     ],
 }
 
 
-def cold_run(src: Path, argv: list[str]) -> tuple[float, int, str]:
-    """(wall seconds, exit code, sha256) of one fresh `python -m primepot` run."""
+def cold_run(src: Path, commands: list[list[str]]) -> tuple[float, int, str]:
+    """(wall seconds of the last command, exit code of the first that fails
+    or of the last, sha256) of fresh `python -m primepot` runs of `commands`
+    in one empty directory."""
     env = dict(os.environ, PYTHONPATH=str(src))
     with tempfile.TemporaryDirectory() as cwd:
-        start = time.perf_counter()
-        out = subprocess.run(
-            [sys.executable, "-m", "primepot", *argv], cwd=cwd, env=env, capture_output=True
-        )
-        wall = time.perf_counter() - start
+        for argv in commands:
+            start = time.perf_counter()
+            out = subprocess.run(
+                [sys.executable, "-m", "primepot", *argv], cwd=cwd, env=env, capture_output=True
+            )
+            wall = time.perf_counter() - start
+            if out.returncode:
+                break
         digest = hashlib.sha256(out.stdout)
         for path in sorted(Path(cwd).iterdir()):
             digest.update(path.name.encode() + b"\0" + path.read_bytes())
@@ -85,9 +102,9 @@ def main(argv=None) -> int:
     walls = {(name, src): [] for name in COMMANDS for src in srcs}
     prints = {(name, src): set() for name in COMMANDS for src in srcs}
     for repeat in range(args.repeats):
-        for name, command in COMMANDS.items():
+        for name, commands in COMMANDS.items():
             for src in srcs[repeat % 2 :] + srcs[: repeat % 2]:
-                wall, code, sha = cold_run(src, command)
+                wall, code, sha = cold_run(src, commands)
                 walls[name, src].append(wall)
                 prints[name, src].add((code, sha))
 
