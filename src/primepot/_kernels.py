@@ -11,13 +11,23 @@ node; each transmission scan carries the 2x2 product, batched over energies.
 
 A transfer scan's step call covers a span of whole blocks, about ``WORK`` =
 8192 cell-energies, so a filter verdict's batches of a few dozen energies
-pay numpy's per-call overhead once per span rather than once per block,
-while each float64 temporary stays at 64 KiB, under glibc malloc's default
-128 KiB mmap threshold (at 452 cells x 34 energies, 123 KiB per temporary,
-the step ran about 2x slower per element than at 240 x 34). The span changes
-only how many blocks one call computes, never the order of a product or a
-rescale, so a scan's result is bitwise the same for any span, and each
-energy's result is the same bits in any batch.
+pay numpy's per-call overhead once per span rather than once per block. The
+span changes only how many blocks one call computes, never the order of a
+product or a rescale, so a scan's result is bitwise the same for any span,
+and each energy's result is the same bits in any batch.
+
+Both kernels compute in a workspace (``_Workspace``) of one call shape: the
+steps, their ``h_qbar`` operand, the block tree's levels and the scratch its
+products add in, with ``magnus_step``'s intermediates in its own output.
+``WORK`` bounds the workspace a thread keeps: the last one of at most
+``WORK`` cell-energies (about 700 KiB at that size) is kept and reused by
+every later call of its shape, so a filter verdict, whose scans share one
+shape, allocates no large array once warm. A larger call, such as a scan of
+thousands of energies, makes buffers of its own and frees them on return.
+Allocating a workspace per scan cost more than the scan's arithmetic: glibc
+returned each scan's ~860 KiB to the kernel and faulted it in again on the
+next, about 1,100 minor page faults per verdict. A workspace serves one
+thread at a time; each thread keeps its own.
 Timings of both are reported by ``python3 perfbench/run.py --trace 1``.
 """
 
@@ -25,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -39,7 +50,7 @@ __all__ = [
 ]
 
 BLOCK = 32  # cells multiplied together between two rescales, in both kernels
-WORK = 8192  # cell-energies per step call of a transfer scan: 64 KiB per float64 temporary
+WORK = 8192  # cell-energies per step call of a transfer scan, and most in a kept workspace
 SQRT3_12 = math.sqrt(3.0) / 12.0  # commutator weight of the two-point Gauss Magnus step
 GAUSS_POINTS = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)  # two-point Gauss nodes, as fractions of a cell
 
@@ -101,40 +112,95 @@ def magnus_step(alpha, h_qbar, h: float, out: np.ndarray) -> np.ndarray:
     ``cosh(d) I + sinh(d)/d Omega`` with ``d^2 = alpha^2 + h h_qbar`` (cos
     and sin where ``d^2 < 0``). A constant cell (``q1 == q2``) gives the
     exact solution.
+
+    The four slabs of `out` hold the intermediates as well, so of the
+    broadcast shape a step allocates only a boolean mask. `out` must not
+    overlap `alpha` or `h_qbar`.
     """
-    d2 = alpha * alpha + h * h_qbar
-    d = np.sqrt(np.abs(d2))
-    # cos and sin from tan(d/2): numpy's cos and sin cost several times tan
-    tan_half = np.tan(0.5 * d)
-    tan2 = tan_half * tan_half
+    cosh_d, sinh_d, d, t = out[0, 0], out[0, 1], out[1, 0], out[1, 1]
+    d2 = np.multiply(h, h_qbar, out=t)
+    np.add(alpha * alpha, d2, out=d2)
     grows = d2 > 0.0
-    cosh_d = np.where(grows, np.cosh(d), (1.0 - tan2) / (1.0 + tan2))
-    sinh_d = np.where(grows, np.sinh(d), 2.0 * tan_half / (1.0 + tan2))
-    sinh_d = np.divide(sinh_d, d, out=np.ones_like(d), where=d > 0.0)
-    s_alpha = sinh_d * alpha
-    np.add(cosh_d, s_alpha, out=out[0, 0])
-    np.multiply(sinh_d, h, out=out[0, 1])
-    np.multiply(sinh_d, h_qbar, out=out[1, 0])
+    np.sqrt(np.abs(d2, out=d), out=d)
+    # cos and sin from t = tan(d/2): numpy's cos and sin cost several times tan
+    np.tan(np.multiply(0.5, d, out=t), out=t)
+    np.multiply(t, t, out=cosh_d)
+    np.add(1.0, cosh_d, out=sinh_d)
+    np.subtract(1.0, cosh_d, out=cosh_d)
+    np.divide(cosh_d, sinh_d, out=cosh_d)
+    np.multiply(2.0, t, out=t)
+    np.divide(t, sinh_d, out=sinh_d)
+    np.copyto(cosh_d, np.cosh(d, out=t), where=grows)
+    np.copyto(sinh_d, np.sinh(d, out=t), where=grows)
+    # sinh(d)/d, 1 where d is not positive
+    positive = np.greater(d, 0.0, out=grows)
+    np.divide(sinh_d, d, out=sinh_d, where=positive)
+    np.copyto(sinh_d, 1.0, where=np.logical_not(positive, out=positive))
+    s_alpha = np.multiply(sinh_d, alpha, out=d)
     np.subtract(cosh_d, s_alpha, out=out[1, 1])
+    np.add(cosh_d, s_alpha, out=out[0, 0])
+    np.multiply(sinh_d, h_qbar, out=out[1, 0])
+    np.multiply(sinh_d, h, out=out[0, 1])
     return out
 
 
-def _product(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
-    """``later @ earlier`` for stacks of 2x2 matrices on the two leading axes."""
-    return later[:, 0, None] * earlier[None, 0] + later[:, 1, None] * earlier[None, 1]
+def _product(later: np.ndarray, earlier: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """``later @ earlier`` for stacks of 2x2 matrices on the two leading axes,
+    into `out` with `scratch` for the second term when they are given (neither
+    may overlap an operand)."""
+    if out is None:
+        return later[:, 0, None] * earlier[None, 0] + later[:, 1, None] * earlier[None, 1]
+    np.multiply(later[:, 0, None], earlier[None, 0], out=out)
+    np.multiply(later[:, 1, None], earlier[None, 1], out=scratch)
+    return np.add(out, scratch, out=out)
 
 
-def _block_products(steps: np.ndarray, n_steps: int) -> np.ndarray:
-    """Product of each ``BLOCK`` steps of ``steps[:, :, :n_steps]``, later
-    steps on the left, pairwise in log2(BLOCK) vectorized levels with no
-    rescale; shape (2, 2, n_blocks) + ``steps.shape[3:]``. Identity steps pad
-    the last block in `steps`, which must hold whole blocks: I @ X is exactly
-    X, so the odd step of a level passes up the tree unchanged."""
+class _Workspace:
+    """The buffers of kernel calls of one shape, ``(span,) + batch``: the
+    span's step matrices, their ``h_qbar`` operand, one array per level of the
+    ``_block_products`` tree and the scratch its products add in."""
+
+    def __init__(self, shape: tuple):
+        self.shape = shape
+        self.steps = np.empty((2, 2) + shape)
+        self.h_qbar = np.empty(shape)
+        n_blocks, batch = shape[0] // BLOCK, shape[1:]
+        widths = [BLOCK >> k for k in range(1, BLOCK.bit_length())]
+        self.levels = [np.empty((2, 2, n_blocks, width) + batch) for width in widths]
+        flat = np.empty(self.levels[0].size)
+        self.scratch = [flat[: level.size].reshape(level.shape) for level in self.levels]
+
+
+_kept = threading.local()  # each thread's kept workspace
+
+
+def _workspace(span: int, batch: tuple) -> _Workspace:
+    """A workspace for calls of shape ``(span,) + batch``: this thread's kept
+    one when its shape matches, else a new one, kept in its place when it
+    holds at most ``WORK`` cell-energies."""
+    shape = (span,) + batch
+    kept = getattr(_kept, "workspace", None)
+    if kept is not None and kept.shape == shape:
+        return kept
+    if math.prod(shape) > WORK:
+        return _Workspace(shape)
+    _kept.workspace = None  # free the old buffers before making the new
+    _kept.workspace = _Workspace(shape)
+    return _kept.workspace
+
+
+def _block_products(work: _Workspace, n_steps: int) -> np.ndarray:
+    """Product of each ``BLOCK`` steps of ``work.steps[:, :, :n_steps]``,
+    later steps on the left, pairwise in log2(BLOCK) vectorized levels with
+    no rescale, computed in ``work.levels``; shape (2, 2, n_blocks) + the
+    batch shape, a view into `work`. Identity steps pad the last block: I @ X
+    is exactly X, so the odd step of a level passes up the tree unchanged."""
+    steps = work.steps
     n_blocks = -(-n_steps // BLOCK)
     steps[:, :, n_steps : n_blocks * BLOCK] = np.eye(2).reshape((2, 2) + (1,) * (steps.ndim - 2))
     tree = steps[:, :, : n_blocks * BLOCK].reshape((2, 2, n_blocks, BLOCK) + steps.shape[3:])
-    while tree.shape[3] > 1:
-        tree = _product(tree[:, :, :, 1::2], tree[:, :, :, 0::2])
+    for level, scratch in zip(work.levels, work.scratch):
+        tree = _product(tree[:, :, :, 1::2], tree[:, :, :, 0::2], level[:, :, :n_blocks], scratch[:, :, :n_blocks])
     return tree[:, :, :, 0]
 
 
@@ -153,10 +219,12 @@ def riccati_sweep(q: np.ndarray, h: float, c: float):
     """
     gauss = cell_samples(q, GAUSS_POINTS)
     n_cells = gauss.shape[0]
+    work = _workspace(-(-n_cells // BLOCK) * BLOCK, ())
     alpha = SQRT3_12 * h * h * (gauss[:, 0] - gauss[:, 1])
-    steps = np.empty((2, 2, -(-n_cells // BLOCK) * BLOCK))
-    magnus_step(alpha, 0.5 * h * (gauss[:, 0] + gauss[:, 1]), h, steps[:, :, :n_cells])
-    totals = _block_products(steps, n_cells)
+    h_qbar = np.add(gauss[:, 0], gauss[:, 1], out=work.h_qbar[:n_cells])
+    h_qbar *= 0.5 * h
+    magnus_step(alpha, h_qbar, h, work.steps[:, :, :n_cells])
+    totals = _block_products(work, n_cells)
     u, du = [1.0], [0.0]
     for t11, t12, t21, t22 in zip(*totals.reshape(4, -1)[:, :-1].tolist()):
         nu, ndu = t11 * u[-1] + t12 * du[-1], t21 * u[-1] + t22 * du[-1]
@@ -164,7 +232,7 @@ def riccati_sweep(q: np.ndarray, h: float, c: float):
         u.append(nu / s)
         du.append(ndu / s)
     column = np.array([u, du])[:, None]
-    blocks = steps.reshape(2, 2, -1, BLOCK)
+    blocks = work.steps.reshape(2, 2, -1, BLOCK)
     path = np.empty((2, column.shape[2], BLOCK))
     for j in range(BLOCK):
         column = _product(blocks[:, :, :, j], column)
@@ -187,7 +255,8 @@ def transfer_scan(v_cells: np.ndarray, h: float, energies: np.ndarray, c: float,
     `v_cells` holds constant cells, shape (n_cells,), or the potential at the
     two Gauss points of each cell, shape (n_cells, 2). The cells go in spans
     of ``BLOCK * max(1, WORK // (BLOCK * n_energies))``: one vectorized step
-    computes a span's step matrices into the scan's one buffer, and
+    computes a span's step matrices into the workspace of the span and batch
+    (kept by the thread when it holds at most ``WORK`` cell-energies), and
     ``_block_products`` multiplies them block by block. Each block's product
     then updates the running product, which is rescaled after every block,
     so no product grows over more than ``BLOCK`` cells before it is rescaled.
@@ -198,8 +267,9 @@ def transfer_scan(v_cells: np.ndarray, h: float, energies: np.ndarray, c: float,
     Returns ``(m, log_scale)``: ``exp(log_scale) * m`` maps ``(psi, psi'/k)``
     at the left end to the right end, ``k = sqrt(E - v_lead)/c`` the leads'
     wavenumber (energies must lie above `v_lead`); m has shape
-    (2, 2, n_energies) and log_scale shape (n_energies,).
-    ``transmission_reflection`` turns them into (T, R).
+    (2, 2, n_energies) and log_scale shape (n_energies,), both new arrays,
+    never views into the workspace. ``transmission_reflection`` turns them
+    into (T, R).
     """
     v = np.asarray(v_cells, dtype=np.float64)
     if v.ndim == 1:
@@ -212,16 +282,16 @@ def transfer_scan(v_cells: np.ndarray, h: float, energies: np.ndarray, c: float,
     m = np.zeros((2, 2, energies.size))
     m[0, 0] = m[1, 1] = 1.0
     log_scale = np.zeros(energies.size)
-    # one step buffer per scan: at a few hundred energies a fresh one per span
-    # is large enough for glibc malloc to map and fault in anew every time
     span = BLOCK * max(1, WORK // (BLOCK * max(1, energies.size)))
-    steps = np.empty((2, 2, span, energies.size))
+    work = _workspace(span, energies.shape)
     for start in range(0, v.shape[0], span):
         cells = v[start : start + span]
+        n_cells = cells.shape[0]
         alpha = ((SQRT3_12 * h * h / c2) * (cells[:, 0] - cells[:, 1]))[:, None]
-        h_qbar = (h / c2) * (0.5 * (cells[:, 0] + cells[:, 1])[:, None] - energies)
-        magnus_step(alpha, h_qbar, h, steps[:, :, : cells.shape[0]])
-        totals = _block_products(steps, cells.shape[0])
+        h_qbar = np.subtract(0.5 * (cells[:, 0] + cells[:, 1])[:, None], energies, out=work.h_qbar[:n_cells])
+        h_qbar *= h / c2
+        magnus_step(alpha, h_qbar, h, work.steps[:, :, :n_cells])
+        totals = _block_products(work, n_cells)
         for block in range(totals.shape[2]):
             m = _product(totals[:, :, block], m)
             # each step has determinant 1, so the largest entry is finite and nonzero

@@ -36,6 +36,7 @@ each resonance, however narrow, so a window's peak is the minimum of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +66,7 @@ COARSE = 17  # energies a window search starts from
 NEWTON_STEPS = 8  # Gauss-Newton steps a window search takes at most
 FILTER_WINDOW = 0.5  # half-width around w absorbing the truncation shift
 FLAT_FRACTION = 0.05  # opened walls end where they come this close to the rim, relative to the depth
-SCAN_STEP_LIMIT = 20_000  # most energies `scatter --steps` takes: about 3.5 KB of scan buffers each
+SCAN_STEP_LIMIT = 20_000  # most energies `scatter --steps` takes: about 2.9 KB of scan buffers each
 DEFAULT_LEVEL_COUNT = 10  # levels in each well of the default filter apparatus, lucky and prime alike
 COMPOSED_GAP = 2.0  # length of the flat gap between the wells of `FilterApparatus.composed`
 
@@ -148,6 +149,10 @@ def transmission(potential: PotentialGrid, energies, kinetic_scale: float = KINE
     midpoint; ``kinetic_scale`` stays the third argument, as in
     ``transmission_from_cells``, and the benchmark's filter check passes it."""
     v = potential.values
+    low, high = float(v.min()), float(v.max())
+    # each cell sums two neighbouring nodes, which must not overflow
+    if not math.isfinite(2.0 * max(abs(low), abs(high))):
+        raise ValueError(f"potential range [{low:.3g}, {high:.3g}] overflows a float")
     if abs(float(v[0]) - float(v[-1])) > 1e-9:
         raise ValueError("potential must have equal asymptotes (truncate it first)")
     cells = 0.5 * (v[:-1] + v[1:])

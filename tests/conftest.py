@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from primepot import _kernels
 from primepot.grid import default_grid
 from primepot.scattering import build_filter_apparatus
 from primepot.sequences import first_lucky, first_primes
@@ -29,3 +31,23 @@ def lucky10_potential(grid12):
 @pytest.fixture(scope="session")
 def filter_apparatus():
     return build_filter_apparatus(lucky_count=10, prime_count=10)
+
+
+@pytest.fixture
+def fresh_buffers(monkeypatch):
+    """``fresh_buffers(fn, *args)`` calls `fn` with every kernel workspace
+    made anew and filled with nan, a reference for the kept workspace: the
+    kernels must compute the same bits whatever their buffers held before."""
+
+    def poisoned(span, batch):
+        work = _kernels._Workspace((span,) + batch)
+        for buffer in (work.steps, work.h_qbar, *work.levels, work.scratch[0]):
+            buffer.fill(np.nan)
+        return work
+
+    def call(fn, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels, "_workspace", poisoned)
+            return fn(*args)
+
+    return call

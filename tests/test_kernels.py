@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -264,6 +265,35 @@ def test_scan_step_calls_cover_spans_of_whole_blocks(monkeypatch):
         assert span % b == 0 and span * n_energies <= max(work, b * n_energies)
 
 
+def test_threads_scan_in_workspaces_of_their_own():
+    # scans of one shape share a kept workspace only within a thread, so
+    # threads scanning at once cannot write into each other's buffers
+    rng = np.random.default_rng(29)
+    energies = np.linspace(1.0, 30.0, 34)
+    profiles = [rng.uniform(0.0, 40.0, (n, 2)) for n in (100, 300, 500, 700)]
+    expected = [b"".join(a.tobytes() for a in _kernels.transfer_scan(p, 0.01, energies, KINETIC_HALF)) for p in profiles]
+    wrong = []
+
+    def scan(i):
+        for _ in range(20):
+            result = _kernels.transfer_scan(profiles[i], 0.01, energies, KINETIC_HALF)
+            if b"".join(a.tobytes() for a in result) != expected[i]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=scan, args=(i,)) for i in range(len(profiles))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
 def test_gauss_cells_match_expm_product():
     # unequal Gauss samples on both sides of E, across block edges, with a
     # raised lead: the closed-form exponential against scipy's expm
@@ -452,6 +482,20 @@ def test_riccati_sweep_matches_rk4_at_block_edges(n, first_node):
     assert (status_ref if status_ref < 0 else -(-status_ref // refine)) == expected
     w_ref = w_ref[::refine]
     assert np.all(np.abs(w - w_ref) <= 1e-7 * np.maximum(1.0, np.abs(w_ref)))
+
+
+def test_riccati_sweep_matches_fresh_buffers_bitwise(fresh_buffers):
+    # the kept workspace serves sweeps of every length in turn (5 and 33
+    # nodes share one of 32 cells), so each sweep, and the same sweep again,
+    # must compute what it does in buffers that held nothing of another
+    rng = np.random.default_rng(23)
+    h, c = 0.005, KINETIC_HALF
+    for n in (5, 33, 2401, 4801, 5):
+        for q in (3.0 + 2.0 * np.cos(5.0 * h * np.arange(n)), rng.uniform(-400.0, 100.0, n)):
+            w_ref, status_ref = fresh_buffers(_kernels.riccati_sweep, q, h, c)
+            for _ in range(2):
+                w, status = _kernels.riccati_sweep(q, h, c)
+                assert w.tobytes() == w_ref.tobytes() and status == status_ref, n
 
 
 # each is imported inside the one function that runs it, so the CLI import,

@@ -509,7 +509,7 @@ def test_cli_scatter_schema(tmp_path, capsys):
 
 @pytest.mark.parametrize("t", [1.0 + 1e-6, -1e-6, np.nan])
 def test_cli_scatter_transmission_outside_unit_interval_exits_numerical(monkeypatch, tmp_path, capsys, t):
-    # a barrier of 1e308 overflows the kernel to T = nan, which JSON cannot hold
+    # a kernel breakdown such as T = nan, which JSON cannot hold
     grid = default_grid(3.0, 0.005)
     path = tmp_path / "barrier.csv"
     PotentialGrid(grid=grid, values=np.where(np.abs(grid.x) < 1.0, 6.0, 0.0), asymptote=0.0).write_csv(path)
@@ -517,6 +517,19 @@ def test_cli_scatter_transmission_outside_unit_interval_exits_numerical(monkeypa
     out = tmp_path / "scan.json"
     assert main(["scatter", str(path), "--emin", "0.5", "--emax", "20", "--steps", "20", "--json", str(out)]) == 2
     assert "transmission outside [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("height", [1e308, -1e308])
+def test_cli_scatter_rejects_a_potential_range_past_a_float(tmp_path, capsys, height):
+    # two neighbouring nodes of 1e308 overflow their cell's midpoint sum
+    grid = default_grid(3.0, 0.05)
+    path = tmp_path / "barrier.csv"
+    PotentialGrid(grid=grid, values=np.where(np.abs(grid.x) < 1.0, height, 0.0), asymptote=0.0).write_csv(path)
+    out = tmp_path / "scan.json"
+    assert main(["scatter", str(path), "--emin", "0.5", "--emax", "20", "--steps", "20", "--json", str(out)]) == 1
+    low, high = sorted((height, 0.0))
+    assert f"potential range [{low:.3g}, {high:.3g}] overflows a float" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -333,6 +335,38 @@ def test_filter_scan_budget(filter_apparatus, monkeypatch):
         assert (result.peak_transmission >= 0.5) == (w == 3)
         assert 2 <= len(passes) <= 2 * (scattering.NEWTON_STEPS + 1), w
         assert passes == halves * (len(passes) // 2), w
+
+
+def test_scans_return_fresh_arrays_bitwise(filter_apparatus, fresh_buffers):
+    # scans of one batch share the kept workspace: a scan's result must not
+    # be a view into it, nor depend on what an earlier scan left there (the
+    # short well fits in a part of one span)
+    spacing, c = filter_apparatus.spacing, filter_apparatus.kinetic_scale
+    energies = np.linspace(7.5, 8.5, 2 * scattering.COARSE)
+    lucky, prime = (cells[: len(cells) // 2] for cells in (filter_apparatus.cells_lucky, filter_apparatus.cells_prime))
+    scans = []
+    for cells in (lucky, prime, prime[:100], lucky):
+        m, log_scale = _kernels.transfer_scan(cells, spacing, energies, c)
+        m_ref, log_ref = fresh_buffers(_kernels.transfer_scan, cells, spacing, energies, c)
+        assert m.tobytes() == m_ref.tobytes() and log_scale.tobytes() == log_ref.tobytes(), len(cells)
+        scans.append((m, log_scale, m_ref, log_ref))
+    for m, log_scale, m_ref, log_ref in scans:
+        assert m.tobytes() == m_ref.tobytes() and log_scale.tobytes() == log_ref.tobytes()
+    lone = _kernels.mirror_resonance(*fresh_buffers(_kernels.transfer_scan, lucky, spacing, energies, c))
+    assert filter_apparatus.resonance_functions(energies)[:, 0].tobytes() == lone.tobytes()
+
+
+def test_warm_verdict_allocates_little(filter_apparatus):
+    # the scans compute in the kernels' kept workspace, so a verdict's
+    # transient arrays stay far below the ~860 KiB a workspace per scan took
+    filter_lucky_prime(8, filter_apparatus)
+    tracemalloc.start()
+    try:
+        filter_lucky_prime(8, filter_apparatus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 1024
 
 
 def _window(w):

@@ -60,6 +60,11 @@ COMMANDS = {
         ["semiclassical", "--out", "sc.csv"],
         ["scatter", "sc.csv", "--emin", "100.5", "--emax", "160", "--steps", "400", "--json", "scan.json"],
     ],
+    # 5000 energies: one block of cells per step call, the scan's smallest span
+    "scatter_wide": [
+        ["semiclassical", "--out", "sc.csv"],
+        ["scatter", "sc.csv", "--emin", "100.5", "--emax", "160", "--steps", "5000", "--json", "scan.json"],
+    ],
     "solve": [
         ["design", "--levels", "primes:10", "--out", "pot.csv"],
         ["solve", "pot.csv", "--targets", "primes:10", "--json", "report.json"],
