@@ -166,8 +166,6 @@ def _lowest_levels(d, e, v, k: int, h2c: float):
     from scipy.linalg import lapack  # first solve only: commands that never solve skip scipy.linalg
 
     n = d.size
-    if k > n:
-        raise ValueError(f"count asks for {k} levels of a {n}-row block")
     top = min(k + 1, n)  # one level above the last, for its gap
     m, coarse, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 0.0, 1, top, COARSE_TOL, "B")
     _check_info(info, "dstebz")
@@ -234,9 +232,9 @@ def bound_states(
     c = float(kinetic_scale)
     if c <= 0.0:
         raise ValueError("kinetic_scale must be positive")
-    if count is not None and count < 1:
-        raise ValueError("count must be positive")
     v = potential.values
+    if count is not None and not 1 <= count <= v.size:
+        raise ValueError(f"count asks for {count} levels of a {v.size}-node grid; it must be 1 to {v.size}")
     h = potential.grid.spacing
     check_resolution(float(v.max() - v.min()), h, c)
     edge = 0.5 * (float(v[0]) + float(v[-1]))

@@ -20,11 +20,11 @@ max(100, ceil(4 span k_max) + 1): primes:10 keeps 100 pixels (its rule gives
 97), primes:20 takes 191, lucky:20 213, primes:30 310 and primes:40 372. A
 modulator side m must exceed half the length; a smaller one is refused with
 the smallest m that fits. No m may exceed ``MODULATOR_LIMIT`` = 4096, the side
-of a 4K spatial light modulator: its seeded start plane is 134 MB of float64
-(with two 268 MB complex temporaries while its column sums are formed) and
-its phase.csv about 420 MB. A larger m is refused before the start plane is
-drawn, and an SR of 2 x 4096 pixels or more, which no allowed m holds, before
-any row is built.
+of a 4K spatial light modulator. No m x m array is ever held: the limit bounds
+the m^2 seeded draws and phase.csv, about 420 MB (``holo synth --m 4096
+--iters 1`` peaks at 80 MB resident). A larger m is refused before any phase
+is drawn, and an SR of 2 x 4096 pixels or more, which no allowed m holds,
+before any row is built.
 
 The SR lies on the zero-vertical-frequency row of the output plane, which is
 the 1D centered transform of the modulated plane's column sums
@@ -44,8 +44,9 @@ and a_j = arg s_j, the rows of column j alternate a_j + b_j and a_j - b_j,
 where cos b_j = t_j for even m; for odd m the last row is a_j and
 cos b_j = (m t_j - 1)/(m - 1). Each column sums to exactly s_j / max|s|, so
 the plane has the optimized cost. Only its 2 (odd m: 3) distinct rows are
-kept; ``plane_row_index`` maps each plane row to one, and the plane exists
-only as the file written from them.
+kept; ``plane_row_index`` maps each plane row to one, the optimized sums are
+formed from them and their multiplicities, and the plane exists only as the
+file written from them.
 
 Minimization is scipy's L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci.
 Comput. 16, 1190 (1995)) with its default options and no bounds. Its line
@@ -164,7 +165,7 @@ class OptimizeResult:
     iteration cap (status 1) and the stop tests (status 0) leave it False."""
 
     state: HologramState
-    rows: np.ndarray  # (2 + m % 2, m); state.sums are the column sums of rows[plane_row_index(m)]
+    rows: np.ndarray  # (2 + m % 2, m); state.sums are rows[plane_row_index(m)]'s column sums to roundoff
     history: np.ndarray
     line_search_failed: bool = False
 
@@ -227,13 +228,10 @@ def make_state(m: int, amplitude_row: np.ndarray, seed: int, target_map: TargetM
     if m > MODULATOR_LIMIT:
         raise ValueError(f"modulator side m = {m} exceeds the limit of {MODULATOR_LIMIT}")
     rng = np.random.default_rng(seed)
-    plane = rng.uniform(0.0, 2.0 * np.pi, size=(m, m))
-    return HologramState(sums=_column_sums(plane), target_row=amplitude_row, target_map=target_map)
-
-
-def _column_sums(plane: np.ndarray) -> np.ndarray:
-    """Column sums s_j = (1/m) sum_i exp(i phi_ij) of a modulated m x m plane."""
-    return (np.exp(1j * plane) * (1.0 / len(plane))).sum(axis=0)
+    sums = np.zeros(m, dtype=np.complex128)
+    for _ in range(m):  # row by row in draw order: numpy's sum over the whole plane's rows, bit for bit
+        sums += np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=m)) * (1.0 / m)
+    return HologramState(sums=sums, target_row=amplitude_row, target_map=target_map)
 
 
 @functools.lru_cache
@@ -322,7 +320,7 @@ def optimize_phase(state: HologramState, max_iters: int) -> OptimizeResult:
 
     Starts from `state.sums` and realizes the result by double-phase
     encoding (module docstring): the result holds the plane's distinct rows
-    and a state with the plane's column sums. Stops after
+    and a state with the plane's column sums to roundoff. Stops after
     `max_iters` iterations, or earlier on either of L-BFGS-B's tests: the
     largest projected-gradient component of the 2m-real gradient is at most
     pgtol = 1e-5, or a step lowers the cost by at most ftol = 2.2e-9 times
@@ -355,7 +353,7 @@ def optimize_phase(state: HologramState, max_iters: int) -> OptimizeResult:
     )
     rows = _double_phase(result.x[:m] + 1j * result.x[m:])
     return OptimizeResult(
-        state=replace(state, sums=_column_sums(rows[plane_row_index(m)])),
+        state=replace(state, sums=np.bincount(plane_row_index(m)) / m @ np.exp(1j * rows)),
         rows=rows,
         history=np.asarray(history),
         line_search_failed=result.status == 2,

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -114,7 +115,7 @@ def row_cases(draw):
 def test_row_path_matches_2d_reference(case):
     phase, state = case
     m, sr = state.m, state.target_row.size
-    assert np.array_equal(state.sums, hologram._column_sums(phase))
+    assert np.array_equal(state.sums, plane_sums(phase))
     row = propagate(state)
     ref_row = reference_plane(phase)[m, m - sr // 2 : m - sr // 2 + sr]
     assert np.max(np.abs(row - ref_row)) <= 1e-12 * np.max(np.abs(ref_row))
@@ -242,6 +243,24 @@ def test_double_phase_realizes_column_sums(m):
     realized = (np.exp(1j * phase) / m).sum(axis=0)
     assert np.max(np.abs(realized - sums / np.max(np.abs(sums)))) <= 1e-12
     assert np.all((rows >= 0.0) & (rows < 2.0 * np.pi))
+
+
+def test_state_holds_no_plane():
+    # an m x m complex plane at m = 2048 is 64 MiB; the sums and the 2m-real
+    # optimizer state are a few hundred KiB
+    m, amp = 2048, np.full(100, 0.1)
+    optimize_phase(make_state(64, amp, seed=1), 1)  # import scipy.optimize outside the trace
+    tracemalloc.start()
+    try:
+        state = make_state(m, amp, seed=1)
+        start_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        optimize_phase(state, 1)
+        optimize_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert start_peak < 8 * 2**20
+    assert optimize_peak < 8 * 2**20
 
 
 def test_odd_m_synthesis_round_trip(v10_target):
