@@ -103,6 +103,9 @@ def _cmd_scatter(args) -> int:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
     if args.steps > SCAN_STEP_LIMIT:
         raise ValueError(f"--steps {args.steps} exceeds {SCAN_STEP_LIMIT:.0e}")
+    for flag, energy in (("--emin", args.emin), ("--emax", args.emax)):
+        if not np.isfinite(energy):
+            raise ValueError(f"{flag} must be finite, got {energy}")
     pot = PotentialGrid.read_csv(args.potential)
     energies = np.linspace(args.emin, args.emax, args.steps)
     payload = transmission_scan(pot, energies)

@@ -364,8 +364,6 @@ def intensity_to_potential(intensity: np.ndarray, tmap: TargetMap) -> PotentialG
     """Invert an SR intensity row through its target map to a potential on the
     design grid (the asymptote outside the SR span)."""
     intensity = np.asarray(intensity, dtype=np.float64)
-    if intensity.size != tmap.sr_length:
-        raise ValueError("intensity row length does not match its declared sr_length")
     total = float(intensity.sum())
     if total <= 0.0:
         raise ValueError("no power in the signal region")
@@ -409,6 +407,8 @@ def read_intensity_csv(path) -> tuple[np.ndarray, TargetMap]:
     missing = set(names) - meta.keys()
     if missing:
         raise ValueError(f"{path}: missing metadata {sorted(missing)}")
+    if intensity.size != meta["sr_length"]:
+        raise ValueError(f"{path}: {intensity.size} intensity rows, but sr_length={meta['sr_length']}")
     return intensity, TargetMap(**{name: meta[name] for name in names})
 
 

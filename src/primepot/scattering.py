@@ -18,20 +18,21 @@ The filter decides from the transmission of the two wells in series averaged
 over the phase the flat gap between them adds,
 ``<T> = T_a T_b / (1 - R_a R_b)`` (two incoherent scatterers; Datta,
 *Electronic Transport in Mesoscopic Systems*, 1995, ch. 2). A coherent scan
-of the two wells on one grid (``FilterApparatus.composed``, kept for
-flux-conservation checks) also shows inter-well cavity modes, which transmit
-at energies unrelated to any level and move with the gap length; the average
-over the gap phase has none, so it is near 1 only where both wells hold a
-level and the verdict does not depend on the separation. Every designed
-well is even, so one kernel pass per well scans only its left half, and
-``_kernels.mirror_resonance`` turns the half's transfer matrix into the
-whole well's resonance function G, with ``T = 1/(1 + G^2)``; then
-``<T> = 1/(1 + G_a^2 + G_b^2)``. Each well is scanned on the cells of its
-design grid, with the potential at each cell's two Gauss points taken from a
-cubic through the designed nodes, so its quasi-levels carry only the
-fourth-order error of the Magnus step. G is smooth with a simple root at
-each resonance, however narrow, so a window's peak is the minimum of
-``G_a^2 + G_b^2``, which a few Gauss-Newton steps find from a coarse start.
+of the two wells on one grid (``FilterApparatus.composed``, which designs
+them again for flux-conservation checks) also shows inter-well cavity
+modes, which transmit at energies unrelated to any level and move with the
+gap length; the average over the gap phase has none, so it is near 1 only
+where both wells hold a level and the verdict does not depend on the
+separation. Every designed well is even, so one kernel pass per well scans
+only its left half, and ``_kernels.mirror_resonance`` turns the half's
+transfer matrix into the whole well's resonance function G, with
+``T = 1/(1 + G^2)``; then ``<T> = 1/(1 + G_a^2 + G_b^2)``. Each well is
+scanned on the cells of its design grid, with the potential at each cell's
+two Gauss points taken from a cubic through the designed nodes, so its
+quasi-levels carry only the fourth-order error of the Magnus step. G is
+smooth with a simple root at each resonance, however narrow, so a window's
+peak is the minimum of ``G_a^2 + G_b^2``, which a few Gauss-Newton steps
+find from a coarse start.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ __all__ = [
     "truncate_potential",
     "opened_cells",
     "transmission",
-    "transmission_from_cells",
     "transmission_scan",
     "windowed_max_transmission",
     "build_filter_apparatus",
@@ -123,41 +123,26 @@ def opened_cells(potential: PotentialGrid, fractions=GAUSS_POINTS) -> np.ndarray
     return samples
 
 
-def transmission_from_cells(
-    cells, spacing: float, energies, kinetic_scale: float = KINETIC_HALF, lead_potential: float = 0.0
-):
-    """(T, R) for an explicit cell profile: constant cells, shape (n_cells,),
-    or Gauss-point pairs, shape (n_cells, 2) (see ``_kernels.transfer_scan``).
-
-    Exact (to roundoff) for genuinely piecewise-constant potentials such as
-    rectangular barriers, since each constant-cell step is the analytic
-    solution. ``kinetic_scale`` stays an argument so that tests can check
-    the scan against unit-scale textbook oracles.
-    """
-    energies = np.atleast_1d(np.asarray(energies, dtype=np.float64))
-    if np.any(energies <= lead_potential):
-        raise ValueError("scan energies must exceed the lead potential")
-    return _kernels.transmission_reflection(
-        *_kernels.transfer_scan(
-            np.asarray(cells, dtype=np.float64), float(spacing), energies, float(kinetic_scale), float(lead_potential)
-        )
-    )
-
-
 def transmission(potential: PotentialGrid, energies, kinetic_scale: float = KINETIC_HALF):
     """(T, R) arrays with the potential constant on each cell at its node
-    midpoint; ``kinetic_scale`` stays the third argument, as in
-    ``transmission_from_cells``, and the benchmark's filter check passes it."""
+    midpoint and the leads at its boundary value; ``kinetic_scale`` stays the
+    third argument, which the benchmark's filter check passes."""
     v = potential.values
     low, high = float(v.min()), float(v.max())
     # each cell sums two neighbouring nodes, which must not overflow
     if not math.isfinite(2.0 * max(abs(low), abs(high))):
         raise ValueError(f"potential range [{low:.3g}, {high:.3g}] overflows a float")
-    if abs(float(v[0]) - float(v[-1])) > 1e-9:
+    lead = float(v[0])
+    if abs(lead - float(v[-1])) > 1e-9:
         raise ValueError("potential must have equal asymptotes (truncate it first)")
+    energies = np.atleast_1d(np.asarray(energies, dtype=np.float64))
+    if not np.all(np.isfinite(energies)):
+        raise ValueError("scan energies must be finite")
+    if np.any(energies <= lead):
+        raise ValueError("scan energies must exceed the lead potential")
     cells = 0.5 * (v[:-1] + v[1:])
-    return transmission_from_cells(
-        cells, potential.grid.spacing, energies, kinetic_scale, float(v[0])
+    return _kernels.transmission_reflection(
+        *_kernels.transfer_scan(cells, potential.grid.spacing, energies, float(kinetic_scale), lead)
     )
 
 
@@ -218,20 +203,16 @@ class FilterApparatus:
     """Opened lucky and prime wells, the two halves of the filter, built from
     their two level lists: each well is designed on the default grid and
     opened, lucky first. ``cells_lucky`` and ``cells_prime`` are the wells
-    the transfer scans see (``opened_cells``), on cells of width ``spacing``;
-    designed wells are even, so ``resonance_functions`` scans each left half
-    once. The wells in series transmit ``<T> = 1/(1 + G_a^2 + G_b^2)``
-    averaged over the gap phase. ``device_lucky`` and ``device_prime`` are
-    the same wells on their node grids (``truncate_potential``), which
-    ``composed()`` joins for coherent checks. ``w_max`` is the largest
-    integer safely below both rims; the filter is only meaningful inside
-    that window.
+    the transfer scans see (``opened_cells``), on cells of width ``spacing``,
+    the opened grid's; designed wells are even, so ``resonance_functions``
+    scans each left half once. The wells in series transmit
+    ``<T> = 1/(1 + G_a^2 + G_b^2)`` averaged over the gap phase. ``w_max`` is
+    the largest integer safely below both rims; the filter is only
+    meaningful inside that window.
     """
 
     lucky_levels: np.ndarray
     prime_levels: np.ndarray
-    device_lucky: PotentialGrid = field(init=False)
-    device_prime: PotentialGrid = field(init=False)
     cells_lucky: np.ndarray = field(init=False)
     cells_prime: np.ndarray = field(init=False)
     spacing: float = field(init=False)
@@ -239,20 +220,20 @@ class FilterApparatus:
     kinetic_scale = KINETIC_HALF
 
     def __post_init__(self):
-        designed = design_potential(self.lucky_levels)
-        self.device_lucky = truncate_potential(designed)
-        self.cells_lucky = opened_cells(designed)
-        designed = design_potential(self.prime_levels)
-        self.device_prime = truncate_potential(designed)
-        self.cells_prime = opened_cells(designed)
-        self.spacing = self.device_lucky.grid.spacing
-        self.w_max = int(min(self.device_lucky.max(), self.device_prime.max()) - 1.0)
+        designed = [design_potential(levels) for levels in (self.lucky_levels, self.prime_levels)]
+        self.cells_lucky, self.cells_prime = map(opened_cells, designed)
+        lucky, prime = map(truncate_potential, designed)
+        self.spacing = lucky.grid.spacing
+        self.w_max = int(min(lucky.max(), prime.max()) - 1.0)
 
     def composed(self) -> PotentialGrid:
         """The lucky well, a flat gap at the lead potential 0 and the prime
-        well on one grid, for coherent checks: the gap is ``COMPOSED_GAP`` in
-        whole cells, one more if the node count would be even (x = 0 on a node)."""
-        a, b = self.device_lucky.values, self.device_prime.values
+        well on one grid, for coherent checks: both wells are designed and
+        opened again (``truncate_potential``), and the gap is ``COMPOSED_GAP``
+        in whole cells, one more if the node count would be even (x = 0 on a
+        node)."""
+        wells = (truncate_potential(design_potential(levels)) for levels in (self.lucky_levels, self.prime_levels))
+        a, b = (well.values for well in wells)
         n_gap = int(round(COMPOSED_GAP / self.spacing))
         n_gap += (a.size + b.size + n_gap) % 2
         values = np.concatenate([a, np.zeros(n_gap - 1), b])
@@ -270,15 +251,6 @@ class FilterApparatus:
             for cells in (self.cells_lucky, self.cells_prime)
         ]
         return np.stack([_kernels.mirror_resonance(*scan) for scan in scans], axis=-1)
-
-    def averaged_transmission(self, energies):
-        """T of the lucky well, a flat gap and the prime well, averaged over
-        the gap phase: ``T_a T_b / (1 - R_a R_b)``, which is
-        ``1/(1 + G_a^2 + G_b^2)``. A sum of squares, it neither cancels nor
-        leaves [0, 1] deep in both wells' tunnelling regime.
-        """
-        g = self.resonance_functions(energies)
-        return 1.0 / (1.0 + np.sum(g * g, axis=-1))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 
+from primepot import _kernels
 from primepot.eigensolver import bound_states, compare_spectrum
 from primepot.grid import PotentialGrid, default_grid
 from primepot.hologram import (
@@ -23,7 +24,6 @@ from primepot.scattering import (
     RESONANCE_HEIGHT,
     filter_lucky_prime,
     transmission,
-    transmission_from_cells,
 )
 from primepot.semiclassical import (
     invert_to_potential,
@@ -144,7 +144,7 @@ def test_criterion_7_scattering(filter_apparatus):
     height, width, h = 8.0, 1.5, 0.002
     cells = np.full(int(round(width / h)), height)
     energies = np.linspace(0.5, 16.0, 100)
-    t, r = transmission_from_cells(cells, h, energies, KINETIC_HALF, 0.0)
+    t, r = _kernels.transmission_reflection(*_kernels.transfer_scan(cells, h, energies, KINETIC_HALF, 0.0))
     c2 = KINETIC_HALF**2
     exact = np.empty_like(energies)
     for i, e in enumerate(energies):

@@ -439,6 +439,43 @@ def test_cli_rejects_non_finite_csv_rows(tmp_path, monkeypatch, capsys, command,
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
+@pytest.mark.parametrize("bad", ["short", "ceiling", "dark"])
+def test_cli_holo_extract_rejects_bad_intensity_files(tmp_path, monkeypatch, capsys, bad):
+    # three rows fewer than the declared sr_length, no ceiling line, or no power
+    grid = default_grid(3.0, 0.05)
+    _, tmap = potential_to_target(PotentialGrid(grid=grid, values=-6.0 / np.cosh(grid.x) ** 2, asymptote=0.0))
+    path = tmp_path / "intensity.csv"
+    write_intensity_csv(path, np.zeros(tmap.sr_length) if bad == "dark" else np.ones(tmap.sr_length), tmap)
+    lines = path.read_text().splitlines()
+    if bad == "short":
+        lines = lines[:-3]
+    elif bad == "ceiling":
+        lines = [line for line in lines if not line.startswith("# ceiling=")]
+    path.write_text("\n".join(lines) + "\n")
+    message = {
+        "short": f"{path}: {tmap.sr_length - 3} intensity rows, but sr_length={tmap.sr_length}",
+        "ceiling": f"{path}: missing metadata ['ceiling']",
+        "dark": "no power in the signal region",
+    }[bad]
+    monkeypatch.chdir(tmp_path)  # the default output lands here
+    assert main(["holo", "extract", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+def test_cli_pipeline_rejects_unordered_levels(tmp_path, capsys):
+    levels = tmp_path / "levels.txt"
+    levels.write_text("3\n2\n5\n")
+    outdir = tmp_path / "run"
+    assert main(["pipeline", "--sequence", f"file:{levels}", "--outdir", str(outdir)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: stage 'sequence' failed: {levels}: levels must be at least two, strictly increasing" in captured.err
+    assert captured.out == ""
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize(
     "xs, message",
     [
@@ -545,6 +582,35 @@ def test_cli_scatter_rejects_a_potential_range_past_a_float(tmp_path, capsys, he
     assert main(["scatter", str(path), "--emin", "0.5", "--emax", "20", "--steps", "20", "--json", str(out)]) == 1
     low, high = sorted((height, 0.0))
     assert f"potential range [{low:.3g}, {high:.3g}] overflows a float" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--emin", "nan"), ("--emax", "nan"), ("--emax", "inf"), ("--emin", "-inf")])
+def test_cli_scatter_rejects_non_finite_energies(tmp_path, capsys, flag, value):
+    # refused before the energy grid is built, naming the flag
+    grid = default_grid(3.0, 0.005)
+    path = tmp_path / "barrier.csv"
+    PotentialGrid(grid=grid, values=np.where(np.abs(grid.x) < 1.0, 6.0, 0.0), asymptote=0.0).write_csv(path)
+    bounds = {"--emin": "0.5", "--emax": "20", flag: value}
+    out = tmp_path / "scan.json"
+    argv = ["scatter", str(path), *(f"{k}={v}" for k, v in bounds.items()), "--steps", "20", "--json", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"error: {flag} must be finite, got {value}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_scatter_rejects_unequal_asymptotes(tmp_path, capsys):
+    # a step whose right lead sits above its left one
+    grid = default_grid(3.0, 0.005)
+    path = tmp_path / "step.csv"
+    PotentialGrid(grid=grid, values=np.where(grid.x > 1.0, 2.0, 0.0), asymptote=0.0).write_csv(path)
+    out = tmp_path / "scan.json"
+    assert main(["scatter", str(path), "--emin", "3", "--emax", "20", "--steps", "20", "--json", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "error: potential must have equal asymptotes (truncate it first)" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 

@@ -13,7 +13,6 @@ from primepot.scattering import (
     filter_lucky_prime,
     opened_cells,
     transmission,
-    transmission_from_cells,
     transmission_scan,
     truncate_potential,
     windowed_max_transmission,
@@ -22,6 +21,13 @@ from primepot.sequences import first_lucky
 from primepot.susy import KINETIC_HALF, design_potential
 
 UNIT_KINETIC = 1.0  # -d^2/dx^2, the convention of the textbook oracles
+
+
+def averaged_transmission(apparatus, energies):
+    """The wells in series averaged over the gap phase,
+    ``T_a T_b / (1 - R_a R_b) = 1/(1 + G_a^2 + G_b^2)``."""
+    g = apparatus.resonance_functions(energies)
+    return 1.0 / (1.0 + np.sum(g * g, axis=-1))
 
 
 def barrier_transmission_exact(energies, height, width, c):
@@ -44,7 +50,7 @@ def test_rectangular_barrier_matches_analytic():
     cells = np.full(int(round(width / h)), height)
     energies = np.linspace(0.5, 16.0, 100)
     for c in (UNIT_KINETIC, KINETIC_HALF):
-        t, r = transmission_from_cells(cells, h, energies, c, 0.0)
+        t, r = _kernels.transmission_reflection(*_kernels.transfer_scan(cells, h, energies, c, 0.0))
         exact = barrier_transmission_exact(energies, height, width, c)
         assert np.max(np.abs(t - exact)) < 1e-6
         assert np.max(np.abs(t + r - 1.0)) < 1e-8
@@ -68,6 +74,14 @@ def test_scan_energies_must_exceed_lead():
     well = design_potential(np.array([-3.0, -1.0]))
     scan = transmission_scan(well, np.linspace(-0.5, 0.0, 11))
     assert np.max(np.abs(np.array(scan["T"]) - 1.0)) < 1e-6
+
+
+def test_scan_energies_must_be_finite():
+    grid = default_grid(4.0, 0.01)
+    flat = PotentialGrid(grid=grid, values=np.zeros(grid.points), asymptote=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="scan energies must be finite"):
+            transmission(flat, [bad, 3.0])
 
 
 def test_truncate_rejects_asymptote_at_or_below_lead(prime10_potential):
@@ -128,7 +142,7 @@ def test_opened_well_resonates_at_bound_levels(lucky10_potential):
     g = resonance(roots)
     assert np.max(np.abs(1.0 / (1.0 + g * g) - 1.0)) <= 1e-12
     # one pass over the whole well agrees: 4.4e-12 off at the deepest root
-    t, _ = transmission_from_cells(cells, h, roots)
+    t, _ = _kernels.transmission_reflection(*_kernels.transfer_scan(cells, h, roots, KINETIC_HALF, 0.0))
     assert np.max(np.abs(t - 1.0)) <= 1e-10
 
 
@@ -158,14 +172,15 @@ def test_opened_cells_follow_truncated_well(prime10_potential):
     assert np.max(np.abs(gauss - gauss[::-1, ::-1])) < 1e-12  # the mirror swaps the Gauss points
 
 
-def test_compose_length_and_padding(filter_apparatus):
-    a = filter_apparatus.device_lucky
-    b = filter_apparatus.device_prime
+def test_compose_length_and_padding(filter_apparatus, lucky10_potential, prime10_potential):
+    a = truncate_potential(lucky10_potential)
+    b = truncate_potential(prime10_potential)
     composed = filter_apparatus.composed()
     h = a.grid.spacing
     expected = a.grid.points + b.grid.points + int(round(scattering.COMPOSED_GAP / h)) - 1
     assert composed.grid.points in (expected, expected + 1)
     assert composed.grid.spacing == pytest.approx(h, rel=1e-12)
+    assert h == filter_apparatus.spacing
     # the lucky well, a flat gap at the lead potential 0, the prime well
     assert np.array_equal(composed.values[: a.grid.points], a.values)
     assert np.array_equal(composed.values[-b.grid.points :], b.values)
@@ -174,12 +189,14 @@ def test_compose_length_and_padding(filter_apparatus):
     assert np.all(gap == 0.0) and composed.asymptote == 0.0
 
 
-def test_composite_no_better_than_either_device_off_resonance(filter_apparatus):
+def test_composite_no_better_than_either_device_off_resonance(
+    filter_apparatus, lucky10_potential, prime10_potential
+):
     composed = filter_apparatus.composed()
     # energies away from every lucky or prime level
     energies = np.array([4.5, 5.5, 10.4, 16.2, 20.3])
-    t_a, _ = transmission(filter_apparatus.device_lucky, energies)
-    t_b, _ = transmission(filter_apparatus.device_prime, energies)
+    t_a, _ = transmission(truncate_potential(lucky10_potential), energies)
+    t_b, _ = transmission(truncate_potential(prime10_potential), energies)
     t_g, _ = transmission(composed, energies)
     assert np.all(t_g <= np.minimum(t_a, t_b) + 0.05)
 
@@ -224,7 +241,7 @@ def test_transfer_product_determinant_unit_modulus():
             k_prev = k_cur
         assert abs(abs(np.linalg.det(m)) - 1.0) < 1e-8
         # and the same product reproduces the kernel's transmission
-        t_kernel, _ = transmission_from_cells(cells, h, np.array([energy]), c, 0.0)
+        t_kernel, _ = _kernels.transmission_reflection(*_kernels.transfer_scan(cells, h, np.array([energy]), c, 0.0))
         assert abs(1.0 / np.abs(m[1, 1]) ** 2 - t_kernel[0]) < 1e-10
 
 
@@ -253,23 +270,25 @@ def coherent_transmission(matrices, gap_phase):
 def full_well_matrices(apparatus, energies):
     """``transfer_scan``'s ``(m, log_scale)`` of each whole well, from one
     pass over all its cells, the last axis being (lucky, prime)."""
-    lead = apparatus.device_lucky.asymptote
     wells = [
-        _kernels.transfer_scan(cells, apparatus.spacing, energies, apparatus.kinetic_scale, lead)
+        _kernels.transfer_scan(cells, apparatus.spacing, energies, apparatus.kinetic_scale)
         for cells in (apparatus.cells_lucky, apparatus.cells_prime)
     ]
     return tuple(np.stack(parts, axis=-1) for parts in zip(*wells))
 
 
 def _check_device_composition(apparatus, sep):
-    # against one kernel pass over the same cells with a gap of lead cells
-    h, lead = apparatus.spacing, apparatus.device_lucky.asymptote
+    # against one kernel pass over the same cells with a gap of lead cells,
+    # at the opened wells' lead potential 0
+    h = apparatus.spacing
     n_gap = int(round(sep / h))
-    cells = np.concatenate([apparatus.cells_lucky, np.full((n_gap, 2), lead), apparatus.cells_prime])
-    k = np.sqrt(DEVICE_ENERGIES - lead) / apparatus.kinetic_scale
+    cells = np.concatenate([apparatus.cells_lucky, np.zeros((n_gap, 2)), apparatus.cells_prime])
+    k = np.sqrt(DEVICE_ENERGIES) / apparatus.kinetic_scale
     matrices = full_well_matrices(apparatus, DEVICE_ENERGIES)
     t, r = coherent_transmission(matrices, k * n_gap * h)
-    t_ref, _ = transmission_from_cells(cells, h, DEVICE_ENERGIES, apparatus.kinetic_scale, lead)
+    t_ref, _ = _kernels.transmission_reflection(
+        *_kernels.transfer_scan(cells, h, DEVICE_ENERGIES, apparatus.kinetic_scale, 0.0)
+    )
     assert np.max(np.abs(t - t_ref)) <= 1e-9
     assert np.max(np.abs(t + r - 1.0)) <= 1e-8
 
@@ -295,7 +314,7 @@ def test_averaged_transmission_is_gap_phase_mean(filter_apparatus):
     phases = np.pi * np.arange(k_phases)[:, None] / k_phases  # 2 phi covers one period
     t_coherent, _ = coherent_transmission(matrices, phases)
     t_mean = t_coherent.mean(axis=0)
-    t_avg = filter_apparatus.averaged_transmission(DEVICE_ENERGIES)
+    t_avg = averaged_transmission(filter_apparatus, DEVICE_ENERGIES)
     rel = np.abs(t_avg - t_mean)[mixed] / t_mean[mixed]
     assert np.max(rel) <= 1e-10, np.max(rel)
 
@@ -304,7 +323,7 @@ def test_averaged_transmission_stays_in_unit_interval(filter_apparatus):
     # from deep tunnelling in both wells (T near 1e-17) to the top of the
     # filter window, with no overflow, underflow or invalid operation on the way
     with np.errstate(all="raise"):
-        t = filter_apparatus.averaged_transmission(np.linspace(1e-6, filter_apparatus.w_max + 0.5, 2001))
+        t = averaged_transmission(filter_apparatus, np.linspace(1e-6, filter_apparatus.w_max + 0.5, 2001))
     assert t.min() < 1e-17
     assert np.all(np.isfinite(t))
     assert np.all((t >= 0.0) & (t <= 1.0))
@@ -378,7 +397,7 @@ def _check_peaks_reach_roots(apparatus, ws):
     # the window's reported peak reaches at least that
     grid = np.linspace(1e-6, apparatus.w_max + 0.5, 40 * apparatus.w_max + 1)
     roots = np.concatenate(bracketed_roots(apparatus.resonance_functions, grid))
-    t_roots = apparatus.averaged_transmission(roots)
+    t_roots = averaged_transmission(apparatus, roots)
     checked = 0
     for w in ws:
         lo, hi = _window(w)
@@ -395,7 +414,7 @@ def test_filter_peaks_reach_every_root_and_dense_scan(fixture, request):
     apparatus = request.getfixturevalue(fixture)
     _check_peaks_reach_roots(apparatus, range(1, apparatus.w_max + 1))
     for w in range(1, apparatus.w_max + 1):
-        scanned = apparatus.averaged_transmission(np.linspace(*_window(w), 4001)).max()
+        scanned = averaged_transmission(apparatus, np.linspace(*_window(w), 4001)).max()
         assert filter_lucky_prime(w, apparatus).peak_transmission >= scanned, w
 
 

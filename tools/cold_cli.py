@@ -39,6 +39,8 @@ COMMANDS = {
     "units": [["units", "--mass", "rb87", "--l", "20", "--L", "5e-4"]],
     "filter": [["filter", "--w", "7"]],
     "rejected": [["filter", "--w", "8"]],
+    # an apparatus other than the default, whose spacing and w_max differ from it
+    "filter15": [["filter", "--w", "7", "--lucky-count", "15", "--prime-count", "15"]],
     "design": [["design", "--levels", "primes:10", "--out", "pot.csv"]],
     # design, solve and report.json with no hologram: the design benchmark's operation
     "design_solve": [["pipeline", "--sequence", "primes:40", "--outdir", "."]],
