@@ -74,7 +74,7 @@ def _cmd_design(args) -> int:
 def _cmd_solve(args) -> int:
     pot = PotentialGrid.read_csv(args.potential)
     targets = parse_sequence_spec(args.targets) if args.targets else None
-    spectrum = bound_states(pot, KINETIC_HALF, count=None if targets is None else targets.size)
+    spectrum = bound_states(pot, KINETIC_HALF, targets=targets)
     payload = {
         "eigenvalues": spectrum.eigenvalues.tolist(),
         "continuum_edge": spectrum.continuum_edge,

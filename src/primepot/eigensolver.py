@@ -23,26 +23,43 @@ targets produce, where shooting methods struggle; such a pair has one level
 of each parity, so its two levels come from different blocks.
 
 Each block's levels are found without bisecting them to full precision.
-LAPACK's ``dstebz`` locates the requested levels and one above to
-COARSE_TOL, ``dstein`` (inverse iteration) turns those values into unit
-vectors, and one more inverse-iteration step, shifted to each vector's
-Rayleigh quotient, gives the vector z; its level is the Rayleigh quotient
-rho = z.Tz. The residual r = Tz - rho z certifies it: with g the distance
-from rho to the nearest other coarse value, less 2 COARSE_TOL, the level
-lies within ||r||^2 / g of rho (Kato, J. Phys. Soc. Jpn. 4, 334 (1949)) and
-z within an angle ||r|| / g of its eigenvector (Davis & Kahan, SIAM J.
-Numer. Anal. 7, 1 (1970)), which moves the correction by at most
-2 |correction| ||r|| / g. A level is accepted when g > ACC and the three
-bounds are at most ACC; the angle's bound keeps the vector's errors far
-inside count_nodes' dead band. Any other level (in a designed potential,
-about one per solve: a block's top level, whose neighbour above is a box
-state just past the threshold) is bisected to full precision on its own
-index, and its vector and Rayleigh quotient are recomputed from that value;
-so is every level of a block whose inverse iteration did not converge.
-``Spectrum.refined`` counts those levels. Without a level count, two Sturm
-counts give the number of each block's levels in the bound window, which
-are then solved the same way. Any other LAPACK failure raises
-ArithmeticError.
+Every level starts from a shift and a bracket (lo, hi) that holds no other
+level, and one loop certifies it: inverse iteration (``dgtsv``) from the
+shift, re-shifted to the Rayleigh quotient while that stays in the bracket,
+gives a unit vector z whose level is the Rayleigh quotient rho = z.Tz. The
+residual r = Tz - rho z certifies it: with g the distance from rho to the
+nearer bracket edge, the level lies within ||r||^2 / g of rho (Kato,
+J. Phys. Soc. Jpn. 4, 334 (1949)) and z within an angle ||r|| / g of its
+eigenvector (Davis & Kahan, SIAM J. Numer. Anal. 7, 1 (1970)), which moves
+the correction by at most 2 |correction| ||r|| / g. A level is accepted when
+g > ACC and the three bounds are at most ACC; the angle's bound keeps the
+vector's errors far inside count_nodes' dead band.
+
+With targets, the brackets come from them. A block's bracket edges lie
+midway between its consecutive targets, its last one midway to the next
+target of the other block, and one infinite-tolerance ``dstebz`` call per
+edge gives the Sturm count of levels below it (Sylvester's law of inertia;
+Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967)). When the counts read
+1, 2, 3, ..., each bracket holds exactly one level, whose inverse iteration
+starts at its target from a fixed start vector of no parity and may take
+BRACKET_STEPS steps. The global top level, at the threshold with box states
+just above it, gets no bracket and is bisected on its index. A block whose
+counts read anything else is solved as without targets, and
+``Spectrum.fallbacks`` counts it.
+
+Without targets, ``dstebz`` locates the requested levels and one above to
+COARSE_TOL, ``dstein`` turns those values into unit vectors, and each takes
+one inverse-iteration step from its own Rayleigh quotient, its bracket the
+neighbouring coarse values less 2 COARSE_TOL.
+
+Any level left uncertified (in a designed potential, about one per solve: a
+block's top level, whose neighbour above is a box state just past the
+threshold) is bisected to full precision on its own index, and its vector
+and Rayleigh quotient are recomputed from that value; so is every level of
+a block whose ``dstein`` vectors did not converge. ``Spectrum.refined``
+counts those levels. Without a level count, two Sturm counts give the
+number of each block's levels in the bound window, which are then solved
+the same way. Any other LAPACK failure raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -64,6 +81,7 @@ class Spectrum:
     continuum_edge: float
     node_counts: np.ndarray
     refined: int = 0  # levels the certificate sent back to full-precision bisection
+    fallbacks: int = 0  # blocks whose target brackets failed their Sturm counts, solved by index
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
@@ -122,6 +140,10 @@ def check_resolution(v_span: float, spacing: float, kinetic_scale: float) -> Non
 
 COARSE_TOL = 1e-2  # width to which the first bisection pass locates each level
 ACC = 1e-10  # largest certified error of an accepted level, a tenth of the tests' 1e-9
+# inverse-iteration steps a bracketed level may take before it is re-bisected:
+# the hardest design at h = 0.005, primes:100, needs 6 (level 467, whose
+# correction of 0.56 asks for the smallest residual), plus two to spare
+BRACKET_STEPS = 8
 
 
 def _check_info(info: int, routine: str) -> None:
@@ -155,68 +177,128 @@ def _quotient(d, e, v, col, out, h2c) -> tuple[float, float, float]:
     return rho, resid, h2c * float(out @ out)
 
 
-def _lowest_levels(d, e, v, k: int, h2c: float):
-    """The lowest ``k`` levels of the Jacobi matrix (d, e), each certified to
-    ACC or re-bisected (module docstring), with their PdHA corrections.
+def _sturm_certified(d, e, edges) -> bool:
+    """Whether ``edges[j]`` has exactly j + 1 eigenvalues of (d, e) at or below
+    it for every j: then (-inf, edges[0]], (edges[0], edges[1]], ... each hold
+    one level. One ``_levels_in`` call per edge, counting up from below the
+    Gershgorin bound of the spectrum; the first mismatch stops the counting."""
+    floor = float(d.min()) - 2.0 * float(np.abs(e).max()) - 1.0
+    return all(_levels_in(d, e, (floor, edge)) == j + 1 for j, edge in enumerate(edges))
 
-    Returns (corrected levels, unit vectors as columns, number of levels
-    re-bisected). ``v`` is the block's potential and ``h2c`` the
-    correction's prefactor h^2 / (12 c^2).
+
+def _certify(d, e, v, z, shifts, lo, hi, steps: int, h2c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse iteration on column i of z from ``shifts[i]``, re-shifted to the
+    Rayleigh quotient after each step while that lies in (lo[i], hi[i]), for
+    at most ``steps`` steps; the level is accepted once the certificate
+    (module docstring) holds with no other level in that bracket. Columns
+    past ``len(shifts)`` are not tried.
+
+    Returns (Rayleigh quotients, PdHA corrections, accepted), one per column.
     """
-    from scipy.linalg import lapack  # first solve only: commands that never solve skip scipy.linalg
+    from scipy.linalg import lapack
 
-    n = d.size
-    top = min(k + 1, n)  # one level above the last, for its gap
-    m, coarse, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 0.0, 1, top, COARSE_TOL, "B")
-    _check_info(info, "dstebz")
-    coarse = coarse[:m]
-    z, info = lapack.dstein(d, e, coarse[:k], iblock, isplit)
+    k = z.shape[1]
     rho, corr, accept = np.empty(k), np.empty(k), np.zeros(k, dtype=bool)
-    out = np.empty(n)
-    # when inverse iteration leaves a vector unconverged, every level is re-bisected
-    for i in range(k) if info == 0 else ():
+    out = np.empty(d.size)
+    for i, shift in enumerate(shifts):
         col = z[:, i]
-        # a vector from a coarse shift keeps other vectors' components near
-        # 1e-7, above count_nodes' dead band in a decaying tail; one more
-        # inverse-iteration step, shifted to its Rayleigh quotient, removes them
-        shift, _, _ = _quotient(d, e, v, col, out, h2c)
-        *_, step, singular = lapack.dgtsv(e, d - shift, e, col, overwrite_b=1)
-        if singular:  # the shift hit a level exactly: re-bisect it
-            continue
-        col[:] = step / np.sqrt(step @ step)
-        rho[i], resid, corr[i] = _quotient(d, e, v, col, out, h2c)
-        # (lo, hi) holds no level but the i-th, and holds that one once resid < gap
-        lo = coarse[i - 1] + 2.0 * COARSE_TOL if i > 0 else -np.inf
-        hi = coarse[i + 1] - 2.0 * COARSE_TOL if i + 1 < m else np.inf
-        gap = min(rho[i] - lo, hi - rho[i])
-        if gap > ACC:
+        for _ in range(steps):
+            *_, step, singular = lapack.dgtsv(e, d - shift, e, col, overwrite_d=1, overwrite_b=1)
+            if singular:  # the shift hit a level exactly: re-bisect it
+                break
+            col[:] = step / np.sqrt(step @ step)
+            rho[i], resid, corr[i] = _quotient(d, e, v, col, out, h2c)
+            gap = min(rho[i] - lo[i], hi[i] - rho[i])
             # Kato-Temple bounds the level's error by resid^2 / gap, Davis-Kahan
             # the vector's angle by resid / gap, which moves corr by at most
             # twice that share of it; an angle below ACC keeps every sample's
             # sign outside count_nodes' dead band as the exact vector's
-            angle = resid / gap
-            accept[i] = resid * angle <= ACC and angle <= ACC and 2.0 * abs(corr[i]) * angle <= ACC
+            angle = resid / gap if gap > ACC else np.inf
+            if resid * angle <= ACC and angle <= ACC and 2.0 * abs(corr[i]) * angle <= ACC:
+                accept[i] = True
+                break
+            if gap > 0.0:  # a quotient outside the bracket would pull towards a neighbour
+                shift = rho[i]
+    return rho, corr, accept
+
+
+def _rebisect(d, e, v, z, redo, rho, corr, h2c) -> None:
+    """Bisect the levels of index ``redo`` to full precision, then replace their
+    columns of z by ``dstein``'s vectors and their rho and corr by those
+    vectors' (in place)."""
+    from scipy.linalg import lapack
+
+    exact = np.empty(redo.size)
+    for j, i in enumerate(redo):
+        _, w, block, isplit, info = lapack.dstebz(d, e, 2, 0.0, 0.0, i + 1, i + 1, 0.0, "B")
+        _check_info(info, "dstebz")
+        if j == 0:
+            iblock = np.zeros_like(block)
+        exact[j], iblock[j] = w[0], block[0]
+    z_redo, info = lapack.dstein(d, e, exact, iblock, isplit)
+    _check_info(info, "dstein")
+    out = np.empty(d.size)
+    for j, i in enumerate(redo):
+        z[:, i] = z_redo[:, j]
+        rho[i], _, corr[i] = _quotient(d, e, v, z[:, i], out, h2c)
+
+
+def _lowest_levels(d, e, v, k: int, h2c: float, brackets=None):
+    """The lowest ``k`` levels of the Jacobi matrix (d, e), each certified to
+    ACC or re-bisected (module docstring), with their PdHA corrections.
+
+    ``brackets`` is None or (targets, edges): the block's k targets and the
+    upper bracket edge of each of its first ``edges.size`` levels; a level
+    without an edge (the global top level) goes straight to re-bisection.
+    When the Sturm counts at the edges do not certify one level per bracket,
+    the block is solved as without them.
+
+    Returns (corrected levels, unit vectors as columns, number of levels
+    re-bisected, whether the brackets fell back). ``v`` is the block's
+    potential and ``h2c`` the correction's prefactor h^2 / (12 c^2).
+    """
+    from scipy.linalg import lapack  # first solve only: commands that never solve skip scipy.linalg
+
+    n = d.size
+    bracketed = brackets is not None and _sturm_certified(d, e, brackets[1])
+    if bracketed:
+        targets, edges = brackets
+        # a fixed start vector of no parity: a symmetric one is all but
+        # orthogonal to every odd state of a nearly even full-grid block
+        z = np.empty((n, k), order="F")
+        z[:] = np.random.default_rng(0).standard_normal(n)[:, None]
+        shifts, steps = targets[: edges.size], BRACKET_STEPS
+        lo, hi = np.concatenate(([-np.inf], edges[:-1])), edges
+    else:
+        top = min(k + 1, n)  # one level above the last, for its gap
+        m, coarse, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 0.0, 1, top, COARSE_TOL, "B")
+        _check_info(info, "dstebz")
+        coarse = coarse[:m]
+        z, info = lapack.dstein(d, e, coarse[:k], iblock, isplit)
+        # a vector from a coarse shift keeps other vectors' components near
+        # 1e-7, above count_nodes' dead band in a decaying tail; one more
+        # inverse-iteration step, shifted to its Rayleigh quotient, removes
+        # them. When inverse iteration leaves a vector unconverged, every
+        # level is re-bisected
+        out = np.empty(n)
+        shifts = [_quotient(d, e, v, z[:, i], out, h2c)[0] for i in range(k)] if info == 0 else []
+        steps = 1
+        # (lo, hi) holds no level but the i-th
+        lo = np.concatenate(([-np.inf], coarse[: k - 1] + 2.0 * COARSE_TOL))
+        hi = np.append(coarse[1:], np.inf)[:k] - 2.0 * COARSE_TOL
+    rho, corr, accept = _certify(d, e, v, z, shifts, lo, hi, steps, h2c)
     redo = np.flatnonzero(~accept)
     if redo.size:
-        exact = np.empty(redo.size)
-        for j, i in enumerate(redo):
-            _, w, _, _, info = lapack.dstebz(d, e, 2, 0.0, 0.0, i + 1, i + 1, 0.0, "B")
-            _check_info(info, "dstebz")
-            exact[j] = w[0]
-        redo_block = np.zeros_like(iblock)
-        redo_block[: redo.size] = iblock[redo]
-        z_redo, info = lapack.dstein(d, e, exact, redo_block, isplit)
-        _check_info(info, "dstein")
-        for j, i in enumerate(redo):
-            z[:, i] = z_redo[:, j]
-            rho[i], _, corr[i] = _quotient(d, e, v, z[:, i], out, h2c)
-    return rho + corr, z, int(redo.size)
+        _rebisect(d, e, v, z, redo, rho, corr, h2c)
+    return rho + corr, z, int(redo.size), brackets is not None and not bracketed
 
 
 def bound_states(
     potential: PotentialGrid,
     kinetic_scale: float,
     count: int | None = None,
+    *,
+    targets=None,
 ) -> Spectrum:
     """The lowest ``count`` eigenvalues, or all strictly bound ones, ascending.
 
@@ -226,6 +308,15 @@ def bound_states(
     bound when it lies below continuum_edge - 1e-3 * depth; the continuum
     edge is the mean of the two boundary samples. An exactly even potential
     is solved as its even and odd parity blocks, any other as one matrix.
+
+    ``targets``, where each level should lie, implies ``count`` (a different
+    one is refused, as are targets that are not finite and strictly
+    ascending). Each level below the top then starts from a bracket around
+    its target, certified by Sturm counts to hold that level alone; a block
+    whose counts disagree is solved by index, as without targets. The
+    levels are the same either way, to the certificate's ACC (module
+    docstring).
+
     ``kinetic_scale`` (c in ``-c^2 d^2/dx^2``) stays an argument so that
     tests can check the solver against c = 1 textbook spectra.
     """
@@ -233,6 +324,13 @@ def bound_states(
     if c <= 0.0:
         raise ValueError("kinetic_scale must be positive")
     v = potential.values
+    if targets is not None:
+        targets = np.asarray(targets, dtype=np.float64)
+        if targets.ndim != 1 or not np.all(np.isfinite(targets)) or np.any(np.diff(targets) <= 0.0):
+            raise ValueError("targets must be finite and strictly ascending")
+        if count is not None and count != targets.size:
+            raise ValueError(f"count {count} disagrees with {targets.size} targets")
+        count = targets.size
     if count is not None and not 1 <= count <= v.size:
         raise ValueError(f"count asks for {count} levels of a {v.size}-node grid; it must be 1 to {v.size}")
     h = potential.grid.spacing
@@ -243,25 +341,34 @@ def bound_states(
     diag = v + 2.0 * inv_h2
     diag[[0, -1]] -= inv_h2
     off = np.full(v.size - 1, -inv_h2)
-    # a block is (first full-grid row, off-diagonal, levels under count, parity):
-    # parity 0 or 1 for the even or odd block of an even potential, None for
-    # the whole grid
+    # a block is (first full-grid row, off-diagonal, levels under count, parity,
+    # brackets): parity 0 or 1 for the even or odd block of an even potential,
+    # None for the whole grid; brackets as in _lowest_levels
+    stride = 2 if potential.even else 1
+    brackets = [None, None]
+    if targets is not None:
+        # each level's upper edge lies midway to its block's next target; a
+        # block's last one midway to the next target of the other block. The
+        # global top level, at the threshold, gets none
+        following = targets[np.minimum(np.arange(stride, count - 1 + stride), count - 1)]
+        edges = 0.5 * (targets[:-1] + following)
+        brackets = [(targets[p::stride], edges[p::stride]) for p in range(stride)]
     if potential.even:
         mid = v.size // 2
         even_off = off[mid:].copy()
         even_off[0] *= np.sqrt(2.0)
         shares = (None, None) if count is None else ((count + 1) // 2, count // 2)
-        blocks = [(mid, even_off, shares[0], 0), (mid + 1, off[mid + 1 :], shares[1], 1)]
+        blocks = [(mid, even_off, shares[0], 0, brackets[0]), (mid + 1, off[mid + 1 :], shares[1], 1, brackets[1])]
     else:
-        blocks = [(0, off, count, None)]
+        blocks = [(0, off, count, None, brackets[0])]
     depth = edge - float(v.min())
     window = (float(v.min()) - 1.0, edge - 1e-3 * depth)
     # a flat potential's psi = const sits at the edge up to roundoff: not bound
     if count is None and depth <= 0.0:
         blocks = []
 
-    levels, nodes, refined = [np.empty(0)], [np.empty(0, dtype=np.int64)], 0
-    for start, block_off, share, parity in blocks:
+    levels, nodes, refined, fallbacks = [np.empty(0)], [np.empty(0, dtype=np.int64)], 0, 0
+    for start, block_off, share, parity, block_brackets in blocks:
         # LAPACK's wrappers want an off-diagonal entry even where, as in the
         # odd block of a 3-point grid, there is one row and none is read
         if block_off.size == 0:
@@ -273,9 +380,12 @@ def bound_states(
         # the three-point rule undershoots each level by h^2/(12 c^2) <((V - E) psi)^2>;
         # a full-grid sum is twice a parity block's, so for a unit block vector z
         # this is h^2/(12 c^2) sum(((V - E) z)^2) in every block
-        vals, vecs, redone = _lowest_levels(diag[start:], block_off, v[start:], share, h * h / (12.0 * c * c))
+        vals, vecs, redone, fell_back = _lowest_levels(
+            diag[start:], block_off, v[start:], share, h * h / (12.0 * c * c), block_brackets
+        )
         levels.append(vals)
         refined += redone
+        fallbacks += fell_back
         if parity == 0:
             vecs[0] *= np.sqrt(2.0)  # psi_c itself, so the dead band is the full grid's
         block_nodes = np.array([count_nodes(vecs[:, i]) for i in range(share)], dtype=np.int64)
@@ -289,6 +399,7 @@ def bound_states(
         continuum_edge=edge,
         node_counts=np.concatenate(nodes)[order],
         refined=refined,
+        fallbacks=fallbacks,
     )
 
 

@@ -401,15 +401,30 @@ def write_intensity_csv(path, intensity: np.ndarray, tmap: TargetMap) -> None:
 
 
 def read_intensity_csv(path) -> tuple[np.ndarray, TargetMap]:
-    """Inverse of write_intensity_csv: (intensity row, target map)."""
-    meta, _, intensity = read_table(path, get_type_hints(TargetMap))
+    """Inverse of write_intensity_csv: (intensity row, target map).
+
+    The x column must be the map's ``x_sr`` to roundoff (the writer's repr
+    gives it back bit for bit): intensity_to_potential places the row there,
+    so a file whose positions say otherwise is refused, naming its first
+    such row.
+    """
+    meta, x, intensity = read_table(path, get_type_hints(TargetMap))
     names = [f.name for f in fields(TargetMap)]
     missing = set(names) - meta.keys()
     if missing:
         raise ValueError(f"{path}: missing metadata {sorted(missing)}")
     if intensity.size != meta["sr_length"]:
         raise ValueError(f"{path}: {intensity.size} intensity rows, but sr_length={meta['sr_length']}")
-    return intensity, TargetMap(**{name: meta[name] for name in names})
+    tmap = TargetMap(**{name: meta[name] for name in names})
+    x_sr = tmap.x_sr
+    moved = np.flatnonzero(np.abs(x - x_sr) > 4.0 * np.finfo(np.float64).eps * abs(tmap.span))
+    if moved.size:
+        i = moved[0]
+        raise ValueError(
+            f"{path}: intensity row {i + 1} lies at x={float(x[i])!r}, "
+            f"but the target map places it at x={float(x_sr[i])!r}"
+        )
+    return intensity, tmap
 
 
 def sr_intensity_error(field: np.ndarray, state: HologramState) -> float:

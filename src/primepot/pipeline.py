@@ -239,7 +239,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         solve_input.write_csv(artifact("potential_reconstructed.csv"))
 
     with _stage("solve"):
-        spectrum = bound_states(solve_input, KINETIC_HALF, count=targets.size)
+        spectrum = bound_states(solve_input, KINETIC_HALF, targets=targets)
     eigenvalues = spectrum.eigenvalues
     report = compare_spectrum(eigenvalues, targets)
 

@@ -201,6 +201,58 @@ def test_uneven_double_wells_match_dense_eigh(potential):
 def test_designed_levels_rarely_need_refinement(prime10_potential):
     # the top level's box-state neighbour lies within the coarse bisection's reach
     assert bound_states(prime10_potential, KINETIC_HALF, count=10).refined <= 2  # one per parity block
+    # with targets only the top level, at the threshold, is bisected
+    spec = bound_states(prime10_potential, KINETIC_HALF, targets=first_primes(10))
+    assert spec.refined <= 2
+    assert spec.fallbacks == 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(potential=st.one_of(even_potentials(), double_wells), data=st.data())
+def test_bracketed_levels_match_the_index_path(potential, data):
+    # targets off the levels by up to a tenth of the smallest gap
+    bound = bound_states(potential, KINETIC_HALF).eigenvalues.size
+    count = data.draw(st.integers(1, max(bound, 1)))
+    ref = bound_states(potential, KINETIC_HALF, count)
+    gap = np.min(np.diff(ref.eigenvalues), initial=1.0)
+    nudge = data.draw(st.lists(st.floats(-0.1, 0.1), min_size=count, max_size=count))
+    spec = bound_states(potential, KINETIC_HALF, targets=ref.eigenvalues + gap * np.asarray(nudge))
+    assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues)) <= 1e-9
+    assert spec.node_counts.tolist() == ref.node_counts.tolist()
+
+
+def test_wrong_targets_fall_back_to_the_index_path(prime10_potential):
+    # 3 above each prime is more than half of every gap: each block's first
+    # Sturm count reads 2, and both blocks are solved by index
+    ref = bound_states(prime10_potential, KINETIC_HALF, count=10)
+    spec = bound_states(prime10_potential, KINETIC_HALF, targets=first_primes(10) + 3.0)
+    assert spec.fallbacks == 2
+    assert np.array_equal(spec.eigenvalues, ref.eigenvalues)
+    assert spec.node_counts.tolist() == ref.node_counts.tolist() == list(range(10))
+    assert ref.fallbacks == 0
+
+
+@pytest.mark.parametrize(
+    "targets, message",
+    [
+        ([2.0, np.nan, 5.0], "finite"),
+        ([2.0, np.inf], "finite"),
+        ([2.0, 5.0, 3.0], "ascending"),
+        ([2.0, 2.0, 3.0], "ascending"),
+        ([[2.0, 3.0]], "ascending"),
+    ],
+)
+def test_targets_must_be_finite_and_ascending(prime10_potential, targets, message):
+    with pytest.raises(ValueError, match=message):
+        bound_states(prime10_potential, KINETIC_HALF, targets=targets)
+
+
+def test_targets_imply_the_count(prime10_potential):
+    with pytest.raises(ValueError, match="count 9 disagrees with 10 targets"):
+        bound_states(prime10_potential, KINETIC_HALF, count=9, targets=first_primes(10))
+    both = bound_states(prime10_potential, KINETIC_HALF, count=10, targets=first_primes(10))
+    alone = bound_states(prime10_potential, KINETIC_HALF, targets=first_primes(10))
+    assert np.array_equal(both.eigenvalues, alone.eigenvalues)
 
 
 def test_near_degenerate_pair_is_refined():
@@ -231,20 +283,35 @@ def _singular_shift(dl, d, du, b, **kwargs):
     return dl, d, du, b, 1
 
 
+def _stalled_step(dl, d, du, b, **kwargs):
+    """dgtsv handing back its right-hand side: inverse iteration from the
+    bracketed path's start vector never converges, so each level uses up its
+    steps and is re-bisected."""
+    return dl, d, du, b, 0
+
+
+# bracketed levels take no vector from dstein: their unconverged case is
+# inverse iteration that makes no progress
 @pytest.mark.parametrize(
-    "routine, patch",
-    [("dstein", _unconverged_first_pass), ("dgtsv", lambda dgtsv: _singular_shift)],
-    ids=["unconverged-vectors", "singular-shift"],
+    "routine, patch, targets",
+    [
+        ("dstein", _unconverged_first_pass, None),
+        ("dgtsv", lambda dgtsv: _singular_shift, None),
+        ("dgtsv", lambda dgtsv: _stalled_step, first_primes(10)),
+        ("dgtsv", lambda dgtsv: _singular_shift, first_primes(10)),
+    ],
+    ids=["unconverged-vectors", "singular-shift", "unconverged-vectors-bracketed", "singular-shift-bracketed"],
 )
-def test_fallbacks_rebisect_every_level(monkeypatch, routine, patch):
+def test_fallbacks_rebisect_every_level(monkeypatch, routine, patch, targets):
     from scipy.linalg import lapack
 
     pot = design_potential(first_primes(10), default_grid(10.0, 0.01))
     plain = bound_states(pot, KINETIC_HALF, count=10)
     ref = _full_matrix_bound_states(pot, KINETIC_HALF, 10, dense=True)
     monkeypatch.setattr(lapack, routine, patch(getattr(lapack, routine)))
-    spec = bound_states(pot, KINETIC_HALF, count=10)
+    spec = bound_states(pot, KINETIC_HALF, count=10, targets=targets)
     assert spec.refined == 10
+    assert spec.fallbacks == 0
     assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues)) <= 1e-9
     assert np.max(np.abs(spec.eigenvalues - plain.eigenvalues)) <= 1e-9
     assert spec.node_counts.tolist() == plain.node_counts.tolist() == list(range(10))

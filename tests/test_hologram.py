@@ -346,6 +346,23 @@ def test_full_holographic_round_trip(prime10_potential, v10_target):
     assert np.array_equal(np.rint(spec.eigenvalues).astype(int), targets)
 
 
+def test_reconstruction_levels_certify_from_brackets(v10_target):
+    # the reconstruction is one full-grid block, nearly even: from a symmetric
+    # start vector, re-shifted to every Rayleigh quotient, inverse iteration
+    # finds even levels and leaves the odd ones uncertified
+    amp, tmap = v10_target
+    state = make_state(64, amp, seed=1, target_map=tmap)
+    result = optimize_phase(state, max_iters=40)
+    reconstructed = extract_profile(propagate(result.state), result.state)
+    assert not reconstructed.even
+    spec = bound_states(reconstructed, KINETIC_HALF, targets=first_primes(10))
+    assert spec.fallbacks == 0
+    assert spec.refined == 1  # the top level, at the threshold
+    ref = bound_states(reconstructed, KINETIC_HALF, count=10)
+    assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues)) <= 1e-9
+    assert spec.node_counts.tolist() == ref.node_counts.tolist() == list(range(10))
+
+
 def test_unoptimized_field_fails_extraction(v10_target):
     amp, tmap = v10_target
     state = make_state(64, amp, seed=99, target_map=tmap)

@@ -439,9 +439,10 @@ def test_cli_rejects_non_finite_csv_rows(tmp_path, monkeypatch, capsys, command,
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
-@pytest.mark.parametrize("bad", ["short", "ceiling", "dark"])
+@pytest.mark.parametrize("bad", ["short", "ceiling", "dark", "moved"])
 def test_cli_holo_extract_rejects_bad_intensity_files(tmp_path, monkeypatch, capsys, bad):
-    # three rows fewer than the declared sr_length, no ceiling line, or no power
+    # three rows fewer than the declared sr_length, no ceiling line, no power,
+    # or x positions scaled by 7 and shifted by 3 off the target map's
     grid = default_grid(3.0, 0.05)
     _, tmap = potential_to_target(PotentialGrid(grid=grid, values=-6.0 / np.cosh(grid.x) ** 2, asymptote=0.0))
     path = tmp_path / "intensity.csv"
@@ -451,11 +452,19 @@ def test_cli_holo_extract_rejects_bad_intensity_files(tmp_path, monkeypatch, cap
         lines = lines[:-3]
     elif bad == "ceiling":
         lines = [line for line in lines if not line.startswith("# ceiling=")]
+    elif bad == "moved":
+        rows = [i for i, line in enumerate(lines) if line[0] not in "#x"]
+        for i in rows:
+            x, _, intensity = lines[i].partition(",")
+            lines[i] = f"{7.0 * float(x) + 3.0!r},{intensity}"
     path.write_text("\n".join(lines) + "\n")
+    first = float(tmap.x_sr[0])
     message = {
         "short": f"{path}: {tmap.sr_length - 3} intensity rows, but sr_length={tmap.sr_length}",
         "ceiling": f"{path}: missing metadata ['ceiling']",
         "dark": "no power in the signal region",
+        "moved": f"{path}: intensity row 1 lies at x={7.0 * first + 3.0!r}, "
+        f"but the target map places it at x={first!r}",
     }[bad]
     monkeypatch.chdir(tmp_path)  # the default output lands here
     assert main(["holo", "extract", str(path)]) == 1

@@ -71,6 +71,11 @@ COMMANDS = {
         ["design", "--levels", "primes:10", "--out", "pot.csv"],
         ["solve", "pot.csv", "--targets", "primes:10", "--json", "report.json"],
     ],
+    # no targets: the bound window's Sturm counts size each block, solved by index
+    "solve_window": [
+        ["design", "--levels", "primes:10", "--out", "pot.csv"],
+        ["solve", "pot.csv", "--json", "report.json"],
+    ],
 }
 
 
