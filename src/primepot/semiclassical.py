@@ -3,15 +3,21 @@
 With the prime counting density this yields the potential whose spectrum
 tracks the primes on average; it trades the exactness of the chain
 construction for the ability to extend to any energy without redesigning.
-The substitution E = V - t^2 removes the inverse-square-root endpoint of
-the inversion integral analytically, leaving a smooth integrand for
-composite Gauss-Legendre panels. The density is called once per inversion,
-on the whole (samples - 1) x (panels * nodes) array of quadrature energies,
-and every x(V) is one weighted sum over its row.
+The substitution V - E = (V - e0) sin^2(phi) removes the inverse-square-root
+endpoint of the inversion integral analytically and spreads the energies
+near e0, where the density varies fastest, over a fixed share of phi in
+[0, pi/2]; one Gauss-Legendre panel of 64 nodes then holds x(V) to a few
+ulp from V = 2.5 up to V = 1000. The phi nodes and weights are computed once
+per rule. The (samples - 1) x (panels * nodes) lattice of quadrature
+energies is evaluated in blocks of whole rows, at most ``LATTICE_BLOCK``
+energies each: one density call and one weighted sum per row per block, on
+arrays small enough that the allocator reuses them instead of mapping
+fresh pages on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +36,8 @@ __all__ = [
 ]
 
 PROFILE_SPACING = 0.005  # grid spacing of profile_to_potential's output
-SAMPLE_LIMIT = 10**4  # most x(V) samples: the quadrature lattice has (samples - 1) * panels * nodes energies
+SAMPLE_LIMIT = 10**4  # most x(V) samples: the lattice has (samples - 1) * panels * nodes energies, evaluated blockwise
+LATTICE_BLOCK = 8192  # most lattice energies per density call: 64 KiB per float64 array, under glibc's 128 KiB mmap threshold
 WKB_POINTS = 4001  # trapezoid nodes of wkb_level_count's phase integral
 
 
@@ -81,21 +88,42 @@ def prime_density_of_states(energy, terms: int = DEFAULT_TERMS):
     return total / np.log(energy)
 
 
+@functools.lru_cache(maxsize=8)
+def _phi_rule(panels: int, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cos^2 phi, weight) at the nodes of `panels` Gauss-Legendre panels of
+    `nodes_per_panel` nodes on phi in [0, pi/2], in panel order; a weight is
+    the panel half-width times the Gauss weight times 2 cos phi. Cached and
+    read-only, since every inversion with the same rule shares them."""
+    nodes, weights = np.polynomial.legendre.leggauss(nodes_per_panel)
+    half = 0.25 * math.pi / panels
+    phi = (half * (nodes + 2.0 * np.arange(panels)[:, None] + 1.0)).ravel()
+    cos = np.cos(phi)
+    cos2 = cos * cos
+    node_weights = np.tile(half * weights, panels) * 2.0 * cos
+    cos2.flags.writeable = False
+    node_weights.flags.writeable = False
+    return cos2, node_weights
+
+
 def invert_to_potential(
     dos,
     e0: float,
     v_max: float,
     samples: int,
-    panels: int = 4,
+    panels: int = 1,
     nodes_per_panel: int = 64,
 ) -> SemiclassicalProfile:
     """x(V) = c * integral of dos(E)/sqrt(V - E) from e0 to V, per V sample,
     with c = ``KINETIC_HALF``.
 
-    After E = V - t^2 the integrand is 2 c dos(V - t^2) on t in [0, sqrt(V-e0)],
-    handled by `panels` Gauss-Legendre panels of `nodes_per_panel` nodes.
-    `dos` is called once, on the array of all quadrature energies; a scalar
-    it returns stands for a constant density.
+    After V - E = (V - e0) sin^2(phi) the integrand is
+    2 c dos(E) sqrt(V - e0) cos(phi) on phi in [0, pi/2], with
+    E = e0 + (V - e0) cos^2(phi) (no cancellation near e0), handled by
+    `panels` Gauss-Legendre panels of `nodes_per_panel` nodes. `dos` is
+    called once per block of whole lattice rows, in row order, on a
+    (rows, panels * nodes_per_panel) array of at most ``LATTICE_BLOCK``
+    energies (a single longer row is a block by itself); a scalar it returns
+    stands for a constant density.
     """
     if not (math.isfinite(e0) and math.isfinite(v_max)):
         raise ValueError(f"e0 and v_max must be finite, got e0={e0!r}, v_max={v_max!r}")
@@ -103,21 +131,24 @@ def invert_to_potential(
         raise ValueError("v_max must exceed e0")
     if not 2 <= samples <= SAMPLE_LIMIT:
         raise ValueError(f"samples={samples} must be at least 2 and not exceed {SAMPLE_LIMIT:.0e}")
-    c = KINETIC_HALF
-    nodes, weights = np.polynomial.legendre.leggauss(nodes_per_panel)
+    if panels < 1:
+        raise ValueError(f"panels={panels} must be at least 1")
+    if nodes_per_panel < 1:
+        raise ValueError(f"nodes_per_panel={nodes_per_panel} must be at least 1")
+    cos2, weights = _phi_rule(panels, nodes_per_panel)
     v_values = np.linspace(e0, v_max, samples)
-    v = v_values[1:, None]
-    edges = np.linspace(0.0, np.sqrt(v - e0), panels + 1, axis=1)
-    half = 0.5 * np.diff(edges, axis=1)
-    t = half * nodes + 0.5 * (edges[:, :-1] + edges[:, 1:])
-    energies = (v[..., None] - t * t).reshape(samples - 1, panels * nodes_per_panel)
-    rho = np.broadcast_to(dos(energies), energies.shape)
-    if np.any(rho <= 0.0):
-        bad = float(energies.flat[np.argmax(rho <= 0.0)])
-        raise ValueError(f"density of states not positive at E={bad:.6g}")
-    panel_sums = np.sum(weights * 2.0 * rho.reshape(t.shape), axis=-1)
-    x_values = np.concatenate(([0.0], c * np.sum(half[..., 0] * panel_sums, axis=-1)))
-    return SemiclassicalProfile(v_values=v_values, x_values=x_values, e0=float(e0), kinetic_scale=c)
+    span = v_values[1:] - e0
+    row_sums = np.empty_like(span)
+    rows = max(1, LATTICE_BLOCK // cos2.size)
+    for start in range(0, span.size, rows):
+        energies = span[start : start + rows, None] * cos2 + e0
+        rho = np.broadcast_to(dos(energies), energies.shape)
+        if np.any(rho <= 0.0):
+            bad = float(energies.flat[np.argmax(rho <= 0.0)])
+            raise ValueError(f"density of states not positive at E={bad:.6g}")
+        np.sum(rho * weights, axis=1, out=row_sums[start : start + rows])
+    x_values = np.concatenate(([0.0], KINETIC_HALF * np.sqrt(span) * row_sums))
+    return SemiclassicalProfile(v_values=v_values, x_values=x_values, e0=float(e0), kinetic_scale=KINETIC_HALF)
 
 
 def profile_to_potential(profile: SemiclassicalProfile) -> PotentialGrid:

@@ -236,7 +236,8 @@ def test_cli_semiclassical_rejects_sizes_past_their_bounds(monkeypatch, capsys, 
     monkeypatch.setattr(Grid, "x", property(no_allocation))
     assert main(["semiclassical", "--vmax", "1e15", "--out", out]) == 1
     assert f"exceeds the limit of {GRID_POINT_LIMIT:.0e}" in capsys.readouterr().err
-    # the quadrature lattice holds (samples - 1) x 256 energies
+    # samples past the limit are refused before the V samples, let alone the
+    # (samples - 1) x 64 quadrature lattice, are built
     monkeypatch.setattr(semiclassical.np, "linspace", no_allocation)
     assert main(["semiclassical", "--samples", str(SAMPLE_LIMIT + 1), "--out", out]) == 1
     assert f"not exceed {SAMPLE_LIMIT:.0e}" in capsys.readouterr().err

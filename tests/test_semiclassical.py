@@ -1,10 +1,13 @@
 import math
+import resource
 
 import numpy as np
 import pytest
 
+from primepot import semiclassical
 from primepot.eigensolver import bound_states
 from primepot.semiclassical import (
+    LATTICE_BLOCK,
     SemiclassicalProfile,
     invert_to_potential,
     prime_density_of_states,
@@ -55,6 +58,23 @@ def _mpmath_density(energy, terms):
     return float(total / mpmath.log(e))
 
 
+def _mpmath_inversion(v, e0, terms):
+    """x(V) to 30 digits: the inversion integral after V - E = (V - e0) sin^2(phi)."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        e0, span = mpmath.mpf(e0), mpmath.mpf(v) - e0
+        mus = [(m, moebius(m)) for m in range(1, terms + 1) if moebius(m)]
+
+        def density(e):
+            return sum(mpmath.mpf(mu) / m * e ** ((1 - mpmath.mpf(m)) / m) for m, mu in mus) / mpmath.log(e)
+
+        def integrand(phi):
+            return 2 * density(e0 + span * mpmath.cos(phi) ** 2) * mpmath.sqrt(span) * mpmath.cos(phi)
+
+        return float(mpmath.mpf(KINETIC_HALF) * mpmath.quad(integrand, mpmath.linspace(0, mpmath.pi / 2, 5)))
+
+
 def test_single_term_is_inverse_log():
     for e in (5.0, 50.0, 500.0):
         assert prime_density_of_states(e, terms=1) == pytest.approx(1.0 / np.log(e))
@@ -99,8 +119,8 @@ def test_constant_dos_gives_quadratic_profile():
 
 def test_quadrature_fourth_order_with_two_point_panels():
     # 2-point Gauss panels integrate exactly through cubic order, so halving
-    # the panel width shrinks the error about sixteenfold once the density's
-    # steep behaviour near E=2 is resolved
+    # the panel width in phi shrinks the error about sixteenfold once the
+    # density's steep behaviour near E=2 is resolved
     v = 40.0
     dos = lambda e: prime_density_of_states(e, terms=25)
     reference = invert_to_potential(dos, 2.0, v, samples=2, panels=512, nodes_per_panel=8)
@@ -133,6 +153,70 @@ def test_dos_called_once_on_the_energy_lattice():
 
     invert_to_potential(counting_dos, 2.0, 60.0, samples=37, panels=3, nodes_per_panel=16)
     assert shapes == [(36, 48)]
+
+
+def test_dos_blocks_tile_the_lattice_in_row_order():
+    blocks = []
+
+    def counting_dos(e):
+        blocks.append(e.copy())
+        return prime_density_of_states(e)
+
+    prof = invert_to_potential(counting_dos, 2.0, 100.0, samples=400)
+    assert [b.shape for b in blocks] == [(128, 64)] * 3 + [(15, 64)]
+    assert all(b.size <= LATTICE_BLOCK for b in blocks)
+    nodes, _ = np.polynomial.legendre.leggauss(64)
+    cos2 = np.cos(0.25 * math.pi * (nodes + 1.0)) ** 2
+    lattice = (prof.v_values[1:, None] - 2.0) * cos2 + 2.0
+    np.testing.assert_allclose(np.concatenate(blocks), lattice, rtol=1e-15, atol=0.0)
+
+
+def test_blocks_do_not_change_the_profile(monkeypatch):
+    # every row is summed whole in its block, so the block size moves no byte
+    dos = prime_density_of_states
+    blocked = invert_to_potential(dos, 2.0, 100.0, samples=400, panels=3, nodes_per_panel=20)
+    monkeypatch.setattr(semiclassical, "LATTICE_BLOCK", 10**6)
+    whole = invert_to_potential(dos, 2.0, 100.0, samples=400, panels=3, nodes_per_panel=20)
+    assert np.array_equal(blocked.x_values, whole.x_values)
+
+
+def test_phi_rule_computed_once_and_read_only(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or leggauss(n))
+    semiclassical._phi_rule.cache_clear()
+    for _ in range(3):
+        invert_to_potential(prime_density_of_states, 2.0, 50.0, samples=30, panels=2, nodes_per_panel=24)
+    assert calls == [24]
+    cos2, weights = semiclassical._phi_rule(2, 24)
+    assert not cos2.flags.writeable and not weights.flags.writeable
+
+
+def test_warm_inversion_maps_no_fresh_pages():
+    # each block's arrays stay under the allocator's mmap threshold, so warm
+    # calls reuse freed heap memory instead of faulting in new pages
+    def op():
+        profile_to_potential(invert_to_potential(prime_density_of_states, 2.0, 100.0, 400))
+
+    for _ in range(3):
+        op()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        op()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
+
+
+@pytest.mark.parametrize("argument", ["panels", "nodes_per_panel"])
+def test_inversion_refuses_empty_rule(argument):
+    with pytest.raises(ValueError, match=f"^{argument}=0 must be at least 1"):
+        invert_to_potential(prime_density_of_states, 2.0, 50.0, samples=10, **{argument: 0})
+
+
+@pytest.mark.parametrize("v, rtol", [(2.5, 2e-15), (10.0, 2e-15), (40.0, 2e-15), (100.0, 2e-15), (1000.0, 2e-15), (1e4, 1e-10)])
+def test_inversion_matches_extended_precision_quadrature(v, rtol):
+    x = invert_to_potential(prime_density_of_states, 2.0, v, samples=2).x_values[-1]
+    reference = _mpmath_inversion(v, 2.0, 25)
+    assert abs(x - reference) <= rtol * reference
 
 
 def test_negative_dos_reported_with_energy():
@@ -173,7 +257,8 @@ def test_eigensolver_staircase_tracks_riemann_r():
 
 
 def test_substituted_integrand_bounded_at_origin():
-    # after E = V - t^2 the integrand at t=0 is just 2*c*dos(V): finite
+    # after V - E = (V - e0) sin^2(phi) the integrand at phi=0 is just
+    # 2*c*dos(V)*sqrt(V - e0): finite
     v = 30.0
-    val = 2.0 * KINETIC_HALF * prime_density_of_states(v)
+    val = 2.0 * KINETIC_HALF * prime_density_of_states(v) * math.sqrt(v - 2.0)
     assert np.isfinite(val) and val > 0.0

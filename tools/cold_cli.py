@@ -46,6 +46,8 @@ COMMANDS = {
     "design_solve": [["pipeline", "--sequence", "primes:40", "--outdir", "."]],
     "pi": [["pi", "--x", "1000"]],
     "semiclassical": [["semiclassical", "--out", "sc.csv"]],
+    # the large-v_max regime, where the phi quadrature holds x(V) to a few ulp
+    "semiclassical_wide": [["semiclassical", "--vmax", "1000", "--out", "sc.csv"]],
     "holo": [["pipeline", "--sequence", "primes:10", "--hologram", "--outdir", "."]],
     "holo256": [
         ["pipeline", "--sequence", "primes:10", "--hologram", "--holo-m", "256", "--holo-iters", "40", "--outdir", "."],
@@ -121,11 +123,11 @@ def main(argv=None) -> int:
                 prints[name, src].add((code, sha))
 
     failed = False
-    print(f"{'command':<13} {'tree':<2} {'median_s':>8}  exit  sha256 (stdout and files)")
+    print(f"{'command':<18} {'tree':<2} {'median_s':>8}  exit  sha256 (stdout and files)")
     for name in COMMANDS:
         for i, src in enumerate(srcs):
             for code, sha in sorted(prints[name, src]):
-                print(f"{name:<13} {'AB'[i]:<2} {statistics.median(walls[name, src]):8.3f}  {code:>4}  {sha[:16]}")
+                print(f"{name:<18} {'AB'[i]:<2} {statistics.median(walls[name, src]):8.3f}  {code:>4}  {sha[:16]}")
                 failed |= code != 0
             if len(prints[name, src]) > 1:
                 print(f"  {name}: tree {'AB'[i]} printed {len(prints[name, src])} fingerprints over {args.repeats} runs")
