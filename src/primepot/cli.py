@@ -3,13 +3,14 @@
 Exit codes: 0 success; 1 when the failure, or the failed pipeline stage's
 cause, is bad input (``pipeline.INPUT_FAILURES``); 2 on any other of
 ``pipeline.RUN_FAILURES`` and when `solve --targets` or `pipeline` misses a
-target level.
+target level; 141 when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -45,6 +46,7 @@ from .units import PhysicalContext, energy_scale
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a tool that signal ends
 
 
 def _print_json(payload) -> None:
@@ -272,7 +274,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # no error line: the reader (`| head`) chose to stop. Exit's final
+        # flush then writes to /dev/null, as in Python's SIGPIPE note
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except RUN_FAILURES as err:
         print(f"error: {err}", file=sys.stderr)
         cause = err.original if isinstance(err, PipelineStageError) else err

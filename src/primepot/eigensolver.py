@@ -25,7 +25,8 @@ of each parity, so its two levels come from different blocks.
 Each block's levels are found without bisecting them to full precision.
 Every level starts from a shift and a bracket (lo, hi) that holds no other
 level, and one loop certifies it: inverse iteration (``dgtsv``) from the
-shift, re-shifted to the Rayleigh quotient while that stays in the bracket,
+shift and a fixed start vector of no parity, re-shifted to the Rayleigh
+quotient while that stays in the bracket, for at most BRACKET_STEPS steps,
 gives a unit vector z whose level is the Rayleigh quotient rho = z.Tz. The
 residual r = Tz - rho z certifies it: with g the distance from rho to the
 nearer bracket edge, the level lies within ||r||^2 / g of rho (Kato,
@@ -35,31 +36,28 @@ the correction by at most 2 |correction| ||r|| / g. A level is accepted when
 g > ACC and the three bounds are at most ACC; the angle's bound keeps the
 vector's errors far inside count_nodes' dead band.
 
-With targets, the brackets come from them. A block's bracket edges lie
+With targets, the shifts are the targets. A block's bracket edges lie
 midway between its consecutive targets, its last one midway to the next
 target of the other block, and one infinite-tolerance ``dstebz`` call per
 edge gives the Sturm count of levels below it (Sylvester's law of inertia;
-Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967)). When the counts read
-1, 2, 3, ..., each bracket holds exactly one level, whose inverse iteration
-starts at its target from a fixed start vector of no parity and may take
-BRACKET_STEPS steps. The global top level, at the threshold with box states
-just above it, gets no bracket and is bisected on its index. A block whose
-counts read anything else is solved as without targets, and
-``Spectrum.fallbacks`` counts it.
+Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967)); they must read
+1, 2, 3, ..., one level per bracket. The global top level, at the threshold
+with box states just above it, gets no bracket and is bisected on its
+index. A block whose counts read anything else is solved as without
+targets, and ``Spectrum.fallbacks`` counts it.
 
-Without targets, ``dstebz`` locates the requested levels and one above to
-COARSE_TOL, ``dstein`` turns those values into unit vectors, and each takes
-one inverse-iteration step from its own Rayleigh quotient, its bracket the
-neighbouring coarse values less 2 COARSE_TOL.
+Without targets, one ``dstebz`` call locates the block's levels and one
+above to COARSE_TOL: those values are the shifts, and the neighbouring ones,
+less 2 COARSE_TOL, the brackets.
 
 Any level left uncertified (in a designed potential, about one per solve: a
 block's top level, whose neighbour above is a box state just past the
-threshold) is bisected to full precision on its own index, and its vector
-and Rayleigh quotient are recomputed from that value; so is every level of
-a block whose ``dstein`` vectors did not converge. ``Spectrum.refined``
-counts those levels. Without a level count, two Sturm counts give the
-number of each block's levels in the bound window, which are then solved
-the same way. Any other LAPACK failure raises ArithmeticError.
+threshold) is bisected to full precision on its own index, ``dstein`` gives
+its vector, and its Rayleigh quotient is recomputed. ``Spectrum.refined``
+counts those levels. Without a level count, two Sturm counts on the full
+matrix give the number k of levels in the bound window; as the levels
+alternate parity, the blocks take ceil(k/2) and floor(k/2) of them. Any
+other LAPACK failure raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -81,7 +79,7 @@ class Spectrum:
     continuum_edge: float
     node_counts: np.ndarray
     refined: int = 0  # levels the certificate sent back to full-precision bisection
-    fallbacks: int = 0  # blocks whose target brackets failed their Sturm counts, solved by index
+    fallbacks: int = 0  # blocks whose target brackets failed their Sturm counts, bracketed by coarse levels
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
@@ -140,7 +138,7 @@ def check_resolution(v_span: float, spacing: float, kinetic_scale: float) -> Non
 
 COARSE_TOL = 1e-2  # width to which the first bisection pass locates each level
 ACC = 1e-10  # largest certified error of an accepted level, a tenth of the tests' 1e-9
-# inverse-iteration steps a bracketed level may take before it is re-bisected:
+# inverse-iteration steps any level may take before it is re-bisected:
 # the hardest design at h = 0.005, primes:100, needs 6 (level 467, whose
 # correction of 0.56 asks for the smallest residual), plus two to spare
 BRACKET_STEPS = 8
@@ -186,10 +184,10 @@ def _sturm_certified(d, e, edges) -> bool:
     return all(_levels_in(d, e, (floor, edge)) == j + 1 for j, edge in enumerate(edges))
 
 
-def _certify(d, e, v, z, shifts, lo, hi, steps: int, h2c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _certify(d, e, v, z, shifts, lo, hi, h2c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inverse iteration on column i of z from ``shifts[i]``, re-shifted to the
     Rayleigh quotient after each step while that lies in (lo[i], hi[i]), for
-    at most ``steps`` steps; the level is accepted once the certificate
+    at most BRACKET_STEPS steps; the level is accepted once the certificate
     (module docstring) holds with no other level in that bracket. Columns
     past ``len(shifts)`` are not tried.
 
@@ -202,7 +200,7 @@ def _certify(d, e, v, z, shifts, lo, hi, steps: int, h2c) -> tuple[np.ndarray, n
     out = np.empty(d.size)
     for i, shift in enumerate(shifts):
         col = z[:, i]
-        for _ in range(steps):
+        for _ in range(BRACKET_STEPS):
             *_, step, singular = lapack.dgtsv(e, d - shift, e, col, overwrite_d=1, overwrite_b=1)
             if singular:  # the shift hit a level exactly: re-bisect it
                 break
@@ -263,30 +261,21 @@ def _lowest_levels(d, e, v, k: int, h2c: float, brackets=None):
     bracketed = brackets is not None and _sturm_certified(d, e, brackets[1])
     if bracketed:
         targets, edges = brackets
-        # a fixed start vector of no parity: a symmetric one is all but
-        # orthogonal to every odd state of a nearly even full-grid block
-        z = np.empty((n, k), order="F")
-        z[:] = np.random.default_rng(0).standard_normal(n)[:, None]
-        shifts, steps = targets[: edges.size], BRACKET_STEPS
+        shifts = targets[: edges.size]
         lo, hi = np.concatenate(([-np.inf], edges[:-1])), edges
     else:
         top = min(k + 1, n)  # one level above the last, for its gap
-        m, coarse, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 0.0, 1, top, COARSE_TOL, "B")
+        m, coarse, _, _, info = lapack.dstebz(d, e, 2, 0.0, 0.0, 1, top, COARSE_TOL, "B")
         _check_info(info, "dstebz")
-        coarse = coarse[:m]
-        z, info = lapack.dstein(d, e, coarse[:k], iblock, isplit)
-        # a vector from a coarse shift keeps other vectors' components near
-        # 1e-7, above count_nodes' dead band in a decaying tail; one more
-        # inverse-iteration step, shifted to its Rayleigh quotient, removes
-        # them. When inverse iteration leaves a vector unconverged, every
-        # level is re-bisected
-        out = np.empty(n)
-        shifts = [_quotient(d, e, v, z[:, i], out, h2c)[0] for i in range(k)] if info == 0 else []
-        steps = 1
+        shifts = coarse[:k]
         # (lo, hi) holds no level but the i-th
         lo = np.concatenate(([-np.inf], coarse[: k - 1] + 2.0 * COARSE_TOL))
-        hi = np.append(coarse[1:], np.inf)[:k] - 2.0 * COARSE_TOL
-    rho, corr, accept = _certify(d, e, v, z, shifts, lo, hi, steps, h2c)
+        hi = np.append(coarse[1:m], np.inf)[:k] - 2.0 * COARSE_TOL
+    # a fixed start vector of no parity: a symmetric one is all but
+    # orthogonal to every odd state of a nearly even full-grid block
+    z = np.empty((n, k), order="F")
+    z[:] = np.random.default_rng(0).standard_normal(n)[:, None]
+    rho, corr, accept = _certify(d, e, v, z, shifts, lo, hi, h2c)
     redo = np.flatnonzero(~accept)
     if redo.size:
         _rebisect(d, e, v, z, redo, rho, corr, h2c)
@@ -313,8 +302,8 @@ def bound_states(
     one is refused, as are targets that are not finite and strictly
     ascending). Each level below the top then starts from a bracket around
     its target, certified by Sturm counts to hold that level alone; a block
-    whose counts disagree is solved by index, as without targets. The
-    levels are the same either way, to the certificate's ACC (module
+    whose counts disagree is bracketed by coarse levels, as without targets.
+    The levels are the same either way, to the certificate's ACC (module
     docstring).
 
     ``kinetic_scale`` (c in ``-c^2 d^2/dx^2``) stays an argument so that
@@ -341,6 +330,10 @@ def bound_states(
     diag = v + 2.0 * inv_h2
     diag[[0, -1]] -= inv_h2
     off = np.full(v.size - 1, -inv_h2)
+    if count is None:
+        depth = edge - float(v.min())
+        # a flat potential's psi = const sits at the edge up to roundoff: not bound
+        count = _levels_in(diag, off, (float(v.min()) - 1.0, edge - 1e-3 * depth)) if depth > 0.0 else 0
     # a block is (first full-grid row, off-diagonal, levels under count, parity,
     # brackets): parity 0 or 1 for the even or odd block of an even potential,
     # None for the whole grid; brackets as in _lowest_levels
@@ -357,15 +350,12 @@ def bound_states(
         mid = v.size // 2
         even_off = off[mid:].copy()
         even_off[0] *= np.sqrt(2.0)
-        shares = (None, None) if count is None else ((count + 1) // 2, count // 2)
-        blocks = [(mid, even_off, shares[0], 0, brackets[0]), (mid + 1, off[mid + 1 :], shares[1], 1, brackets[1])]
+        blocks = [
+            (mid, even_off, (count + 1) // 2, 0, brackets[0]),
+            (mid + 1, off[mid + 1 :], count // 2, 1, brackets[1]),
+        ]
     else:
         blocks = [(0, off, count, None, brackets[0])]
-    depth = edge - float(v.min())
-    window = (float(v.min()) - 1.0, edge - 1e-3 * depth)
-    # a flat potential's psi = const sits at the edge up to roundoff: not bound
-    if count is None and depth <= 0.0:
-        blocks = []
 
     levels, nodes, refined, fallbacks = [np.empty(0)], [np.empty(0, dtype=np.int64)], 0, 0
     for start, block_off, share, parity, block_brackets in blocks:
@@ -373,9 +363,7 @@ def bound_states(
         # odd block of a 3-point grid, there is one row and none is read
         if block_off.size == 0:
             block_off = np.zeros(1)
-        if share is None:
-            share = _levels_in(diag[start:], block_off, window)
-        if share == 0:  # the odd block at count = 1, or a block with no bound level
+        if share == 0:  # the odd block at count = 1, or no bound level at all
             continue
         # the three-point rule undershoots each level by h^2/(12 c^2) <((V - E) psi)^2>;
         # a full-grid sum is twice a parity block's, so for a unit block vector z

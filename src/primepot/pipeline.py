@@ -19,6 +19,7 @@ or without a stage around it.
 from __future__ import annotations
 
 import json
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -85,7 +86,11 @@ def parse_sequence_spec(spec: str) -> np.ndarray:
     if kind == "lucky":
         return first_lucky(int(arg)).astype(np.float64)
     if kind == "file":
-        levels = np.atleast_1d(np.loadtxt(arg, dtype=np.float64))
+        with warnings.catch_warnings():  # an empty file fails below, on one error line
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            levels = np.atleast_1d(np.loadtxt(arg, dtype=np.float64))
+        if levels.ndim != 1:
+            raise ValueError(f"{arg}: levels must be one column or one line; got {levels.shape[1]} columns")
         if not np.all(np.isfinite(levels)):
             raise ValueError(f"{arg}: levels must be finite; got {levels[~np.isfinite(levels)].tolist()}")
         if levels.size < 2 or np.any(np.diff(levels) <= 0):

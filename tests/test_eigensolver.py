@@ -223,7 +223,7 @@ def test_bracketed_levels_match_the_index_path(potential, data):
 
 def test_wrong_targets_fall_back_to_the_index_path(prime10_potential):
     # 3 above each prime is more than half of every gap: each block's first
-    # Sturm count reads 2, and both blocks are solved by index
+    # Sturm count reads 2, and both blocks are bracketed by coarse levels
     ref = bound_states(prime10_potential, KINETIC_HALF, count=10)
     spec = bound_states(prime10_potential, KINETIC_HALF, targets=first_primes(10) + 3.0)
     assert spec.fallbacks == 2
@@ -265,19 +265,6 @@ def test_near_degenerate_pair_is_refined():
     assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues)) <= 1e-9
 
 
-def _unconverged_first_pass(dstein):
-    """dstein reporting non-convergence on each block's first pass, so that
-    block's levels are all re-bisected; the re-bisected pass succeeds."""
-    calls = []
-
-    def patched(*args, **kwargs):
-        z, info = dstein(*args, **kwargs)
-        calls.append(info)
-        return z, 1 if len(calls) % 2 else info
-
-    return patched
-
-
 def _singular_shift(dl, d, du, b, **kwargs):
     """dgtsv reporting every sharpening shift singular: each level is re-bisected."""
     return dl, d, du, b, 1
@@ -285,17 +272,18 @@ def _singular_shift(dl, d, du, b, **kwargs):
 
 def _stalled_step(dl, d, du, b, **kwargs):
     """dgtsv handing back its right-hand side: inverse iteration from the
-    bracketed path's start vector never converges, so each level uses up its
-    steps and is re-bisected."""
+    fixed start vector never converges, so each level uses up its steps and
+    is re-bisected."""
     return dl, d, du, b, 0
 
 
-# bracketed levels take no vector from dstein: their unconverged case is
-# inverse iteration that makes no progress
+# every level, coarse or bracketed, starts from the same vector and runs the
+# same step loop: its unconverged case is inverse iteration that makes no
+# progress, its singular one a shift that hits a level
 @pytest.mark.parametrize(
     "routine, patch, targets",
     [
-        ("dstein", _unconverged_first_pass, None),
+        ("dgtsv", lambda dgtsv: _stalled_step, None),
         ("dgtsv", lambda dgtsv: _singular_shift, None),
         ("dgtsv", lambda dgtsv: _stalled_step, first_primes(10)),
         ("dgtsv", lambda dgtsv: _singular_shift, first_primes(10)),
@@ -315,6 +303,21 @@ def test_fallbacks_rebisect_every_level(monkeypatch, routine, patch, targets):
     assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues)) <= 1e-9
     assert np.max(np.abs(spec.eigenvalues - plain.eigenvalues)) <= 1e-9
     assert spec.node_counts.tolist() == plain.node_counts.tolist() == list(range(10))
+
+
+def test_certified_levels_take_no_vector_from_dstein(monkeypatch):
+    # dstein only serves re-bisection: a solve whose levels all certify never calls it
+    from scipy.linalg import lapack
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dstein called")
+
+    grid = default_grid(8.0, 0.01)
+    tilted = PotentialGrid(grid, 0.05 * grid.x - 10.0 / np.cosh(grid.x - 0.5) ** 2, 0.0)
+    monkeypatch.setattr(lapack, "dstein", refuse)
+    spec = bound_states(tilted, KINETIC_HALF)
+    assert spec.refined == 0
+    assert spec.eigenvalues.size > 0
 
 
 def test_three_point_grid_has_a_one_row_block():

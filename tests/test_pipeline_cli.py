@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -27,6 +31,8 @@ def test_parse_sequence_specs(tmp_path):
     levels = tmp_path / "levels.txt"
     levels.write_text("1.5\n4.0\n9.0\n")
     assert parse_sequence_spec(f"file:{levels}").tolist() == [1.5, 4.0, 9.0]
+    levels.write_text("2 3 5 7\n")  # one line is a list too
+    assert parse_sequence_spec(f"file:{levels}").tolist() == [2.0, 3.0, 5.0, 7.0]
     with pytest.raises(ValueError):
         parse_sequence_spec("fibonacci:5")
     with pytest.raises(ValueError):
@@ -400,6 +406,50 @@ def test_cli_design_rejects_non_finite_levels(tmp_path, capsys, command, bad):
     assert f"levels must be finite; got [{bad}]" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["design", "solve"])
+@pytest.mark.parametrize(
+    "text, message",
+    [("2 3\n5 7\n", "levels must be one column or one line; got 2 columns"), ("", "levels must be at least two")],
+    ids=["two-columns", "empty"],
+)
+def test_cli_level_files_must_be_one_list(tmp_path, capsys, command, text, message):
+    levels = tmp_path / "levels.txt"
+    levels.write_text(text)
+    out = tmp_path / "out"
+    if command == "design":
+        argv = ["design", "--levels", f"file:{levels}", "--out", str(out)]
+    else:
+        pot = tmp_path / "pot.csv"
+        design_potential(first_primes(5)).write_csv(pot)
+        argv = ["solve", str(pot), "--targets", f"file:{levels}", "--json", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's empty-file warning would print before the error line
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"{levels}: {message}" in err
+    if command == "design":
+        assert "stage 'sequence' failed" in err
+    assert not out.exists()
+
+
+def test_cli_closed_stdout_exits_quietly():
+    # the reader stops after one line, as `primepot primes --count 200000 | head -1`
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "primepot", "primes", "--count", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"2\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "three", "one", "meta"])

@@ -73,10 +73,16 @@ COMMANDS = {
         ["design", "--levels", "primes:10", "--out", "pot.csv"],
         ["solve", "pot.csv", "--targets", "primes:10", "--json", "report.json"],
     ],
-    # no targets: the bound window's Sturm counts size each block, solved by index
+    # no targets: two Sturm counts on the full matrix size the window, and the
+    # parity blocks take their shares from coarse brackets
     "solve_window": [
         ["design", "--levels", "primes:10", "--out", "pot.csv"],
         ["solve", "pot.csv", "--json", "report.json"],
+    ],
+    # no targets on a hologram read-back, which is not even: one full-grid block
+    "solve_uneven": [
+        ["pipeline", "--sequence", "primes:10", "--hologram", "--outdir", "."],
+        ["solve", "potential_reconstructed.csv", "--json", "report.json"],
     ],
 }
 
