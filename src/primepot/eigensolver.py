@@ -10,10 +10,7 @@ matrix, which splits into two half-size blocks on the right half-grid
 rows centre..end, stores psi_c / sqrt(2) so that its first off-diagonal,
 scaled by sqrt(2), stays symmetric; the odd block, rows centre+1..end, has
 psi_c = 0. In both a full-grid sum is twice the block sum, so the
-correction runs on the half vectors, and so does node counting: the
-mirror image doubles a half vector's nodes, and an odd vector adds its node
-at x = 0, so an even level has twice its block count (counted with psi_c
-restored) and an odd level twice plus one. The levels of a
+correction runs on the half vectors. The levels of a
 reflection-symmetric Jacobi matrix alternate even, odd, even, ... from the
 ground state up, so the lowest k levels are the lowest ceil(k/2) of the even
 block and floor(k/2) of the odd one. Any other potential, such as a
@@ -33,8 +30,14 @@ nearer bracket edge, the level lies within ||r||^2 / g of rho (Kato,
 J. Phys. Soc. Jpn. 4, 334 (1949)) and z within an angle ||r|| / g of its
 eigenvector (Davis & Kahan, SIAM J. Numer. Anal. 7, 1 (1970)), which moves
 the correction by at most 2 |correction| ||r|| / g. A level is accepted when
-g > ACC and the three bounds are at most ACC; the angle's bound keeps the
-vector's errors far inside count_nodes' dead band.
+g > ACC and the three bounds are at most ACC.
+
+Every level's index is certified, by Sturm counts or by bisection on that
+index, so level n has exactly n nodes (the discrete Sturm oscillation
+theorem for a Jacobi matrix with nonzero off-diagonals; Gantmacher & Krein,
+Oscillation Matrices and Kernels). No sign is counted, so no vector outlives
+its level: each level runs in one n-length buffer, reset from the start
+vector.
 
 With targets, the shifts are the targets. A block's bracket edges lie
 midway between its consecutive targets, its last one midway to the next
@@ -52,12 +55,12 @@ less 2 COARSE_TOL, the brackets.
 
 Any level left uncertified (in a designed potential, about one per solve: a
 block's top level, whose neighbour above is a box state just past the
-threshold) is bisected to full precision on its own index, ``dstein`` gives
-its vector, and its Rayleigh quotient is recomputed. ``Spectrum.refined``
-counts those levels. Without a level count, two Sturm counts on the full
-matrix give the number k of levels in the bound window; as the levels
-alternate parity, the blocks take ceil(k/2) and floor(k/2) of them. Any
-other LAPACK failure raises ArithmeticError.
+threshold) is bisected to full precision on its own index, and its Rayleigh
+quotient and correction are recomputed from ``dstein``'s vector.
+``Spectrum.refined`` counts those levels. Without a level count, two Sturm
+counts on the full matrix give the number k of levels in the bound window;
+as the levels alternate parity, the blocks take ceil(k/2) and floor(k/2) of
+them. Any other LAPACK failure raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ import numpy as np
 
 from .grid import PotentialGrid
 
-__all__ = ["Spectrum", "DiscrepancyReport", "bound_states", "check_resolution", "compare_spectrum", "count_nodes"]
+__all__ = ["Spectrum", "DiscrepancyReport", "bound_states", "check_resolution", "compare_spectrum"]
 
 
 @dataclass
@@ -77,13 +80,11 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     continuum_edge: float
-    node_counts: np.ndarray
     refined: int = 0  # levels the certificate sent back to full-precision bisection
     fallbacks: int = 0  # blocks whose target brackets failed their Sturm counts, bracketed by coarse levels
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
-        self.node_counts = np.asarray(self.node_counts, dtype=np.int64)
         if self.eigenvalues.size >= 2 and not np.all(np.diff(self.eigenvalues) > 0.0):
             raise ValueError("eigenvalues must be strictly ascending")
 
@@ -108,18 +109,6 @@ class DiscrepancyReport:
             "rms_frac": self.rms_frac,
             "rounds_to_target": [bool(v) for v in self.rounds_to_target],
         }
-
-
-DEAD_BAND_FRAC = 1e-8  # samples below this fraction of max |psi| carry no sign
-
-
-def count_nodes(psi: np.ndarray) -> int:
-    """Sign changes of psi, ignoring samples inside the numerical dead band."""
-    band = DEAD_BAND_FRAC * np.max(np.abs(psi))
-    signs = np.sign(psi[np.abs(psi) > band])
-    if signs.size < 2:
-        return 0
-    return int(np.count_nonzero(np.diff(signs) != 0))
 
 
 def check_resolution(v_span: float, spacing: float, kinetic_scale: float) -> None:
@@ -184,22 +173,24 @@ def _sturm_certified(d, e, edges) -> bool:
     return all(_levels_in(d, e, (floor, edge)) == j + 1 for j, edge in enumerate(edges))
 
 
-def _certify(d, e, v, z, shifts, lo, hi, h2c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse iteration on column i of z from ``shifts[i]``, re-shifted to the
+def _certify(d, e, v, k, shifts, lo, hi, h2c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse iteration for level i from ``shifts[i]``, re-shifted to the
     Rayleigh quotient after each step while that lies in (lo[i], hi[i]), for
     at most BRACKET_STEPS steps; the level is accepted once the certificate
-    (module docstring) holds with no other level in that bracket. Columns
-    past ``len(shifts)`` are not tried.
+    (module docstring) holds with no other level in that bracket. Each level
+    starts from the same fixed vector of no parity: a symmetric one is all
+    but orthogonal to every odd state of a nearly even full-grid block.
+    Levels past ``len(shifts)`` of the ``k`` are not tried.
 
-    Returns (Rayleigh quotients, PdHA corrections, accepted), one per column.
+    Returns (Rayleigh quotients, PdHA corrections, accepted), one per level.
     """
     from scipy.linalg import lapack
 
-    k = z.shape[1]
     rho, corr, accept = np.empty(k), np.empty(k), np.zeros(k, dtype=bool)
-    out = np.empty(d.size)
+    start = np.random.default_rng(0).standard_normal(d.size)
+    col, out = np.empty(d.size), np.empty(d.size)
     for i, shift in enumerate(shifts):
-        col = z[:, i]
+        col[:] = start
         for _ in range(BRACKET_STEPS):
             *_, step, singular = lapack.dgtsv(e, d - shift, e, col, overwrite_d=1, overwrite_b=1)
             if singular:  # the shift hit a level exactly: re-bisect it
@@ -209,8 +200,8 @@ def _certify(d, e, v, z, shifts, lo, hi, h2c) -> tuple[np.ndarray, np.ndarray, n
             gap = min(rho[i] - lo[i], hi[i] - rho[i])
             # Kato-Temple bounds the level's error by resid^2 / gap, Davis-Kahan
             # the vector's angle by resid / gap, which moves corr by at most
-            # twice that share of it; an angle below ACC keeps every sample's
-            # sign outside count_nodes' dead band as the exact vector's
+            # twice that share of it; the angle is held to ACC as well, so a
+            # level with a small correction still has an accurate vector
             angle = resid / gap if gap > ACC else np.inf
             if resid * angle <= ACC and angle <= ACC and 2.0 * abs(corr[i]) * angle <= ACC:
                 accept[i] = True
@@ -220,10 +211,9 @@ def _certify(d, e, v, z, shifts, lo, hi, h2c) -> tuple[np.ndarray, np.ndarray, n
     return rho, corr, accept
 
 
-def _rebisect(d, e, v, z, redo, rho, corr, h2c) -> None:
+def _rebisect(d, e, v, redo, rho, corr, h2c) -> None:
     """Bisect the levels of index ``redo`` to full precision, then replace their
-    columns of z by ``dstein``'s vectors and their rho and corr by those
-    vectors' (in place)."""
+    rho and corr by those of ``dstein``'s vectors (in place)."""
     from scipy.linalg import lapack
 
     exact = np.empty(redo.size)
@@ -237,8 +227,7 @@ def _rebisect(d, e, v, z, redo, rho, corr, h2c) -> None:
     _check_info(info, "dstein")
     out = np.empty(d.size)
     for j, i in enumerate(redo):
-        z[:, i] = z_redo[:, j]
-        rho[i], _, corr[i] = _quotient(d, e, v, z[:, i], out, h2c)
+        rho[i], _, corr[i] = _quotient(d, e, v, z_redo[:, j], out, h2c)
 
 
 def _lowest_levels(d, e, v, k: int, h2c: float, brackets=None):
@@ -251,35 +240,30 @@ def _lowest_levels(d, e, v, k: int, h2c: float, brackets=None):
     When the Sturm counts at the edges do not certify one level per bracket,
     the block is solved as without them.
 
-    Returns (corrected levels, unit vectors as columns, number of levels
-    re-bisected, whether the brackets fell back). ``v`` is the block's
-    potential and ``h2c`` the correction's prefactor h^2 / (12 c^2).
+    Returns (corrected levels, number of levels re-bisected, whether the
+    brackets fell back). ``v`` is the block's potential and ``h2c`` the
+    correction's prefactor h^2 / (12 c^2).
     """
     from scipy.linalg import lapack  # first solve only: commands that never solve skip scipy.linalg
 
-    n = d.size
     bracketed = brackets is not None and _sturm_certified(d, e, brackets[1])
     if bracketed:
         targets, edges = brackets
         shifts = targets[: edges.size]
         lo, hi = np.concatenate(([-np.inf], edges[:-1])), edges
     else:
-        top = min(k + 1, n)  # one level above the last, for its gap
+        top = min(k + 1, d.size)  # one level above the last, for its gap
         m, coarse, _, _, info = lapack.dstebz(d, e, 2, 0.0, 0.0, 1, top, COARSE_TOL, "B")
         _check_info(info, "dstebz")
         shifts = coarse[:k]
         # (lo, hi) holds no level but the i-th
         lo = np.concatenate(([-np.inf], coarse[: k - 1] + 2.0 * COARSE_TOL))
         hi = np.append(coarse[1:m], np.inf)[:k] - 2.0 * COARSE_TOL
-    # a fixed start vector of no parity: a symmetric one is all but
-    # orthogonal to every odd state of a nearly even full-grid block
-    z = np.empty((n, k), order="F")
-    z[:] = np.random.default_rng(0).standard_normal(n)[:, None]
-    rho, corr, accept = _certify(d, e, v, z, shifts, lo, hi, h2c)
+    rho, corr, accept = _certify(d, e, v, k, shifts, lo, hi, h2c)
     redo = np.flatnonzero(~accept)
     if redo.size:
-        _rebisect(d, e, v, z, redo, rho, corr, h2c)
-    return rho + corr, z, int(redo.size), brackets is not None and not bracketed
+        _rebisect(d, e, v, redo, rho, corr, h2c)
+    return rho + corr, int(redo.size), brackets is not None and not bracketed
 
 
 def bound_states(
@@ -334,9 +318,9 @@ def bound_states(
         depth = edge - float(v.min())
         # a flat potential's psi = const sits at the edge up to roundoff: not bound
         count = _levels_in(diag, off, (float(v.min()) - 1.0, edge - 1e-3 * depth)) if depth > 0.0 else 0
-    # a block is (first full-grid row, off-diagonal, levels under count, parity,
-    # brackets): parity 0 or 1 for the even or odd block of an even potential,
-    # None for the whole grid; brackets as in _lowest_levels
+    # a block is (first full-grid row, off-diagonal, levels under count,
+    # brackets): the even and odd blocks of an even potential or the whole
+    # grid; brackets as in _lowest_levels
     stride = 2 if potential.even else 1
     brackets = [None, None]
     if targets is not None:
@@ -351,14 +335,14 @@ def bound_states(
         even_off = off[mid:].copy()
         even_off[0] *= np.sqrt(2.0)
         blocks = [
-            (mid, even_off, (count + 1) // 2, 0, brackets[0]),
-            (mid + 1, off[mid + 1 :], count // 2, 1, brackets[1]),
+            (mid, even_off, (count + 1) // 2, brackets[0]),
+            (mid + 1, off[mid + 1 :], count // 2, brackets[1]),
         ]
     else:
-        blocks = [(0, off, count, None, brackets[0])]
+        blocks = [(0, off, count, brackets[0])]
 
-    levels, nodes, refined, fallbacks = [np.empty(0)], [np.empty(0, dtype=np.int64)], 0, 0
-    for start, block_off, share, parity, block_brackets in blocks:
+    levels, refined, fallbacks = [np.empty(0)], 0, 0
+    for start, block_off, share, block_brackets in blocks:
         # LAPACK's wrappers want an off-diagonal entry even where, as in the
         # odd block of a 3-point grid, there is one row and none is read
         if block_off.size == 0:
@@ -368,27 +352,15 @@ def bound_states(
         # the three-point rule undershoots each level by h^2/(12 c^2) <((V - E) psi)^2>;
         # a full-grid sum is twice a parity block's, so for a unit block vector z
         # this is h^2/(12 c^2) sum(((V - E) z)^2) in every block
-        vals, vecs, redone, fell_back = _lowest_levels(
+        vals, redone, fell_back = _lowest_levels(
             diag[start:], block_off, v[start:], share, h * h / (12.0 * c * c), block_brackets
         )
         levels.append(vals)
         refined += redone
         fallbacks += fell_back
-        if parity == 0:
-            vecs[0] *= np.sqrt(2.0)  # psi_c itself, so the dead band is the full grid's
-        block_nodes = np.array([count_nodes(vecs[:, i]) for i in range(share)], dtype=np.int64)
-        # the mirror image doubles a block's nodes; an odd vector adds x = 0
-        nodes.append(block_nodes if parity is None else 2 * block_nodes + parity)
-    # even and odd levels interleave; a stable sort merges them
-    eigvals = np.concatenate(levels)
-    order = np.argsort(eigvals, kind="stable")
-    return Spectrum(
-        eigenvalues=eigvals[order],
-        continuum_edge=edge,
-        node_counts=np.concatenate(nodes)[order],
-        refined=refined,
-        fallbacks=fallbacks,
-    )
+    # even and odd levels interleave; sorting merges them
+    eigvals = np.sort(np.concatenate(levels))
+    return Spectrum(eigenvalues=eigvals, continuum_edge=edge, refined=refined, fallbacks=fallbacks)
 
 
 def compare_spectrum(levels, targets) -> DiscrepancyReport:

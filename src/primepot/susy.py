@@ -42,6 +42,10 @@ KINETIC_HALF = math.sqrt(0.5)
 
 # Minimum e-foldings of the shallowest gap state's decay inside the box.
 _MIN_EFOLDINGS = 5.0
+# Largest edge gap |V(edge) - asymptote| of a design whose chain closed: past
+# it the levels drift from their targets (0.02 at most below it, over random
+# uniform ladders on the default grid).
+_MAX_EDGE_GAP = 0.05
 
 
 class ChainError(RuntimeError):
@@ -102,7 +106,9 @@ def design_potential(levels, grid: Grid | None = None) -> PotentialGrid:
     is rejected here, before any caller writes or scans it. A correct
     design spans at least the levels' own span (its minimum lies below the
     lowest level, its maximum at most the top one), so that span is checked
-    before the chain runs, and the designed span after it.
+    before the chain runs, and the designed span after it. A chain that did
+    not close, whose edge value misses the asymptote by more than
+    _MAX_EDGE_GAP, is refused too: its levels drift from their targets.
     """
     gaps = gaps_from_spectrum(levels)
     top = float(levels[-1])
@@ -118,6 +124,12 @@ def design_potential(levels, grid: Grid | None = None) -> PotentialGrid:
         )
     check_resolution(top - float(levels[0]), grid.spacing, c)
     pot = chain_from_gaps(gaps, grid)
+    edge_gap = abs(float(pot.values[-1]))  # a closed chain's output has decayed to 0 there
+    if edge_gap > _MAX_EDGE_GAP:
+        raise ValueError(
+            f"the chain did not close: the potential's edge lies {edge_gap:.3g} from its "
+            f"asymptote, more than {_MAX_EDGE_GAP}; widen the half-width beyond {grid.half_width}"
+        )
     designed = PotentialGrid(grid=grid, values=pot.values + top, asymptote=top)
     check_resolution(designed.max() - designed.min(), grid.spacing, c)
     return designed

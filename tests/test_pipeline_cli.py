@@ -80,6 +80,8 @@ def test_pipeline_primes5(tmp_path):
     payload = json.loads(Path(report.files["report"]).read_text())
     assert payload["all_round"] is True
     assert len(payload["per_level_frac"]) == 5
+    # level n has n nodes, by the discrete Sturm oscillation theorem
+    assert json.loads(Path(report.files["spectrum"]).read_text())["node_counts"] == list(range(5))
 
 
 def test_pipeline_deterministic_bytes(tmp_path):
@@ -568,6 +570,31 @@ def test_unresolvable_levels_fail_at_design(tmp_path, capsys):
     with pytest.raises(PipelineStageError) as info:
         run_pipeline(PipelineConfig(sequence=f"file:{levels}", outdir=str(outdir)))
     assert info.value.stage == "design"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "levels, half_width, gap",
+    [
+        ([1.0 + 0.2 * i for i in range(20)], None, "1.11"),
+        ([1.0 + 0.1 * i for i in range(30)], None, "2.27"),
+        (list(range(1, 31)), 8.0, "0.119"),
+        (list(range(1, 31)), 7.0, "4.66"),
+    ],
+    ids=["1.0-4.8", "1.0-3.9", "1-30-hw8", "1-30-hw7"],
+)
+def test_unclosed_chain_fails_at_design(tmp_path, capsys, levels, half_width, gap):
+    # the potential's edge value misses the asymptote the levels declare
+    path = tmp_path / "levels.txt"
+    path.write_text("".join(f"{v!r}\n" for v in levels))
+    outdir = tmp_path / "run"
+    argv = ["pipeline", "--sequence", f"file:{path}", "--outdir", str(outdir)]
+    if half_width is not None:
+        argv += ["--half-width", str(half_width)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "stage 'design' failed: the chain did not close" in err
+    assert f"edge lies {gap} from its asymptote" in err and "widen" in err
     assert not outdir.exists()
 
 

@@ -223,6 +223,20 @@ def test_round_trip_all_sequences(prime10_potential, prime15_potential, lucky10_
         assert np.max(np.abs(spec.eigenvalues - targets)) <= 5e-2
 
 
+@settings(max_examples=20, deadline=None)
+@given(step=st.floats(0.05, 1.0), count=st.integers(5, 30))
+def test_uniform_ladders_are_refused_or_met(step, count):
+    # a ladder whose chain does not close on the default grid is refused at
+    # design; any other holds every level within 0.05 of its target
+    levels = 1.0 + step * np.arange(count)
+    try:
+        pot = design_potential(levels)
+    except ValueError:
+        return
+    spec = bound_states(pot, KINETIC_HALF, targets=levels)
+    assert np.max(np.abs(spec.eigenvalues - levels)) <= 0.05
+
+
 @st.composite
 def admissible_levels(draw):
     count = draw(st.integers(2, 25))
