@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, PotentialGrid
-from .sequences import DEFAULT_TERMS, moebius
+from .sequences import DEFAULT_TERMS, moebius_table
 from .susy import KINETIC_HALF
 
 __all__ = [
@@ -56,6 +56,8 @@ class SemiclassicalProfile:
         object.__setattr__(self, "x_values", np.asarray(self.x_values, dtype=np.float64))
         if self.v_values.shape != self.x_values.shape:
             raise ValueError("v and x sample arrays must align")
+        if not (np.all(np.isfinite(self.v_values)) and np.all(np.isfinite(self.x_values))):
+            raise ValueError("profile samples must be finite")
         if self.x_values[0] != 0.0:
             raise ValueError("profile must start at x(e0) = 0")
         if np.any(np.diff(self.v_values) <= 0.0) or np.any(np.diff(self.x_values) <= 0.0):
@@ -66,26 +68,39 @@ class SemiclassicalProfile:
         return float(self.v_values[-1])
 
 
-def prime_density_of_states(energy, terms: int = DEFAULT_TERMS):
-    """Truncated Moebius series for the smoothed level density at `energy`.
+@functools.lru_cache(maxsize=8)
+def _density_terms(terms: int) -> tuple[tuple[float, float], ...]:
+    """(moebius(m)/m, (1 - m)/m) for the nonzero terms m = 2..terms of the
+    density series, from the shared Moebius table; cached per term count."""
+    return tuple((mu / m, (1.0 - m) / m) for m, mu in moebius_table(terms) if m > 1)
 
-    `energy` is a scalar or an array; the Moebius weights are computed once
-    and the series is summed over the whole array. All `terms` terms are
-    kept: unlike the counting series, dropping terms below
-    energy**(1/m) = 2 would make the density discontinuous at powers of two
-    and the inverted profile non-monotone.
+
+def prime_density_of_states(energy, terms: int = DEFAULT_TERMS):
+    """Truncated Moebius series for the smoothed level density at `energy`,
+    sum over m of moebius(m)/m * energy**((1 - m)/m), divided by log(energy).
+
+    `energy` is a finite scalar or array above 2. The logarithm is taken once
+    per call, and each term is exp(((1 - m)/m) * log(energy)), formed in one
+    buffer of the input's shape that every term reuses, scaled by
+    moebius(m)/m and added into the total; the m = 1 term is 1. A scalar
+    gives a scalar, and an array call equals the element-wise scalar calls
+    bit for bit. All `terms` terms are kept: unlike the counting series,
+    dropping terms below energy**(1/m) = 2 would make the density
+    discontinuous at powers of two and the inverted profile non-monotone.
     """
     energy = np.asarray(energy, dtype=np.float64)
-    if np.any(energy <= 2.0):
-        raise ValueError("density series needs energy > 2")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    total = np.zeros_like(energy)
-    for m in range(1, terms + 1):
-        mu = moebius(m)
-        if mu:
-            total += mu / m * energy ** ((1.0 - m) / m)
-    return total / np.log(energy)
+    if not np.all((energy > 2.0) & (energy < math.inf)):
+        raise ValueError("density series needs finite energy > 2")
+    log_energy = np.log(energy)
+    total = np.ones_like(energy)
+    term = np.empty_like(energy)
+    for weight, exponent in _density_terms(terms):
+        np.multiply(log_energy, exponent, out=term)
+        np.exp(term, out=term)
+        term *= weight
+        total += term
+    total /= log_energy
+    return total[()]
 
 
 @functools.lru_cache(maxsize=8)
@@ -143,9 +158,10 @@ def invert_to_potential(
     for start in range(0, span.size, rows):
         energies = span[start : start + rows, None] * cos2 + e0
         rho = np.broadcast_to(dos(energies), energies.shape)
-        if np.any(rho <= 0.0):
-            bad = float(energies.flat[np.argmax(rho <= 0.0)])
-            raise ValueError(f"density of states not positive at E={bad:.6g}")
+        valid = (rho > 0.0) & (rho < math.inf)
+        if not np.all(valid):
+            bad = float(energies.flat[np.argmin(valid)])
+            raise ValueError(f"density of states not positive and finite at E={bad:.6g}")
         np.sum(rho * weights, axis=1, out=row_sums[start : start + rows])
     x_values = np.concatenate(([0.0], KINETIC_HALF * np.sqrt(span) * row_sums))
     return SemiclassicalProfile(v_values=v_values, x_values=x_values, e0=float(e0), kinetic_scale=KINETIC_HALF)

@@ -8,6 +8,7 @@ logarithmic integral from 2, and the Moebius-weighted refinement).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ __all__ = [
     "sieve_lucky",
     "first_lucky",
     "moebius",
+    "moebius_table",
     "log_integral",
     "riemann_r",
     "CountingEstimates",
@@ -129,6 +131,16 @@ def moebius(n: int) -> int:
     return -1 if k % 2 else 1
 
 
+@functools.lru_cache(maxsize=8)
+def moebius_table(terms: int) -> tuple[tuple[int, int], ...]:
+    """The (m, moebius(m)) pairs with moebius(m) != 0 for m = 1..terms, in
+    order: the weights of the Riemann R and prime density series. Cached, so
+    a series call factors no integer; a tuple, so no caller can edit it."""
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
+    return tuple((m, mu) for m in range(1, terms + 1) if (mu := moebius(m)))
+
+
 def log_integral(x: float) -> float:
     """li(x) - li(2), the integral of dt/ln t from 2 to x; 0 for x <= 2.
 
@@ -159,16 +171,12 @@ def riemann_r(x: float, terms: int = DEFAULT_TERMS) -> float:
     """
     if not (math.isfinite(x) and x > 2.0):
         raise ValueError(f"x={x!r} must be finite and exceed 2")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
     total = 0.0
-    for n in range(1, terms + 1):
+    for n, mu in moebius_table(terms):
         root = x ** (1.0 / n)
         if root < 2.0:
             break
-        mu = moebius(n)
-        if mu:
-            total += mu / n * log_integral(root)
+        total += mu / n * log_integral(root)
     return total
 
 

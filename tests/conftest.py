@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import primepot
 from primepot import _kernels
 from primepot.grid import default_grid
 from primepot.scattering import build_filter_apparatus
@@ -51,3 +54,9 @@ def fresh_buffers(monkeypatch):
             return fn(*args)
 
     return call
+
+
+def pytest_report_header(config):
+    """Name the primepot this run imported, so a run meant for another
+    checkout shows which tree it tested."""
+    return f"primepot: {Path(primepot.__file__).parent}"

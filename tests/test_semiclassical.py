@@ -3,6 +3,8 @@ import resource
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primepot import semiclassical
 from primepot.eigensolver import bound_states
@@ -101,6 +103,32 @@ def test_density_array_call_matches_extended_precision_oracle():
 def test_density_rejects_low_energy():
     with pytest.raises(ValueError):
         prime_density_of_states(2.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_density_rejects_non_finite_energy(bad):
+    with pytest.raises(ValueError, match="energy > 2"):
+        prime_density_of_states(bad)
+    with pytest.raises(ValueError, match="energy > 2"):
+        prime_density_of_states(np.array([5.0, bad, 50.0]))
+
+
+# the steep end just above 2, where the density varies fastest, then the rest
+_DENSITY_ENERGIES = st.one_of(st.floats(2.0 + 1e-12, 2.0 + 1e-6), st.floats(2.0, 1e4, exclude_min=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(energies=st.lists(_DENSITY_ENERGIES, min_size=1, max_size=20), terms=st.integers(1, 40))
+def test_density_matches_oracle_and_scalar_calls(energies, terms):
+    import mpmath
+
+    values = prime_density_of_states(np.array(energies), terms)
+    scalars = [prime_density_of_states(e, terms) for e in energies]
+    assert all(np.ndim(v) == 0 for v in scalars)
+    assert values.tobytes() == np.array(scalars).tobytes()
+    with mpmath.workdps(40):
+        oracle = [_mpmath_density(e, terms) for e in energies]
+    np.testing.assert_allclose(values, oracle, rtol=1e-12, atol=0.0)
 
 
 def test_leading_term_monotone_above_e():
@@ -222,6 +250,21 @@ def test_inversion_matches_extended_precision_quadrature(v, rtol):
 def test_negative_dos_reported_with_energy():
     with pytest.raises(ValueError, match="E="):
         invert_to_potential(lambda e: 1.0 - e, 0.0, 5.0, samples=4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_dos_reported_with_energy(bad):
+    with pytest.raises(ValueError, match="E=5"):
+        invert_to_potential(lambda e: np.where(e > 50.0, bad, 1.0), 2.0, 100.0, 50)
+
+
+@pytest.mark.parametrize("field", ["v_values", "x_values"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_profile_rejects_non_finite_samples(field, bad):
+    samples = {"v_values": np.array([2.0, 3.0, 4.0]), "x_values": np.array([0.0, 1.0, 2.0])}
+    samples[field][-1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SemiclassicalProfile(e0=2.0, kinetic_scale=KINETIC_HALF, **samples)
 
 
 def test_prime_profile_monotone_and_flattening():

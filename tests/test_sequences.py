@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from primepot import semiclassical, sequences
 from primepot.sequences import (
     CountingEstimates,
     check_growth_bound,
@@ -12,6 +13,7 @@ from primepot.sequences import (
     first_primes,
     log_integral,
     moebius,
+    moebius_table,
     riemann_r,
     sieve_lucky,
     sieve_primes,
@@ -78,6 +80,25 @@ def test_moebius_values(n, expected):
 def test_moebius_rejects_zero():
     with pytest.raises(ValueError):
         moebius(0)
+
+
+def test_moebius_table_lists_nonzero_weights():
+    assert moebius_table(10) == ((1, 1), (2, -1), (3, -1), (5, -1), (6, 1), (7, -1), (10, 1))
+    assert moebius_table(40) == tuple((m, moebius(m)) for m in range(1, 41) if moebius(m))
+    with pytest.raises(ValueError, match="terms must be >= 1"):
+        moebius_table(0)
+
+
+def test_series_factor_once_per_term_count(monkeypatch):
+    # the Riemann R and density series read one cached table; warm calls factor nothing
+    calls = []
+    monkeypatch.setattr(sequences, "moebius", lambda n: calls.append(n) or moebius(n))
+    moebius_table.cache_clear()
+    semiclassical._density_terms.cache_clear()
+    for _ in range(3):
+        riemann_r(1000.0, 25)
+        semiclassical.prime_density_of_states(np.array([5.0, 50.0]), 25)
+    assert calls == list(range(1, 26))
 
 
 def test_moebius_multiplicative_coprime():
