@@ -3,7 +3,8 @@
 Exit codes: 0 success; 1 when the failure, or the failed pipeline stage's
 cause, is bad input (``pipeline.INPUT_FAILURES``); 2 on any other of
 ``pipeline.RUN_FAILURES`` and when `solve --targets` or `pipeline` misses a
-target level; 141 when the reader of stdout closes it early.
+target level, and on an argparse usage error, a bad line of an ``@FILE``
+included; 141 when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .scattering import (
     filter_lucky_prime,
     transmission_scan,
 )
-from .semiclassical import invert_to_potential, prime_density_of_states, profile_to_potential
+from .semiclassical import DENSITY_FLOOR, invert_to_potential, prime_density_of_states, profile_to_potential
 from .sequences import counting_estimates, first_lucky, first_primes, sieve_lucky, sieve_primes
 from .susy import KINETIC_HALF
 from .units import PhysicalContext, energy_scale
@@ -93,7 +94,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_semiclassical(args) -> int:
-    profile = invert_to_potential(prime_density_of_states, args.e0, args.vmax, args.samples)
+    profile = invert_to_potential(prime_density_of_states, DENSITY_FLOOR, args.vmax, args.samples)
     pot = profile_to_potential(profile)
     pot.write_csv(args.out)
     print(f"wrote {args.out} ({pot.grid.points} nodes, edge {pot.asymptote})")
@@ -162,12 +163,7 @@ def _cmd_units(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    config = PipelineConfig.read(args.config) if args.config else PipelineConfig()
-    for f in fields(PipelineConfig):
-        value = getattr(args, f.name)
-        if value is not None:
-            setattr(config, f.name, value)
-    report = run_pipeline(config)
+    report = run_pipeline(PipelineConfig(**{f.name: getattr(args, f.name) for f in fields(PipelineConfig)}))
     for target, value, flag in zip(
         report.targets, report.eigenvalues, report.report.rounds_to_target
     ):
@@ -181,6 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="primepot",
         description="1D quantum potentials with prescribed integer spectra",
+        fromfile_prefix_chars="@",  # @FILE: one argument per line
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -215,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("semiclassical", help="smooth prime potential by inversion")
-    p.add_argument("--e0", type=float, default=2.0)
     p.add_argument("--vmax", type=float, default=100.0)
     p.add_argument("--samples", type=int, default=400)
     p.add_argument("--out", default="sc.csv")
@@ -257,14 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_units)
 
     p = sub.add_parser("pipeline", help="design -> (hologram) -> solve -> compare")
-    p.add_argument("--config")
-    # one flag per config field; None leaves the file's or default value
+    # one flag per config field, defaulting to the field's default
     for f in fields(PipelineConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if isinstance(f.default, bool):
-            p.add_argument(flag, action="store_true", default=None)
-        else:
-            p.add_argument(flag, type=type(f.default))
+        kind = {"action": "store_true"} if isinstance(f.default, bool) else {"type": type(f.default)}
+        p.add_argument("--" + f.name.replace("_", "-"), default=f.default, **kind)
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

@@ -1,8 +1,8 @@
 """End-to-end reproduction pipeline: design, optional holography, verify.
 
-A PipelineConfig round-trips losslessly through a flat key=value file; the
-`pipeline` command has one flag per field, overriding the file. Settings no
-run turns are module constants, such as ``susy.KINETIC_HALF`` and
+The `pipeline` command has one flag per PipelineConfig field and reads the
+same flags, one per line, from an ``@FILE`` argument. Settings no run turns
+are module constants, such as ``susy.KINETIC_HALF`` and
 ``hologram.STEEPNESS``. Runs are deterministic for a fixed config and seed,
 including the bytes of every artifact written.
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -99,9 +99,6 @@ def parse_sequence_spec(spec: str) -> np.ndarray:
     raise ValueError(f"unknown sequence kind {kind!r} (use primes/lucky/file)")
 
 
-_BOOLEANS = {"True": True, "true": True, "1": True, "False": False, "false": False, "0": False}
-
-
 @dataclass
 class PipelineConfig:
     sequence: str = "primes:10"
@@ -112,39 +109,6 @@ class PipelineConfig:
     holo_iters: int = 500
     seed: int = 1
     outdir: str = "pipeline_out"
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            for f in fields(self):
-                fh.write(f"{f.name}={getattr(self, f.name)!r}\n")
-
-    @classmethod
-    def read(cls, path) -> "PipelineConfig":
-        """Parse a file in ``write``'s format; an unknown key or an unreadable
-        value raises ValueError."""
-        kinds = {f.name: type(f.default) for f in fields(cls)}
-        kwargs = {}
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, text = (part.strip() for part in line.partition("="))
-                kind = kinds.get(key)
-                if kind is None:
-                    raise ValueError(f"{path}: unknown config key {key!r}")
-                if kind is bool:
-                    if text not in _BOOLEANS:
-                        raise ValueError(f"{path}: {key} must be one of {sorted(_BOOLEANS)}, got {text!r}")
-                    kwargs[key] = _BOOLEANS[text]
-                elif kind is str:
-                    kwargs[key] = text.strip("'\"")
-                else:
-                    try:
-                        kwargs[key] = kind(text)
-                    except ValueError:
-                        raise ValueError(f"{path}: {key}={text!r} is not a valid {kind.__name__}") from None
-        return cls(**kwargs)
 
 
 @dataclass

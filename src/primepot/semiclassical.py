@@ -35,6 +35,7 @@ __all__ = [
     "wkb_level_count",
 ]
 
+DENSITY_FLOOR = 2.0  # the prime density is defined above this energy, the bottom of the prime well
 PROFILE_SPACING = 0.005  # grid spacing of profile_to_potential's output
 SAMPLE_LIMIT = 10**4  # most x(V) samples: the lattice has (samples - 1) * panels * nodes energies, evaluated blockwise
 LATTICE_BLOCK = 8192  # most lattice energies per density call: 64 KiB per float64 array, under glibc's 128 KiB mmap threshold
@@ -43,8 +44,9 @@ WKB_POINTS = 4001  # trapezoid nodes of wkb_level_count's phase integral
 
 @dataclass(frozen=True)
 class SemiclassicalProfile:
-    """Monotone x(V) samples on the half line, x(e0) = 0; ``kinetic_scale``
-    is read by ``wkb_level_count`` and set by the benchmark's self-test."""
+    """Monotone x(V) samples on the half line, at least two, starting at
+    V = e0 with x(e0) = 0; ``kinetic_scale`` is positive and finite, read by
+    ``wkb_level_count`` and set by the benchmark's self-test."""
 
     v_values: np.ndarray
     x_values: np.ndarray
@@ -56,8 +58,14 @@ class SemiclassicalProfile:
         object.__setattr__(self, "x_values", np.asarray(self.x_values, dtype=np.float64))
         if self.v_values.shape != self.x_values.shape:
             raise ValueError("v and x sample arrays must align")
+        if self.v_values.size < 2:
+            raise ValueError(f"profile needs at least two samples, got {self.v_values.size}")
         if not (np.all(np.isfinite(self.v_values)) and np.all(np.isfinite(self.x_values))):
             raise ValueError("profile samples must be finite")
+        if self.e0 != self.v_values[0]:
+            raise ValueError(f"e0={self.e0!r} must equal the first V sample, {self.v_values[0]!r}")
+        if not 0.0 < self.kinetic_scale < math.inf:
+            raise ValueError(f"kinetic_scale={self.kinetic_scale!r} must be positive and finite")
         if self.x_values[0] != 0.0:
             raise ValueError("profile must start at x(e0) = 0")
         if np.any(np.diff(self.v_values) <= 0.0) or np.any(np.diff(self.x_values) <= 0.0):
@@ -79,18 +87,19 @@ def prime_density_of_states(energy, terms: int = DEFAULT_TERMS):
     """Truncated Moebius series for the smoothed level density at `energy`,
     sum over m of moebius(m)/m * energy**((1 - m)/m), divided by log(energy).
 
-    `energy` is a finite scalar or array above 2. The logarithm is taken once
-    per call, and each term is exp(((1 - m)/m) * log(energy)), formed in one
-    buffer of the input's shape that every term reuses, scaled by
-    moebius(m)/m and added into the total; the m = 1 term is 1. A scalar
-    gives a scalar, and an array call equals the element-wise scalar calls
-    bit for bit. All `terms` terms are kept: unlike the counting series,
-    dropping terms below energy**(1/m) = 2 would make the density
-    discontinuous at powers of two and the inverted profile non-monotone.
+    `energy` is a finite scalar or array above ``DENSITY_FLOOR``. The
+    logarithm is taken once per call, and each term is
+    exp(((1 - m)/m) * log(energy)), formed in one buffer of the input's shape
+    that every term reuses, scaled by moebius(m)/m and added into the total;
+    the m = 1 term is 1. A scalar gives a scalar, and an array call equals
+    the element-wise scalar calls bit for bit. All `terms` terms are kept:
+    unlike the counting series, dropping terms below energy**(1/m) = 2 would
+    make the density discontinuous at powers of two and the inverted profile
+    non-monotone.
     """
     energy = np.asarray(energy, dtype=np.float64)
-    if not np.all((energy > 2.0) & (energy < math.inf)):
-        raise ValueError("density series needs finite energy > 2")
+    if not np.all((energy > DENSITY_FLOOR) & (energy < math.inf)):
+        raise ValueError(f"density series needs finite energy > {DENSITY_FLOOR:g}")
     log_energy = np.log(energy)
     total = np.ones_like(energy)
     term = np.empty_like(energy)

@@ -51,20 +51,23 @@ def validate_sequence(values) -> np.ndarray:
     return seq
 
 
-def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending. limit < 2 gives an empty array."""
+def _prime_mask(limit: int) -> np.ndarray:
+    """Eratosthenes mask of 0..limit: entry n is True iff n is prime."""
     if limit < 0:
         raise ValueError("limit must be non-negative")
     if limit > EXACT_COUNT_LIMIT:
         raise ValueError(f"limit={limit} exceeds {EXACT_COUNT_LIMIT:.0e}, the largest prime sieve")
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
     is_prime = np.ones(limit + 1, dtype=bool)
     is_prime[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = False
-    return np.nonzero(is_prime)[0].astype(np.int64)
+    return is_prime
+
+
+def sieve_primes(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending. limit < 2 gives an empty array."""
+    return np.flatnonzero(_prime_mask(limit)).astype(np.int64, copy=False)
 
 
 def _first(n: int, sieve, limit: int) -> np.ndarray:
@@ -207,7 +210,7 @@ def counting_estimates(x: float, terms: int = DEFAULT_TERMS) -> CountingEstimate
         raise ValueError(f"x={x!r} exceeds {EXACT_COUNT_LIMIT:.0e}, the largest x whose primes are counted exactly")
     return CountingEstimates(
         x=float(x),
-        exact=int(sieve_primes(int(math.floor(x))).size),
+        exact=int(np.count_nonzero(_prime_mask(int(math.floor(x))))),
         gauss=x / math.log(x),
         li=log_integral(x),
         riemann_r=refined,

@@ -39,31 +39,77 @@ def test_parse_sequence_specs(tmp_path):
         parse_sequence_spec("primes")
 
 
-def test_config_round_trips(tmp_path):
-    config = PipelineConfig(sequence="lucky:7", spacing=0.004, hologram=True, seed=9)
-    path = tmp_path / "run.cfg"
-    config.write(path)
-    assert PipelineConfig.read(path) == config
+class _Captured(Exception):
+    """Carries the config `pipeline` would run, out of `main`."""
+
+
+def _pipeline_config(monkeypatch, argv) -> PipelineConfig:
+    """The PipelineConfig that `main(["pipeline", *argv])` hands to run_pipeline,
+    which runs nothing here."""
+
+    def capture(config):
+        raise _Captured(config)
+
+    monkeypatch.setattr(cli, "run_pipeline", capture)
+    with pytest.raises(_Captured) as caught:
+        main(["pipeline", *argv])
+    return caught.value.args[0]
+
+
+def test_config_round_trips(monkeypatch, tmp_path):
+    # every field off its default, one flag per line of an @FILE, the bool flag included
+    outdir = str(tmp_path / "out")
+    config = PipelineConfig(
+        sequence="lucky:7", half_width=10.0, spacing=0.004, hologram=True, holo_m=52, holo_iters=30, seed=9, outdir=outdir
+    )
+    assert all(getattr(config, f.name) != f.default for f in fields(PipelineConfig))
+    flags = [
+        "--sequence=lucky:7",
+        "--half-width=10",
+        "--spacing=0.004",
+        "--hologram",
+        "--holo-m=52",
+        "--holo-iters=30",
+        "--seed=9",
+        f"--outdir={outdir}",
+    ]
+    path = tmp_path / "run.args"
+    path.write_text("\n".join(flags) + "\n")
+    assert _pipeline_config(monkeypatch, [f"@{path}"]) == config
+    assert _pipeline_config(monkeypatch, flags) == config
+    path.write_text("--sequence\nlucky:7\n")  # a flag and its value on two lines
+    assert _pipeline_config(monkeypatch, [f"@{path}"]) == PipelineConfig(sequence="lucky:7")
+
+
+def test_config_file_yields_to_later_flags(monkeypatch, tmp_path):
+    path = tmp_path / "run.args"
+    path.write_text("--sequence=lucky:7\n--seed=9\n")
+    config = _pipeline_config(monkeypatch, [f"@{path}", "--seed", "4"])
+    assert (config.sequence, config.seed) == ("lucky:7", 4)
+    assert _pipeline_config(monkeypatch, ["--seed", "4", f"@{path}"]).seed == 9
 
 
 @pytest.mark.parametrize(
     "line, named",
     [
-        ("spaceing=0.01", "spaceing"),
-        ("hologram=yes", "yes"),
-        ("kinetic='half'", "kinetic"),
-        ("holo_d=9", "holo_d"),
-        ("holo_sr=100", "holo_sr"),  # the SR length is derived from the potential
-        ("half_width=abc", "half_width='abc' is not a valid float"),
-        ("holo_m=2.5", "holo_m='2.5' is not a valid int"),
+        pytest.param(line, named, id=line)
+        for line, named in [
+            ("--spaceing=0.01", "unrecognized arguments: --spaceing=0.01"),
+            ("--hologram=yes", "--hologram: ignored explicit argument 'yes'"),
+            ("--kinetic=half", "unrecognized arguments: --kinetic=half"),
+            ("--holo-d=9", "unrecognized arguments: --holo-d=9"),
+            ("--holo-sr=100", "unrecognized arguments: --holo-sr=100"),  # the SR length is derived from the potential
+            ("--half-width=abc", "--half-width: invalid float value: 'abc'"),
+            ("--holo-m=2.5", "--holo-m: invalid int value: '2.5'"),
+        ]
     ],
 )
 def test_config_rejects_bad_input(tmp_path, capsys, line, named):
-    path = tmp_path / "bad.cfg"
-    path.write_text(f"sequence='primes:4'\n{line}\noutdir='{tmp_path / 'out'}'\n")
-    with pytest.raises(ValueError, match=named):
-        PipelineConfig.read(path)
-    assert main(["pipeline", "--config", str(path)]) == 1
+    path = tmp_path / "bad.args"
+    path.write_text(f"--sequence=primes:4\n{line}\n--outdir={tmp_path / 'out'}\n")
+    with pytest.raises(SystemExit) as exited:
+        main(["pipeline", f"@{path}"])
+    assert exited.value.code == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -214,7 +260,7 @@ def test_cli_pi_rejects_x_over_sieve_limit(monkeypatch, capsys):
     def no_sieve(limit):
         raise AssertionError(f"sieved up to {limit}")
 
-    monkeypatch.setattr(sequences, "sieve_primes", no_sieve)
+    monkeypatch.setattr(sequences, "_prime_mask", no_sieve)
     assert main(["pi", "--x", str(EXACT_COUNT_LIMIT + 1)]) == 1
     assert f"exceeds {EXACT_COUNT_LIMIT:.0e}" in capsys.readouterr().err
 
@@ -723,8 +769,8 @@ def test_cli_defaults_match_pipeline_config():
     synth = parser.parse_args(["holo", "synth", "pot.csv"])
     assert (synth.m, synth.iters, synth.seed) == (config.holo_m, config.holo_iters, config.seed)
     pipeline = parser.parse_args(["pipeline"])
-    assert set(vars(pipeline)) == {f.name for f in fields(PipelineConfig)} | {"config", "command", "func"}
-    assert all(getattr(pipeline, f.name) is None for f in fields(PipelineConfig))
+    assert set(vars(pipeline)) == {f.name for f in fields(PipelineConfig)} | {"command", "func"}
+    assert all(getattr(pipeline, f.name) == f.default for f in fields(PipelineConfig))
 
 
 def test_cli_validation_exit_code(capsys):

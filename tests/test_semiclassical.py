@@ -258,13 +258,41 @@ def test_non_finite_dos_reported_with_energy(bad):
         invert_to_potential(lambda e: np.where(e > 50.0, bad, 1.0), 2.0, 100.0, 50)
 
 
-@pytest.mark.parametrize("field", ["v_values", "x_values"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_profile_rejects_non_finite_samples(field, bad):
-    samples = {"v_values": np.array([2.0, 3.0, 4.0]), "x_values": np.array([0.0, 1.0, 2.0])}
-    samples[field][-1] = bad
-    with pytest.raises(ValueError, match="finite"):
-        SemiclassicalProfile(e0=2.0, kinetic_scale=KINETIC_HALF, **samples)
+@pytest.mark.parametrize(
+    "field, bad, match",
+    [
+        pytest.param(field, bad, match, id=f"{bad}-{field}")
+        for field, bad, match in [
+            ("v_values", math.inf, "finite"),  # the last sample
+            ("v_values", math.nan, "finite"),
+            ("x_values", math.inf, "finite"),
+            ("x_values", math.nan, "finite"),
+            ("e0", math.nan, "e0"),
+            ("e0", 5.0, "first V sample"),  # the samples start at V = 2
+            ("kinetic_scale", math.inf, "positive and finite"),
+            ("kinetic_scale", math.nan, "positive and finite"),
+            ("kinetic_scale", 0.0, "positive and finite"),
+            ("kinetic_scale", -1.0, "positive and finite"),
+            ("samples", 0, "at least two"),  # the first `bad` samples
+            ("samples", 1, "at least two"),
+        ]
+    ],
+)
+def test_profile_rejects_non_finite_samples(field, bad, match):
+    settings = {
+        "v_values": np.array([2.0, 3.0, 4.0]),
+        "x_values": np.array([0.0, 1.0, 2.0]),
+        "e0": 2.0,
+        "kinetic_scale": KINETIC_HALF,
+    }
+    if field == "samples":
+        settings["v_values"], settings["x_values"] = settings["v_values"][:bad], settings["x_values"][:bad]
+    elif field in ("v_values", "x_values"):
+        settings[field][-1] = bad
+    else:
+        settings[field] = bad
+    with pytest.raises(ValueError, match=match):
+        SemiclassicalProfile(**settings)
 
 
 def test_prime_profile_monotone_and_flattening():

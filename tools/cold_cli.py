@@ -44,6 +44,13 @@ COMMANDS = {
     "design": [["design", "--levels", "primes:10", "--out", "pot.csv"]],
     # design, solve and report.json with no hologram: the design benchmark's operation
     "design_solve": [["pipeline", "--sequence", "primes:40", "--outdir", "."]],
+    # every pipeline setting off its default, so each flag's conversion is fingerprinted
+    "pipeline_flags": [
+        [
+            "pipeline", "--sequence", "lucky:8", "--half-width", "10", "--spacing", "0.01", "--hologram",
+            "--holo-m", "52", "--holo-iters", "30", "--seed", "3", "--outdir", ".",
+        ],
+    ],
     "pi": [["pi", "--x", "1000"]],
     "semiclassical": [["semiclassical", "--out", "sc.csv"]],
     # the large-v_max regime, where the phi quadrature holds x(V) to a few ulp
