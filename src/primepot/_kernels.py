@@ -10,24 +10,33 @@ carries the column (u, u') and then walks each block to get u at every
 node; each transmission scan carries the 2x2 product, batched over energies.
 
 A transfer scan's step call covers a span of whole blocks, about ``WORK`` =
-8192 cell-energies, so a filter verdict's batches of a few dozen energies
-pay numpy's per-call overhead once per span rather than once per block. The
-span changes only how many blocks one call computes, never the order of a
-product or a rescale, so a scan's result is bitwise the same for any span,
-and each energy's result is the same bits in any batch.
+16384 cell-energies (480 cells at a filter verdict's 34 energies, so each
+half-well of the default apparatus is one span), so a verdict pays numpy's
+per-call overhead once per span rather than once per block. The span changes
+only how many blocks one call computes, never the order of a product or a
+rescale, so a scan's result is bitwise the same for any span, and each
+energy's result is the same bits in any batch.
+
+The steps are held in tree order, shape ``(2, 2, BLOCK, n_blocks) + batch``:
+slot s of each block holds cell ``_TREE_SLOT[s]``, the bit reversal of s,
+and identity steps fill the slots past the last cell. Each level of the tree
+then multiplies the upper half of its slots by the lower half, two contiguous
+operands, and pairs exactly the cells a pairwise product in cell order pairs.
+Each cell's operands are formed in cell order and then placed in tree order.
 
 Both kernels compute in a workspace (``_Workspace``) of one call shape: the
 steps, their ``h_qbar`` operand, the block tree's levels and the scratch its
 products add in, with ``magnus_step``'s intermediates in its own output.
 ``WORK`` bounds the workspace a thread keeps: the last one of at most
-``WORK`` cell-energies (about 700 KiB at that size) is kept and reused by
-every later call of its shape, so a filter verdict, whose scans share one
-shape, allocates no large array once warm. A larger call, such as a scan of
-thousands of energies, makes buffers of its own and frees them on return.
-Allocating a workspace per scan cost more than the scan's arithmetic: glibc
-returned each scan's ~860 KiB to the kernel and faulted it in again on the
-next, about 1,100 minor page faults per verdict. A workspace serves one
-thread at a time; each thread keeps its own.
+``WORK`` cell-energies (about 1.4 MiB at that size, within a 2 MiB L2) is
+kept and reused by every later call of its shape, so a filter verdict, whose
+scans share one shape, allocates no large array once warm. A larger call,
+such as a scan of thousands of energies, makes buffers of its own and frees
+them on return. Allocating a workspace per scan cost more than the scan's
+arithmetic: glibc returned each scan's buffers to the kernel and faulted them
+in again on the next, about 1,100 minor page faults per verdict at 8192
+cell-energies. A workspace serves one thread at a time; each thread keeps
+its own.
 Timings of both are reported by ``python3 perfbench/run.py --trace 1``.
 """
 
@@ -50,9 +59,12 @@ __all__ = [
 ]
 
 BLOCK = 32  # cells multiplied together between two rescales, in both kernels
-WORK = 8192  # cell-energies per step call of a transfer scan, and most in a kept workspace
+WORK = 16384  # cell-energies per step call of a transfer scan, and most in a kept workspace
 SQRT3_12 = math.sqrt(3.0) / 12.0  # commutator weight of the two-point Gauss Magnus step
 GAUSS_POINTS = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)  # two-point Gauss nodes, as fractions of a cell
+# cell of each slot of a block in tree order, and slot of each cell: the bit reversal
+_TREE_SLOT = np.array([int(f"{j:0{BLOCK.bit_length() - 1}b}"[::-1], 2) for j in range(BLOCK)])
+_TREE_SLOT.flags.writeable = False
 
 
 def backend_name() -> str:
@@ -114,7 +126,7 @@ def magnus_step(alpha, h_qbar, h: float, out: np.ndarray) -> np.ndarray:
     exact solution.
 
     The four slabs of `out` hold the intermediates as well, so of the
-    broadcast shape a step allocates only a boolean mask. `out` must not
+    broadcast shape a step allocates only two boolean masks. `out` must not
     overlap `alpha` or `h_qbar`.
     """
     cosh_d, sinh_d, d, t = out[0, 0], out[0, 1], out[1, 0], out[1, 1]
@@ -122,16 +134,21 @@ def magnus_step(alpha, h_qbar, h: float, out: np.ndarray) -> np.ndarray:
     np.add(alpha * alpha, d2, out=d2)
     grows = d2 > 0.0
     np.sqrt(np.abs(d2, out=d), out=d)
-    # cos and sin from t = tan(d/2): numpy's cos and sin cost several times tan
-    np.tan(np.multiply(0.5, d, out=t), out=t)
+    # cos and sin from t = tan(d/2): numpy's cos and sin cost several times
+    # tan. Each transcendental runs only where its branch is taken (a masked
+    # ufunc gives each element the bits of the unmasked one); the rational
+    # forms run everywhere, on t = d/2 where d grows, and are overwritten
+    # there by cosh and sinh
+    np.multiply(0.5, d, out=t)
+    np.tan(t, out=t, where=np.logical_not(grows))
     np.multiply(t, t, out=cosh_d)
     np.add(1.0, cosh_d, out=sinh_d)
     np.subtract(1.0, cosh_d, out=cosh_d)
     np.divide(cosh_d, sinh_d, out=cosh_d)
     np.multiply(2.0, t, out=t)
     np.divide(t, sinh_d, out=sinh_d)
-    np.copyto(cosh_d, np.cosh(d, out=t), where=grows)
-    np.copyto(sinh_d, np.sinh(d, out=t), where=grows)
+    np.cosh(d, out=cosh_d, where=grows)
+    np.sinh(d, out=sinh_d, where=grows)
     # sinh(d)/d, 1 where d is not positive
     positive = np.greater(d, 0.0, out=grows)
     np.divide(sinh_d, d, out=sinh_d, where=positive)
@@ -157,18 +174,18 @@ def _product(later: np.ndarray, earlier: np.ndarray, out=None, scratch=None) -> 
 
 class _Workspace:
     """The buffers of kernel calls of one shape, ``(span,) + batch``: the
-    span's step matrices, their ``h_qbar`` operand, one array per level of the
-    ``_block_products`` tree and the scratch its products add in."""
+    steps, their ``h_qbar`` operand, the levels of the ``_block_products``
+    tree one after another, and the scratch its products add in. Each is
+    flat, so a call of fewer blocks than the span takes a contiguous prefix
+    of it (``_tree_views``)."""
 
     def __init__(self, shape: tuple):
         self.shape = shape
-        self.steps = np.empty((2, 2) + shape)
-        self.h_qbar = np.empty(shape)
-        n_blocks, batch = shape[0] // BLOCK, shape[1:]
-        widths = [BLOCK >> k for k in range(1, BLOCK.bit_length())]
-        self.levels = [np.empty((2, 2, n_blocks, width) + batch) for width in widths]
-        flat = np.empty(self.levels[0].size)
-        self.scratch = [flat[: level.size].reshape(level.shape) for level in self.levels]
+        size = math.prod(shape)
+        self.steps = np.empty(4 * size)
+        self.h_qbar = np.empty(size)
+        self.levels = np.empty(4 * (size - size // BLOCK))  # BLOCK/2 + BLOCK/4 + ... + 1 slots a block
+        self.scratch = np.empty(2 * size)
 
 
 _kept = threading.local()  # each thread's kept workspace
@@ -189,19 +206,51 @@ def _workspace(span: int, batch: tuple) -> _Workspace:
     return _kept.workspace
 
 
-def _block_products(work: _Workspace, n_steps: int) -> np.ndarray:
-    """Product of each ``BLOCK`` steps of ``work.steps[:, :, :n_steps]``,
-    later steps on the left, pairwise in log2(BLOCK) vectorized levels with
-    no rescale, computed in ``work.levels``; shape (2, 2, n_blocks) + the
-    batch shape, a view into `work`. Identity steps pad the last block: I @ X
-    is exactly X, so the odd step of a level passes up the tree unchanged."""
-    steps = work.steps
-    n_blocks = -(-n_steps // BLOCK)
-    steps[:, :, n_steps : n_blocks * BLOCK] = np.eye(2).reshape((2, 2) + (1,) * (steps.ndim - 2))
-    tree = steps[:, :, : n_blocks * BLOCK].reshape((2, 2, n_blocks, BLOCK) + steps.shape[3:])
-    for level, scratch in zip(work.levels, work.scratch):
-        tree = _product(tree[:, :, :, 1::2], tree[:, :, :, 0::2], level[:, :, :n_blocks], scratch[:, :, :n_blocks])
-    return tree[:, :, :, 0]
+@functools.lru_cache(maxsize=16)
+def _tree_order(n_cells: int) -> tuple:
+    """Where `n_cells` cells sit in tree order: ``rows``, shape (BLOCK,
+    n_blocks), the cell in each slot of each block (the last cell again in
+    the slots past it), and ``pads``, the slots of the last block past the
+    last cell, which take identity steps. Both read-only."""
+    n_blocks = -(-n_cells // BLOCK)
+    rows = np.minimum(_TREE_SLOT[:, None] + np.arange(0, n_blocks * BLOCK, BLOCK), n_cells - 1)
+    pads = _TREE_SLOT[n_cells - (n_blocks - 1) * BLOCK :].copy()
+    rows.flags.writeable = pads.flags.writeable = False
+    return rows, pads
+
+
+def _tree_views(work: _Workspace, n_blocks: int) -> tuple:
+    """The steps, shape (2, 2, BLOCK, n_blocks) + batch, and their ``h_qbar``
+    operand, shape (BLOCK, n_blocks) + batch, of a call of `n_blocks`
+    blocks: contiguous views into `work`."""
+    shape = (BLOCK, n_blocks) + work.shape[1:]
+    size = math.prod(shape)
+    return work.steps[: 4 * size].reshape((2, 2) + shape), work.h_qbar[:size].reshape(shape)
+
+
+def _block_products(work: _Workspace, steps: np.ndarray, pads: np.ndarray) -> np.ndarray:
+    """Product of the ``BLOCK`` steps of each block of `steps` (a view of
+    ``_tree_views``), later steps on the left, pairwise in log2(BLOCK)
+    vectorized levels with no rescale, computed in ``work.levels``; shape
+    (2, 2, n_blocks) + the batch shape, a view into `work`.
+
+    The steps are in tree order: slot s of a block holds cell
+    ``_TREE_SLOT[s]``, the bit reversal of s, so the upper half of the slots
+    holds the odd cells and the lower half the even ones, each in the same
+    order. A level multiplies the upper half by the lower half, two
+    contiguous operands, and pairs cells 2k + 1 and 2k into its slot for k,
+    again in tree order. The slots `pads` of the last block take identity
+    steps first: I @ X is exactly X, so a pair with a padded cell passes its
+    other step up the tree unchanged."""
+    steps[:, :, pads, -1] = np.eye(2).reshape((2, 2, 1) + (1,) * (steps.ndim - 4))
+    tree, free = steps, work.levels
+    while tree.shape[2] > 1:
+        half = tree.shape[2] // 2
+        lower, upper = tree[:, :, :half], tree[:, :, half:]
+        size = lower.size
+        tree = _product(upper, lower, free[:size].reshape(lower.shape), work.scratch[:size].reshape(lower.shape))
+        free = free[size:]
+    return tree[:, :, 0]
 
 
 def riccati_sweep(q: np.ndarray, h: float, c: float):
@@ -215,28 +264,31 @@ def riccati_sweep(q: np.ndarray, h: float, c: float):
     of ``_block_products`` in order and divided by its larger entry after each
     block: the scale is positive, so the sign of u survives, and W is a
     ratio, so it needs no log scale. Each block's steps then carry its
-    starting column to u at every node, all blocks at once.
+    starting column to u at every node, all blocks at once: cell j of each
+    block is read from tree slot ``_TREE_SLOT[j]``.
     """
     gauss = cell_samples(q, GAUSS_POINTS)
     n_cells = gauss.shape[0]
-    work = _workspace(-(-n_cells // BLOCK) * BLOCK, ())
-    alpha = SQRT3_12 * h * h * (gauss[:, 0] - gauss[:, 1])
-    h_qbar = np.add(gauss[:, 0], gauss[:, 1], out=work.h_qbar[:n_cells])
-    h_qbar *= 0.5 * h
-    magnus_step(alpha, h_qbar, h, work.steps[:, :, :n_cells])
-    totals = _block_products(work, n_cells)
+    rows, pads = _tree_order(n_cells)
+    work = _workspace(rows.size, ())
+    steps, h_qbar = _tree_views(work, rows.shape[1])
+    # each cell's operands in cell order, then placed in tree order
+    alpha = (SQRT3_12 * h * h * (gauss[:, 0] - gauss[:, 1]))[rows]
+    np.multiply(np.add(gauss[:, 0], gauss[:, 1])[rows], 0.5 * h, out=h_qbar)
+    magnus_step(alpha, h_qbar, h, steps)
+    totals = _block_products(work, steps, pads)
     u, du = [1.0], [0.0]
     for t11, t12, t21, t22 in zip(*totals.reshape(4, -1)[:, :-1].tolist()):
         nu, ndu = t11 * u[-1] + t12 * du[-1], t21 * u[-1] + t22 * du[-1]
         s = max(abs(nu), abs(ndu))
         u.append(nu / s)
         du.append(ndu / s)
-    column = np.array([u, du])[:, None]
-    blocks = work.steps.reshape(2, 2, -1, BLOCK)
-    path = np.empty((2, column.shape[2], BLOCK))
-    for j in range(BLOCK):
-        column = _product(blocks[:, :, :, j], column)
-        path[:, :, j] = column[:, 0]
+    (s11, s12), (s21, s22) = steps
+    u, du = np.array([u, du])
+    path = np.empty((2, u.size, BLOCK))
+    for j, slot in enumerate(_TREE_SLOT):
+        u, du = s11[slot] * u + s12[slot] * du, s21[slot] * u + s22[slot] * du
+        path[0, :, j], path[1, :, j] = u, du
     u, du = path.reshape(2, -1)[:, :n_cells]
     crossed = np.flatnonzero(u <= 0.0)
     end = int(crossed[0]) if crossed.size else u.size
@@ -255,14 +307,15 @@ def transfer_scan(v_cells: np.ndarray, h: float, energies: np.ndarray, c: float,
     `v_cells` holds constant cells, shape (n_cells,), or the potential at the
     two Gauss points of each cell, shape (n_cells, 2). The cells go in spans
     of ``BLOCK * max(1, WORK // (BLOCK * n_energies))``: one vectorized step
-    computes a span's step matrices into the workspace of the span and batch
-    (kept by the thread when it holds at most ``WORK`` cell-energies), and
-    ``_block_products`` multiplies them block by block. Each block's product
-    then updates the running product, which is rescaled after every block,
-    so no product grows over more than ``BLOCK`` cells before it is rescaled.
-    Every product and rescale happens in the same order for any span, so the
-    result does not depend on the span, and an energy's result does not
-    depend on the batch it is scanned in, to the last bit.
+    computes a span's step matrices, in tree order, into the workspace of the
+    span and batch (kept by the thread when it holds at most ``WORK``
+    cell-energies), and ``_block_products`` multiplies them block by block.
+    Each block's product then updates the running product, which is rescaled
+    after every block, so no product grows over more than ``BLOCK`` cells
+    before it is rescaled. Every product and rescale happens in the same
+    order for any span, so the result does not depend on the span, and an
+    energy's result does not depend on the batch it is scanned in, to the
+    last bit.
 
     Returns ``(m, log_scale)``: ``exp(log_scale) * m`` maps ``(psi, psi'/k)``
     at the left end to the right end, ``k = sqrt(E - v_lead)/c`` the leads'
@@ -286,12 +339,14 @@ def transfer_scan(v_cells: np.ndarray, h: float, energies: np.ndarray, c: float,
     work = _workspace(span, energies.shape)
     for start in range(0, v.shape[0], span):
         cells = v[start : start + span]
-        n_cells = cells.shape[0]
-        alpha = ((SQRT3_12 * h * h / c2) * (cells[:, 0] - cells[:, 1]))[:, None]
-        h_qbar = np.subtract(0.5 * (cells[:, 0] + cells[:, 1])[:, None], energies, out=work.h_qbar[:n_cells])
+        rows, pads = _tree_order(cells.shape[0])
+        steps, h_qbar = _tree_views(work, rows.shape[1])
+        # each cell's operands in cell order, then placed in tree order
+        alpha = ((SQRT3_12 * h * h / c2) * (cells[:, 0] - cells[:, 1]))[rows, None]
+        np.subtract((0.5 * (cells[:, 0] + cells[:, 1]))[rows, None], energies, out=h_qbar)
         h_qbar *= h / c2
-        magnus_step(alpha, h_qbar, h, work.steps[:, :, :n_cells])
-        totals = _block_products(work, n_cells)
+        magnus_step(alpha, h_qbar, h, steps)
+        totals = _block_products(work, steps, pads)
         for block in range(totals.shape[2]):
             m = _product(totals[:, :, block], m)
             # each step has determinant 1, so the largest entry is finite and nonzero

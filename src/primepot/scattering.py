@@ -178,12 +178,24 @@ def windowed_max_transmission(resonance, lo: float, hi: float) -> tuple[float, f
     the iterates shifted by 1e-9 E. The lowest sum seen is kept, and the
     search stops once a step lowers it by no more than 1e-10 relative, or
     after ``NEWTON_STEPS`` steps.
+
+    It also stops, before calling `resonance`, once every iterate sits on an
+    energy an earlier step already evaluated. `resonance` must give an
+    energy the same G in any batch (``_kernels.transfer_scan`` does, to the
+    last bit). Each step that went on lowered the kept sum to that step's own
+    minimum, so no sum of an evaluated energy lies below it, and a step on
+    those energies could only stop the search: the result is the same.
     """
     if lo <= 0.0 or hi <= lo:
         raise ValueError("need 0 < lo < hi")
     energies = np.linspace(lo, hi, COARSE)
     best_s, best_e = np.inf, lo
+    seen = set()
     for _ in range(NEWTON_STEPS + 1):
+        iterates = energies.tolist()
+        if seen.issuperset(iterates):
+            break
+        seen.update(iterates)
         shift = 1e-9 * energies
         g = resonance(np.concatenate([energies, energies + shift]))
         g, slope = g[:COARSE], (g[COARSE:] - g[:COARSE]) / shift[:, None]

@@ -39,12 +39,15 @@ def filter_apparatus():
 @pytest.fixture
 def fresh_buffers(monkeypatch):
     """``fresh_buffers(fn, *args)`` calls `fn` with every kernel workspace
-    made anew and filled with nan, a reference for the kept workspace: the
-    kernels must compute the same bits whatever their buffers held before."""
+    made anew and each of its ndarray attributes filled with nan, a
+    reference for the kept workspace: the kernels must compute the same bits
+    whatever their buffers held before."""
 
     def poisoned(span, batch):
         work = _kernels._Workspace((span,) + batch)
-        for buffer in (work.steps, work.h_qbar, *work.levels, work.scratch[0]):
+        buffers = [value for value in vars(work).values() if isinstance(value, np.ndarray)]
+        assert buffers, "the workspace holds no buffer to poison"
+        for buffer in buffers:
             buffer.fill(np.nan)
         return work
 

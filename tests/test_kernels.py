@@ -244,8 +244,9 @@ def test_scan_is_independent_of_its_batch():
 
 
 def test_scan_step_calls_cover_spans_of_whole_blocks(monkeypatch):
-    # each step call spans whole blocks, about WORK cell-energies, so its
-    # temporaries stay small at any batch; an empty batch still scans
+    # each step call computes the (BLOCK, n_blocks) tree slots of one span's
+    # whole blocks, at most about WORK cell-energies, so its temporaries stay
+    # small at any batch; an empty batch still scans
     calls = []
 
     def recording_step(alpha, h_qbar, h, out):
@@ -261,8 +262,35 @@ def test_scan_step_calls_cover_spans_of_whole_blocks(monkeypatch):
         m, log_scale = _kernels.transfer_scan(cells, 0.01, np.linspace(1.0, 30.0, n_energies), KINETIC_HALF, 0.0)
         assert m.shape == (2, 2, n_energies) and log_scale.shape == (n_energies,)
         span = _span(n_energies)
-        assert calls == [(min(span, cells.size - start), n_energies) for start in range(0, cells.size, span)]
+        spans = [min(span, cells.size - start) for start in range(0, cells.size, span)]
+        assert calls == [(b, -(-n_cells // b), n_energies) for n_cells in spans]
         assert span % b == 0 and span * n_energies <= max(work, b * n_energies)
+        assert all(math.prod(call) <= max(work, b * n_energies) for call in calls)
+
+
+def test_scans_and_sweeps_do_not_depend_on_work(monkeypatch):
+    # WORK sets only how many blocks one step call computes and which
+    # workspaces are kept, so at any WORK each scan and sweep gives the same
+    # bytes, at cell counts on both sides of each WORK's block and span edges;
+    # the filter's search relies on it to skip energies it evaluated before
+    b = _kernels.BLOCK
+    works = (b * 34, 8192, 16384, 65536)
+    rng = np.random.default_rng(31)
+    energies = np.sort(rng.uniform(0.5, 60.0, 34))
+    counts = sorted({n for work in works for n in _edge_counts(b * max(1, work // (b * energies.size)))})
+    profiles = [rng.uniform(0.0, 40.0, (n, 2)) for n in counts]
+    nodes = (4, 5, b, b + 1, b + 2, 2 * b + 1, 2401)
+    qs = [q for n in nodes for q in (3.0 + 2.0 * np.cos(0.025 * np.arange(n)), rng.uniform(-400.0, 100.0, n))]
+
+    def outputs():
+        scans = [_kernels.transfer_scan(cells, 0.01, energies, KINETIC_HALF) for cells in profiles]
+        sweeps = [_kernels.riccati_sweep(q, 0.005, KINETIC_HALF) for q in qs]
+        return [m.tobytes() + log.tobytes() for m, log in scans] + [(w.tobytes(), status) for w, status in sweeps]
+
+    expected = outputs()
+    for work in works:
+        monkeypatch.setattr(_kernels, "WORK", work)
+        assert outputs() == expected, work
 
 
 def test_threads_scan_in_workspaces_of_their_own():
@@ -270,7 +298,8 @@ def test_threads_scan_in_workspaces_of_their_own():
     # threads scanning at once cannot write into each other's buffers
     rng = np.random.default_rng(29)
     energies = np.linspace(1.0, 30.0, 34)
-    profiles = [rng.uniform(0.0, 40.0, (n, 2)) for n in (100, 300, 500, 700)]
+    # 1500 cells span several step calls, each carrying the product across
+    profiles = [rng.uniform(0.0, 40.0, (n, 2)) for n in (100, 300, 500, 700, 1500)]
     expected = [b"".join(a.tobytes() for a in _kernels.transfer_scan(p, 0.01, energies, KINETIC_HALF)) for p in profiles]
     wrong = []
 
@@ -328,9 +357,13 @@ def test_gauss_cells_converge_at_fourth_order():
     assert 3.0 < errors["midpoint", 0.1] / errors["midpoint", 0.05] < 5.0
 
 
-def test_mirror_resonance_matches_full_profile_scan():
+def test_mirror_resonance_matches_full_profile_scan(monkeypatch):
     # a random half followed by its mirror image (cells reversed, Gauss
-    # samples swapped): 1/(1 + G^2) from the half's scan is the full scan's T
+    # samples swapped): 1/(1 + G^2) from the half's scan is the full scan's T.
+    # A half of 2720 cells, the span at 6 energies for WORK = 16384, transmits
+    # about 1e-463 at 0.3, below the smallest double, so the span edges are
+    # placed by a WORK of 8192 (1344 cells, T 1e-229); no result depends on WORK
+    monkeypatch.setattr(_kernels, "WORK", 8192)
     rng = np.random.default_rng(13)
     b, h = _kernels.BLOCK, 0.02
     energies = np.array([0.3, 1.0, 4.0, 9.5, 17.0, 40.0])  # T down to 3e-18 at 0.3

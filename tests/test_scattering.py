@@ -346,14 +346,60 @@ def test_filter_scan_budget(filter_apparatus, monkeypatch):
     # iterates and their forward-difference partners
     halves = [(406, 2 * scattering.COARSE), (452, 2 * scattering.COARSE)]
     # accepted; rejected with neither well holding a level in the window
-    # (peak 2e-4); rejected with only the prime well holding one
-    for w in (3, 8, 2):
+    # (peak 2e-4); rejected with only the prime well holding one; rejected at
+    # peak 1e-6 on the window's edge, where the first step sends every
+    # iterate to an energy the first pass evaluated, so one pass decides
+    for w in (3, 8, 2, 5):
         passes.clear()
         result = filter_lucky_prime(w, filter_apparatus)
         assert result.is_lucky_prime == (w == 3)
         assert (result.peak_transmission >= 0.5) == (w == 3)
         assert 2 <= len(passes) <= 2 * (scattering.NEWTON_STEPS + 1), w
         assert passes == halves * (len(passes) // 2), w
+        assert len(passes) == 2 or w != 5
+
+
+def _search_every_pass(resonance, lo, hi):
+    """``windowed_max_transmission`` without its stop on energies it already
+    evaluated: each pass calls `resonance` until one fails to lower the sum
+    or ``NEWTON_STEPS`` steps are taken. Reference for that stop."""
+    coarse = scattering.COARSE
+    energies = np.linspace(lo, hi, coarse)
+    best_s, best_e = np.inf, lo
+    for _ in range(scattering.NEWTON_STEPS + 1):
+        shift = 1e-9 * energies
+        g = resonance(np.concatenate([energies, energies + shift]))
+        g, slope = g[:coarse], (g[coarse:] - g[:coarse]) / shift[:, None]
+        s = np.sum(g * g, axis=1)
+        i = int(s.argmin())
+        if not s[i] < best_s * (1.0 - 1e-10):
+            break
+        best_s, best_e = float(s[i]), float(energies[i])
+        curvature = np.sum(slope * slope, axis=1)
+        step = np.divide(np.sum(g * slope, axis=1), curvature, out=np.zeros(coarse), where=curvature > 0.0)
+        energies = np.clip(energies - step, lo, hi)
+    return 1.0 / (1.0 + best_s), best_e
+
+
+@pytest.mark.parametrize("fixture", ["filter_apparatus", "apparatus_15"])
+def test_search_stop_keeps_every_peak_bitwise(fixture, request):
+    # a pass on energies evaluated before could only end the search, so
+    # skipping it leaves every window's (peak T, peak E) to the last bit
+    apparatus = request.getfixturevalue(fixture)
+    calls = {"stop": 0, "every": 0}
+
+    def counted(key):
+        def resonance(energies):
+            calls[key] += 1
+            return apparatus.resonance_functions(energies)
+
+        return resonance
+
+    for w in range(1, apparatus.w_max + 1):
+        peak = windowed_max_transmission(counted("stop"), *_window(w))
+        reference = _search_every_pass(counted("every"), *_window(w))
+        assert [x.hex() for x in peak] == [x.hex() for x in reference], w
+    assert calls["stop"] < calls["every"]
 
 
 def test_scans_return_fresh_arrays_bitwise(filter_apparatus, fresh_buffers):
